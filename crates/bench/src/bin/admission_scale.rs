@@ -3,8 +3,8 @@
 //!
 //! **Capacity half** — a harmonic fleet (200/100/50 Hz bands, rate-monotonic
 //! priorities, equal per-component claims summing to 0.96 of one CPU) is
-//! installed under the 0.9-cap strategy and under
-//! [`ResolutionStrategy::ResponseTime`]. The cap strands capacity: it
+//! installed under the 0.9-cap policy and under response-time analysis
+//! ([`RtaResolver`]). The cap strands capacity: it
 //! rejects the component that pushes the sum past 0.9. Exact analysis
 //! proves every deadline is met and admits the full fleet; the simulation
 //! then runs it with **zero** kernel deadline misses.
@@ -30,10 +30,11 @@
 //! missing (the bench lost its teeth), or if the run stops being
 //! deterministic.
 
-use drcom::drcr::{ComponentProvider, ResolutionStrategy};
+use drcom::drcr::ComponentProvider;
 use drcom::obs::{DrcrEvent, TraceSubscriber};
 use drcom::prelude::*;
-use drcom::resolve::UtilizationResolver;
+use drcom::resolve::{ResolvingService, UtilizationResolver};
+use drcom::rta::RtaResolver;
 use rtos::kernel::{KernelConfig, SchedCounters};
 use rtos::latency::TimerJitterModel;
 use std::cell::RefCell;
@@ -150,7 +151,17 @@ fn provider(spec: &Spec) -> ComponentProvider {
     })
 }
 
-/// Outcome of installing `fleet` under `strategy` and running the horizon.
+/// The 0.9 utilization cap.
+fn cap() -> Box<dyn ResolvingService> {
+    Box::new(UtilizationResolver::new(CAP))
+}
+
+/// Exact response-time analysis with the default cost constants.
+fn rta() -> Box<dyn ResolvingService> {
+    Box::new(RtaResolver::default())
+}
+
+/// Outcome of installing `fleet` under `policy` and running the horizon.
 struct RunStats {
     admitted: Vec<String>,
     utilization: f64,
@@ -158,12 +169,11 @@ struct RunStats {
     rendered: String,
 }
 
-fn run(strategy: ResolutionStrategy, fleet: &[Spec], seed: u64, horizon_ms: u64) -> RunStats {
+fn run(policy: Box<dyn ResolvingService>, fleet: &[Spec], seed: u64, horizon_ms: u64) -> RunStats {
     let mut rt = DrtRuntime::with_resolver(
         KernelConfig::new(seed).with_timer(TimerJitterModel::ideal()),
-        Box::new(UtilizationResolver::new(CAP)),
+        policy,
     );
-    rt.set_resolution_strategy(strategy);
     let log = Rc::new(RefCell::new(Vec::new()));
     rt.drcr_mut()
         .add_event_subscriber(Box::new(Collector(log.clone())));
@@ -223,18 +233,8 @@ fn main() {
     let mut rta_a = None;
     let mut rta_a_misses = 0u64;
     for &seed in params.seeds {
-        let cap = run(
-            ResolutionStrategy::Incremental,
-            &harmonic,
-            seed,
-            params.horizon_ms,
-        );
-        let rta = run(
-            ResolutionStrategy::ResponseTime,
-            &harmonic,
-            seed,
-            params.horizon_ms,
-        );
+        let cap = run(cap(), &harmonic, seed, params.horizon_ms);
+        let rta = run(rta(), &harmonic, seed, params.horizon_ms);
         rta_a_misses += rta.sched.deadline_misses;
         sim_runs += 2;
         total_dispatches += cap.sched.dispatches + rta.sched.dispatches;
@@ -262,18 +262,8 @@ fn main() {
     let mut cap_b = None;
     let mut rta_b = None;
     for &seed in params.seeds {
-        let cap = run(
-            ResolutionStrategy::Incremental,
-            &counterexample,
-            seed,
-            params.horizon_ms,
-        );
-        let rta = run(
-            ResolutionStrategy::ResponseTime,
-            &counterexample,
-            seed,
-            params.horizon_ms,
-        );
+        let cap = run(cap(), &counterexample, seed, params.horizon_ms);
+        let rta = run(rta(), &counterexample, seed, params.horizon_ms);
         cap_b_misses += cap.sched.deadline_misses;
         rta_b_misses += rta.sched.deadline_misses;
         sim_runs += 2;
@@ -328,12 +318,7 @@ fn main() {
         );
         // Same seed, same fleet, same stream — byte for byte — and the
         // scheduler counters must match too.
-        let again = run(
-            ResolutionStrategy::ResponseTime,
-            &harmonic,
-            params.seeds[0],
-            params.horizon_ms,
-        );
+        let again = run(rta(), &harmonic, params.seeds[0], params.horizon_ms);
         assert_eq!(
             rta_a.rendered.as_bytes(),
             again.rendered.as_bytes(),

@@ -2,7 +2,7 @@
 //! naive-reference oracle, in three phases.
 //!
 //! **Phase 1 — identity.** A ~1k-component hub/consumer topology with
-//! churn, run under both strategies. Consumers are installed *first*, so
+//! churn, run under both engines. Consumers are installed *first*, so
 //! they pile up Unsatisfied and every subsequent resolve round has a large
 //! activation frontier — the worst case for the naive full-rescan
 //! resolver. The phase asserts the two `DrcrEvent` streams are
@@ -15,10 +15,11 @@
 //! work must stay O(changed), not O(n) — gated by counter ceilings.
 //!
 //! **Phase 3 — batched arrivals.** K components arrive in one wave under
-//! response-time admission. With batched admission the engine proves the
-//! whole wave schedulable in **one** RTA fixed-point per CPU; without it,
-//! one pass per candidate. The phase asserts the batch really collapsed
-//! K passes into `cpus` passes and that both paths admit everything.
+//! response-time admission. The reactive engine proves the whole wave
+//! schedulable in **one** RTA fixed-point per CPU; the naive oracle, which
+//! never batches, runs one pass per candidate. The phase asserts the batch
+//! really collapsed K passes into `cpus` passes and that both paths admit
+//! everything.
 //!
 //! Usage:
 //!   cargo run --release -p bench --bin resolve_scale            # full, writes BENCH_resolve.json
@@ -32,10 +33,12 @@
 //! modes — their cost is dominated by the two arrival waves, not by the
 //! per-install resolve rounds phase 1 exercises.
 
-use drcom::drcr::{ComponentProvider, ResolutionStrategy};
+use drcom::drcr::ComponentProvider;
 use drcom::obs::{DrcrEvent, MetricsReport, TraceSubscriber};
 use drcom::prelude::*;
-use drcom::resolve::AlwaysAdmit;
+use drcom::reactive::{NaiveResolver, ReactiveResolver};
+use drcom::resolve::{AlwaysAdmit, Resolver};
+use drcom::rta::RtaResolver;
 use rtos::kernel::KernelConfig;
 use rtos::latency::TimerJitterModel;
 use std::cell::RefCell;
@@ -207,7 +210,7 @@ fn batch_provider(i: usize, cpus: u32) -> ComponentProvider {
     })
 }
 
-/// Per-strategy outcome of phase 1: the full event stream plus the
+/// Per-engine outcome of phase 1: the full event stream plus the
 /// wiring-work counters the comparison is about.
 struct RunStats {
     events: Vec<(SimTime, DrcrEvent)>,
@@ -234,14 +237,13 @@ fn histogram_sum(report: &MetricsReport, name: &str) -> u64 {
         .map_or(0, |(_, h)| h.sum())
 }
 
-fn run(strategy: ResolutionStrategy, params: &Params) -> RunStats {
-    let mut rt = DrtRuntime::with_resolver(
+fn run(engine: Box<dyn Resolver>, params: &Params) -> RunStats {
+    let mut rt = DrtRuntime::with_engine(
         KernelConfig::new(4)
             .with_cpus(4)
             .with_timer(TimerJitterModel::ideal()),
-        Box::new(AlwaysAdmit),
+        engine,
     );
-    rt.set_resolution_strategy(strategy);
     let log = Rc::new(RefCell::new(Vec::new()));
     rt.drcr_mut()
         .add_event_subscriber(Box::new(Collector(log.clone())));
@@ -299,7 +301,6 @@ fn run_churn(params: &ChurnParams) -> ChurnStats {
             .with_timer(TimerJitterModel::ideal()),
         Box::new(AlwaysAdmit),
     );
-    rt.set_resolution_strategy(ResolutionStrategy::Incremental);
 
     // Two arrival waves (one resolve round each), not n per-install
     // rounds: consumers pile up Unsatisfied, then the hub wave activates
@@ -344,14 +345,21 @@ struct BatchStats {
     rejections: u64,
 }
 
+/// Admits the wave under response-time analysis: batched through the
+/// reactive engine, or one candidate at a time through the naive oracle.
 fn run_batch(params: &BatchParams, batched: bool) -> BatchStats {
-    let mut rt = DrtRuntime::new(
+    let policy = Box::new(RtaResolver::default());
+    let engine: Box<dyn Resolver> = if batched {
+        Box::new(ReactiveResolver::new(policy))
+    } else {
+        Box::new(NaiveResolver::new(policy))
+    };
+    let mut rt = DrtRuntime::with_engine(
         KernelConfig::new(4)
             .with_cpus(params.cpus)
             .with_timer(TimerJitterModel::ideal()),
+        engine,
     );
-    rt.set_resolution_strategy(ResolutionStrategy::ResponseTime);
-    rt.set_batched_admission(batched);
     rt.install_components(
         (0..params.arrivals).map(|i| (format!("bundle.b{i:03}"), batch_provider(i, params.cpus))),
     )
@@ -409,9 +417,12 @@ fn main() {
 
     let total_clock = bench::timing::WallClock::new();
     let phase1_clock = bench::timing::WallClock::new();
-    let incremental = run(ResolutionStrategy::Incremental, &params);
+    let incremental = run(
+        Box::new(ReactiveResolver::new(Box::new(AlwaysAdmit))),
+        &params,
+    );
     let phase1_incremental_secs = phase1_clock.elapsed_secs();
-    let naive = run(ResolutionStrategy::NaiveReference, &params);
+    let naive = run(Box::new(NaiveResolver::new(Box::new(AlwaysAdmit))), &params);
     let phase1_secs = phase1_clock.elapsed_secs();
 
     let inc_rendered = render(&incremental.events);
@@ -460,10 +471,7 @@ fn main() {
     );
 
     if check {
-        assert!(
-            events_identical,
-            "event streams diverged between strategies"
-        );
+        assert!(events_identical, "event streams diverged between engines");
         assert_eq!(
             incremental.graph_builds, 0,
             "incremental resolver built wiring graphs"

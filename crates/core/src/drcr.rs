@@ -33,14 +33,14 @@ use crate::obs::{
     BridgeEvent, DrcrEvent, EventSink, Histogram, MetricsRegistry, MetricsReport, Timestamped,
     TraceRing, TraceSubscriber,
 };
-use crate::reactive::{AdmissionPolicy, NaiveResolver, ReactiveResolver};
+use crate::reactive::ReactiveResolver;
 use crate::resolve::{
     Decision, Resolver, ResolverHandle, ResolvingService, UtilizationResolver, RESOLVER_SERVICE,
 };
-use crate::rta::{RtaAnalysis, RtaParams, RtaResolver};
+use crate::rta::RtaAnalysis;
 use crate::supervise::{FaultDecision, SupervisionConfig, Supervisor};
 use crate::view::{ComponentInfo, SystemView};
-use crate::wiring::WiringResult;
+use crate::wiring::{MissingPort, WiringResult};
 use osgi::event::{BundleId, FrameworkEvent, ServiceEventKind};
 use osgi::framework::Framework;
 use osgi::ldap::{PropValue, Properties};
@@ -49,7 +49,7 @@ use rtos::kernel::Kernel;
 use rtos::task::{TaskConfig, TaskId};
 use rtos::time::SimDuration;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
@@ -64,39 +64,6 @@ pub const PROP_COMPONENT_NAME: &str = "drt.name";
 /// Capacity of the executive's event rings; older events are dropped
 /// (counted, and still delivered to live subscribers first).
 const EVENT_RING_CAPACITY: usize = 10_000;
-
-/// Which constraint-resolution engine the executive drives.
-///
-/// Each variant is a constructor for a [`Resolver`] engine
-/// ([`Drcr::set_resolution_strategy`] rebuilds the engine and replays the
-/// current component world into it). `Incremental` and `NaiveReference`
-/// produce byte-identical [`DrcrEvent`] streams; they differ only in work
-/// done (visible through the `drcr.wiring.*` / `drcr.admission.*`
-/// counters). `ResponseTime` keeps the reactive engine but swaps the
-/// *non-functional* half: internal verdicts come from exact response-time
-/// analysis ([`crate::rta`]), so its event stream legitimately differs
-/// (different admission verdicts, plus [`DrcrEvent::AdmissionAnalysis`]
-/// evidence events) — and it unlocks batched arrival admission
-/// ([`Drcr::set_batched_admission`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResolutionStrategy {
-    /// The default: [`ReactiveResolver`] with the configured internal
-    /// resolving service — a persistent port index maintained across
-    /// deploy/undeploy/state transitions, memoized wiring and admission
-    /// nodes, and a deactivation sweep driven by a dirty-set seeded from
-    /// the changed component's consumers.
-    #[default]
-    Incremental,
-    /// [`NaiveResolver`]: the pre-index behaviour, kept as a
-    /// differential-testing reference and benchmark baseline — rebuild a
-    /// wiring graph for every check and re-scan every running component
-    /// every sweep.
-    NaiveReference,
-    /// [`ReactiveResolver`] with response-time admission: reactive wiring +
-    /// schedulability-aware internal verdicts from per-CPU fixed-priority
-    /// response-time analysis instead of the configured service.
-    ResponseTime,
-}
 
 /// A deployable component: validated descriptor plus the factory producing
 /// its real-time logic.
@@ -171,15 +138,24 @@ struct ComponentRecord {
     reply_buffer: HashMap<u32, ManagementReply>,
 }
 
+impl ComponentRecord {
+    /// The record's entry in the global view, under its interned `name`.
+    fn info(&self, name: Rc<str>) -> ComponentInfo {
+        ComponentInfo::from_contract_interned(
+            name,
+            self.state,
+            &self.descriptor.task,
+            self.descriptor.cpu_usage.fraction(),
+        )
+    }
+}
+
 /// The DRCR executive. Construct with [`Drcr::new_shared`]; the shared
 /// handle is what management services capture. See the [module docs](self).
 pub struct Drcr {
     kernel: Rc<RefCell<Kernel>>,
     components: BTreeMap<Rc<str>, ComponentRecord>,
     ledger: AdmissionLedger,
-    /// The configured internal resolving service (the admission policy the
-    /// engine rules with under `Incremental`/`NaiveReference`).
-    internal_policy: Rc<dyn ResolvingService>,
     bridge: BridgeMode,
     enforce_budgets: bool,
     transitions: Vec<Transition>,
@@ -192,9 +168,9 @@ pub struct Drcr {
     next_chan: u32,
     next_token: u32,
     dirty: bool,
-    strategy: ResolutionStrategy,
     /// The constraint-resolution engine: wiring index + memoized nodes +
     /// sweep cursor + internal admission, behind one pluggable surface.
+    /// Fixed at construction.
     resolver: Box<dyn Resolver>,
     /// Components currently `Unsatisfied` (the activation sweep's work
     /// list), maintained on every state transition.
@@ -209,11 +185,6 @@ pub struct Drcr {
     view_dirty: bool,
     /// Restart/quarantine bookkeeping for faulted components.
     supervisor: Supervisor,
-    /// Response-time analysis tuning for the `ResponseTime` engine.
-    rta_params: RtaParams,
-    /// Admit whole arrival batches in one RTA pass per CPU when the engine
-    /// supports it (opt-in; see [`Drcr::set_batched_admission`]).
-    batched_admission: bool,
     /// Kernel task → owning component, for O(faulted) supervision scans.
     task_names: BTreeMap<TaskId, Rc<str>>,
     self_ref: Weak<RefCell<Drcr>>,
@@ -235,21 +206,30 @@ impl Drcr {
         Self::with_resolver(kernel, Box::new(UtilizationResolver::default()))
     }
 
-    /// Creates the executive with a custom internal resolving service.
+    /// Creates the executive with a custom internal resolving service,
+    /// ruled through the reactive engine. An
+    /// [`RtaResolver`](crate::rta::RtaResolver) policy also records analysis
+    /// evidence and admits arrival waves in one pass per CPU.
     pub fn with_resolver(
         kernel: Rc<RefCell<Kernel>>,
         internal: Box<dyn ResolvingService>,
     ) -> Rc<RefCell<Drcr>> {
+        Self::with_engine(kernel, Box::new(ReactiveResolver::new(internal)))
+    }
+
+    /// Creates the executive around a constraint-resolution engine (the
+    /// differential-testing hook: pass a
+    /// [`NaiveResolver`](crate::reactive::NaiveResolver) for the sequential
+    /// reference semantics). The engine cannot be swapped later.
+    pub fn with_engine(
+        kernel: Rc<RefCell<Kernel>>,
+        resolver: Box<dyn Resolver>,
+    ) -> Rc<RefCell<Drcr>> {
         let cpu_count = kernel.borrow().cpu_count();
-        let internal_policy: Rc<dyn ResolvingService> = Rc::from(internal);
-        let resolver: Box<dyn Resolver> = Box::new(ReactiveResolver::new(
-            AdmissionPolicy::Service(internal_policy.clone()),
-        ));
         let drcr = Rc::new(RefCell::new(Drcr {
             kernel,
             components: BTreeMap::new(),
             ledger: AdmissionLedger::new(cpu_count),
-            internal_policy,
             bridge: BridgeMode::AsyncPoll,
             enforce_budgets: false,
             transitions: Vec::new(),
@@ -261,15 +241,12 @@ impl Drcr {
             next_chan: 0,
             next_token: 0,
             dirty: false,
-            strategy: ResolutionStrategy::default(),
             resolver,
             unsatisfied: BTreeSet::new(),
             view_cache: SystemView::new(cpu_count, Vec::new()),
             view_index: HashMap::new(),
             view_dirty: false,
             supervisor: Supervisor::new(),
-            rta_params: RtaParams::default(),
-            batched_admission: false,
             task_names: BTreeMap::new(),
             self_ref: Weak::new(),
         }));
@@ -288,68 +265,6 @@ impl Drcr {
     /// making the declared claim binding (see [`crate::enforce`]).
     pub fn set_budget_enforcement(&mut self, on: bool) {
         self.enforce_budgets = on;
-    }
-
-    /// Selects the constraint-resolution engine (differential-testing and
-    /// benchmarking hook; the default is
-    /// [`ResolutionStrategy::Incremental`]). Rebuilds the engine, replays
-    /// the current component world into it, and conservatively marks
-    /// everything for re-checking at the next resolve round.
-    pub fn set_resolution_strategy(&mut self, strategy: ResolutionStrategy) {
-        self.strategy = strategy;
-        self.rebuild_resolver();
-    }
-
-    /// Tunes the response-time analysis backing
-    /// [`ResolutionStrategy::ResponseTime`] (container overhead and
-    /// blocking term; the defaults model this kernel's cost constants).
-    pub fn set_rta_params(&mut self, params: RtaParams) {
-        self.rta_params = params;
-        self.rebuild_resolver();
-    }
-
-    /// Opts into batched arrival admission: when several components wait on
-    /// the same resolve round under [`ResolutionStrategy::ResponseTime`]
-    /// (and no customized resolvers are registered), the whole batch is
-    /// admitted with **one** response-time fixed-point pass per CPU instead
-    /// of one per component. Admit/reject outcomes are provably equal to
-    /// sequential admission (the engine falls back to per-candidate
-    /// analysis whenever single-pass equivalence cannot be guaranteed), but
-    /// the event *order* differs: wiring diagnoses for the batch precede
-    /// its admission verdicts, and one [`DrcrEvent::AdmissionAnalysis`] per
-    /// CPU stands for the whole batch.
-    pub fn set_batched_admission(&mut self, on: bool) {
-        self.batched_admission = on;
-    }
-
-    /// Constructs the engine for the current strategy and replays the
-    /// registered world into it. Called on strategy/params changes; the
-    /// fresh engine starts with every component marked dirty, which is
-    /// event-safe (a sweep over satisfied components emits nothing).
-    fn rebuild_resolver(&mut self) {
-        let policy = match self.strategy {
-            ResolutionStrategy::ResponseTime => {
-                AdmissionPolicy::ResponseTime(RtaResolver::new(self.rta_params))
-            }
-            _ => AdmissionPolicy::Service(self.internal_policy.clone()),
-        };
-        let mut resolver: Box<dyn Resolver> = match self.strategy {
-            ResolutionStrategy::NaiveReference => Box::new(NaiveResolver::new(policy)),
-            _ => Box::new(ReactiveResolver::new(policy)),
-        };
-        for (name, rec) in &self.components {
-            resolver.on_registered(name, &rec.descriptor);
-            if rec.state != ComponentState::Installed {
-                resolver.on_state_changed(
-                    name,
-                    rec.descriptor.task.cpu(),
-                    ComponentState::Installed,
-                    rec.state,
-                );
-            }
-        }
-        resolver.seed_all();
-        self.resolver = resolver;
     }
 
     /// Sets the supervision config applied to components that have no
@@ -584,14 +499,7 @@ impl Drcr {
             self.ledger.cpu_count(),
             self.components
                 .iter()
-                .map(|(id, r)| {
-                    ComponentInfo::from_contract_interned(
-                        id.clone(),
-                        r.state,
-                        &r.descriptor.task,
-                        r.descriptor.cpu_usage.fraction(),
-                    )
-                })
+                .map(|(id, r)| r.info(id.clone()))
                 .collect(),
         )
     }
@@ -776,12 +684,7 @@ impl Drcr {
             match self.view_index.get(name).copied() {
                 Some(idx) => {
                     let (key, rec) = self.components.get_key_value(name).expect("present");
-                    let info = ComponentInfo::from_contract_interned(
-                        key.clone(),
-                        rec.state,
-                        &rec.descriptor.task,
-                        rec.descriptor.cpu_usage.fraction(),
-                    );
+                    let info = rec.info(key.clone());
                     self.view_cache.replace_at(idx, info);
                     self.metrics.count("drcr.view.updates", 1);
                 }
@@ -857,12 +760,7 @@ impl Drcr {
             match self.view_index.get(name).copied() {
                 Some(idx) => {
                     let (key, rec) = self.components.get_key_value(name).expect("present");
-                    let info = ComponentInfo::from_contract_interned(
-                        key.clone(),
-                        rec.state,
-                        &rec.descriptor.task,
-                        rec.descriptor.cpu_usage.fraction(),
-                    );
+                    let info = rec.info(key.clone());
                     self.view_cache.replace_at(idx, info);
                     self.metrics.count("drcr.view.updates", 1);
                 }
@@ -1083,33 +981,19 @@ impl Drcr {
                 .filter(|n| !self.supervisor.is_held(n))
                 .cloned()
                 .collect();
-            let batched = if self.batched_admission {
-                self.try_activate_batch(&waiting, fw)
-            } else {
-                None
-            };
-            match batched {
-                Some(n) => {
-                    if n > 0 {
-                        activations += n;
-                        changed = true;
-                    }
-                }
+            let activated = match self.try_activate_batch(&waiting, fw) {
+                Some(n) => n,
                 None => {
-                    for name in waiting {
-                        match self.try_activate(&name, fw) {
-                            Ok(true) => {
-                                activations += 1;
-                                changed = true;
-                            }
-                            Ok(false) => {}
-                            Err(err) => self.note(DrcrEvent::ActivationFailed {
-                                component: name.to_string(),
-                                reason: err.to_string(),
-                            }),
-                        }
+                    let mut n = 0;
+                    for name in &waiting {
+                        n += u32::from(self.activate_waiting(name, fw));
                     }
+                    n
                 }
+            };
+            if activated > 0 {
+                activations += activated;
+                changed = true;
             }
 
             // Cyclically dependent components cannot activate one at a time
@@ -1167,9 +1051,7 @@ impl Drcr {
     }
 
     /// The internal non-functional verdict on one candidate, ruled by the
-    /// engine's admission policy (the configured resolving service, or
-    /// exact response-time analysis under
-    /// [`ResolutionStrategy::ResponseTime`]). Callers must
+    /// engine's admission policy. Callers must
     /// [`Drcr::refresh_view`] first. Returns the ruling resolver's name
     /// with the decision; an RTA ruling also emits a
     /// [`DrcrEvent::AdmissionAnalysis`] evidence event and feeds the
@@ -1192,22 +1074,25 @@ impl Drcr {
             if ruling.evaluated {
                 self.metrics.count("drcr.admission.rta_passes", 1);
             }
-            if let Some(wcrt) = analysis.wcrt_of(&candidate.name) {
-                self.metrics
-                    .observe("drcr.admission.wcrt_ns", wcrt, Histogram::latency_ns);
-            }
-            self.note(DrcrEvent::AdmissionAnalysis {
-                component: candidate.name.to_string(),
-                cpu: analysis.cpu,
-                schedulable: analysis.schedulable,
-                wcrts: analysis
-                    .wcrts
-                    .iter()
-                    .map(|w| (w.name.clone(), w.wcrt_ns, w.deadline_ns))
-                    .collect(),
-            });
+            self.note_analysis(&candidate.name, analysis);
         }
         (ruling.resolver, ruling.decision)
+    }
+
+    /// Records the response-time analysis behind `component`'s verdict:
+    /// its WCRT in the `drcr.admission.wcrt_ns` histogram, and the
+    /// [`DrcrEvent::AdmissionAnalysis`] evidence event.
+    fn note_analysis(&mut self, component: &str, analysis: &RtaAnalysis) {
+        if let Some(wcrt) = analysis.wcrt_of(component) {
+            self.metrics
+                .observe("drcr.admission.wcrt_ns", wcrt, Histogram::latency_ns);
+        }
+        self.note(DrcrEvent::AdmissionAnalysis {
+            component: component.to_string(),
+            cpu: analysis.cpu,
+            schedulable: analysis.schedulable,
+            wcrts: analysis.wcrts.clone(),
+        });
     }
 
     /// Re-checks one running component during the deactivation sweep,
@@ -1269,15 +1154,7 @@ impl Drcr {
         }
         // Admission for every member, against the view as members join.
         for name in &assume {
-            let candidate = {
-                let rec = &self.components[&**name];
-                ComponentInfo::from_contract_interned(
-                    name.clone(),
-                    rec.state,
-                    &rec.descriptor.task,
-                    rec.descriptor.cpu_usage.fraction(),
-                )
-            };
+            let candidate = self.components[&**name].info(name.clone());
             self.refresh_view();
             let (resolver, verdict) = self.internal_admit(&candidate, true);
             if let Decision::Reject(reason) = verdict {
@@ -1336,28 +1213,13 @@ impl Drcr {
         let providers = match self.check_wiring(name, &[]) {
             Ok(p) => p,
             Err(missing) => {
-                self.note(DrcrEvent::WiringUnsatisfied {
-                    component: name.to_string(),
-                    missing: missing
-                        .iter()
-                        .map(|m| m.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; "),
-                });
+                self.note_unwired(name, &missing);
                 return Ok(false);
             }
         };
 
         // Non-functional constraints: internal + every customized resolver.
-        let candidate = {
-            let rec = &self.components[&**name];
-            ComponentInfo::from_contract_interned(
-                name.clone(),
-                rec.state,
-                &rec.descriptor.task,
-                rec.descriptor.cpu_usage.fraction(),
-            )
-        };
+        let candidate = self.components[&**name].info(name.clone());
         self.refresh_view();
         let (resolver, verdict) = self.internal_admit(&candidate, true);
         let rejected = matches!(verdict, Decision::Reject(_));
@@ -1402,163 +1264,147 @@ impl Drcr {
         Ok(true)
     }
 
-    /// Batched admission of one arrival wave: screens every waiting
-    /// component's wiring, then asks the engine to admit all survivors in
-    /// **one** analysis pass — one RTA fixed-point per CPU instead of one
-    /// per candidate (see [`crate::rta::RtaResolver::analyze_batch`] for
-    /// the soundness argument).
+    /// Batched admission of one arrival wave: admits every waiting
+    /// component that passes its wiring in **one** analysis pass per CPU —
+    /// one RTA fixed point per CPU instead of one per candidate (see
+    /// [`crate::rta::RtaResolver::analyze_batch`] for the soundness
+    /// argument).
+    ///
+    /// The wave is screened as the sequential sweep would see it: each
+    /// candidate's wiring is checked with the passers before it counted
+    /// active (they all activate when the batch commits). When the engine
+    /// commits the batch, the events follow the sequential sweep's order —
+    /// per candidate in sweep order, its wiring diagnosis, or its
+    /// [`DrcrEvent::AdmissionAnalysis`] (the whole CPU's batch analysis),
+    /// verdict and activation — so the two paths differ only in the
+    /// evidence payload. An activation failure voids the wave's premise
+    /// (its claim and outputs were counted), so the rest of the wave then
+    /// runs the sequential path.
     ///
     /// Returns `None` — before emitting any event — when batching does not
-    /// apply: fewer than two candidates, or customized resolver services
-    /// registered (they rule per-candidate and must see the view grow
-    /// member by member). The caller then runs the sequential sweep.
-    /// Otherwise it completes the whole activation pass, falling back to
-    /// per-candidate admission internally when the engine declines the
-    /// batch (mixed task models, an unschedulable CPU, or a policy without
-    /// batch support).
-    ///
-    /// Event attribution in the batched path: one
-    /// [`DrcrEvent::AdmissionAnalysis`] per CPU, carried by that CPU's
-    /// last candidate (whose analysis the batch pass actually ran); every
-    /// admitted candidate still gets its own `AdmissionVerdict`.
+    /// apply: an engine that never batches, fewer than two passers,
+    /// customized resolver services registered (they rule per candidate and
+    /// must see the view grow member by member), or an engine declining
+    /// the wave (mixed task models, an unschedulable CPU; counted in
+    /// `drcr.admission.batches_declined`). The caller then runs the
+    /// sequential sweep.
     fn try_activate_batch(&mut self, waiting: &[Rc<str>], fw: &mut Framework) -> Option<u32> {
-        if waiting.len() < 2 {
-            return None;
-        }
-        if !fw.registry().find(RESOLVER_SERVICE, None).is_empty() {
+        if waiting.len() < 2
+            || !self.resolver.batches()
+            || !fw.registry().find(RESOLVER_SERVICE, None).is_empty()
+        {
             return None;
         }
         self.refresh_view();
 
-        // Wiring screen (strict: providers must be Active now). A
-        // candidate failing here stays Unsatisfied; if this wave activates
-        // a provider it needs, the next sweep picks it up.
-        type Passer = (Rc<str>, Vec<(String, String)>);
-        let mut passers: Vec<Passer> = Vec::new();
+        let mut screened: Vec<(Rc<str>, WiringResult)> = Vec::with_capacity(waiting.len());
+        let mut passers: Vec<Rc<str>> = Vec::new();
+        let mut provided: HashSet<String> = HashSet::new();
         for name in waiting {
-            match self.check_wiring(name, &[]) {
-                Ok(providers) => passers.push((name.clone(), providers)),
-                Err(missing) => self.note(DrcrEvent::WiringUnsatisfied {
-                    component: name.to_string(),
-                    missing: missing
+            // Only a candidate reading a channel an earlier passer provides
+            // can see a different wiring than the strict, memoized check.
+            let relies = self.components[&**name]
+                .descriptor
+                .inports
+                .iter()
+                .any(|p| provided.contains(p.name.as_str()));
+            let wiring = self.check_wiring(name, if relies { &passers } else { &[] });
+            if wiring.is_ok() {
+                passers.push(name.clone());
+                provided.extend(
+                    self.components[&**name]
+                        .descriptor
+                        .outports
                         .iter()
-                        .map(|m| m.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; "),
-                }),
+                        .map(|p| p.name.to_string()),
+                );
             }
+            screened.push((name.clone(), wiring));
         }
-
+        if passers.len() < 2 {
+            return None;
+        }
         let candidates: Vec<ComponentInfo> = passers
             .iter()
-            .map(|(name, _)| {
-                let rec = &self.components[&**name];
-                ComponentInfo::from_contract_interned(
-                    name.clone(),
-                    rec.state,
-                    &rec.descriptor.task,
-                    rec.descriptor.cpu_usage.fraction(),
-                )
-            })
+            .map(|name| self.components[&**name].info(name.clone()))
             .collect();
-        let batch = if candidates.len() > 1 {
-            self.resolver.admit_batch(&candidates, &self.view_cache)
-        } else {
-            None
+        let Some(batch) = self.resolver.admit_batch(&candidates, &self.view_cache) else {
+            self.metrics.count("drcr.admission.batches_declined", 1);
+            return None;
         };
 
+        self.metrics.count("drcr.admission.batches", 1);
+        self.metrics
+            .count("drcr.admission.rta_passes", batch.analyses.len() as u64);
+        let by_cpu: HashMap<u32, &RtaAnalysis> =
+            batch.analyses.iter().map(|a| (a.cpu, a)).collect();
         let mut activated: u32 = 0;
-        if let Some(batch) = batch {
-            self.metrics.count("drcr.admission.batches", 1);
-            self.metrics
-                .count("drcr.admission.checks", candidates.len() as u64);
-            self.metrics
-                .count("drcr.admission.rta_passes", batch.analyses.len() as u64);
-            let by_cpu: HashMap<u32, &RtaAnalysis> =
-                batch.analyses.iter().map(|a| (a.cpu, a)).collect();
-            let mut last_of_cpu: HashMap<u32, &str> = HashMap::new();
-            for c in &candidates {
-                last_of_cpu.insert(c.cpu, &c.name);
-            }
-            // Every candidate's WCRT is present in its CPU's single
-            // analysis (the batch pass models them all admitted), so the
-            // histogram sees the same observations as K sequential passes.
-            for c in &candidates {
-                if let Some(wcrt) = by_cpu.get(&c.cpu).and_then(|a| a.wcrt_of(&c.name)) {
-                    self.metrics
-                        .observe("drcr.admission.wcrt_ns", wcrt, Histogram::latency_ns);
-                }
-            }
-            for (name, providers) in passers {
-                let cpu = self.components[&*name].descriptor.task.cpu();
-                if last_of_cpu.get(&cpu).is_some_and(|n| *n == &*name) {
-                    let analysis = by_cpu[&cpu];
-                    self.note(DrcrEvent::AdmissionAnalysis {
-                        component: name.to_string(),
-                        cpu: analysis.cpu,
-                        schedulable: analysis.schedulable,
-                        wcrts: analysis
-                            .wcrts
-                            .iter()
-                            .map(|w| (w.name.clone(), w.wcrt_ns, w.deadline_ns))
-                            .collect(),
-                    });
-                }
-                self.note(DrcrEvent::AdmissionVerdict {
-                    component: name.to_string(),
-                    resolver: batch.resolver.clone(),
-                    internal: true,
-                    admitted: true,
-                    reason: String::new(),
-                });
-                match self.activate(&name, fw, providers) {
-                    Ok(()) => activated += 1,
-                    Err(err) => self.note(DrcrEvent::ActivationFailed {
-                        component: name.to_string(),
-                        reason: err.to_string(),
-                    }),
-                }
-            }
-        } else {
-            // Engine declined the batch: exact sequential admission over
-            // the screened candidates.
-            for (name, providers) in passers {
-                self.refresh_view();
-                let candidate = {
-                    let rec = &self.components[&*name];
-                    ComponentInfo::from_contract_interned(
-                        name.clone(),
-                        rec.state,
-                        &rec.descriptor.task,
-                        rec.descriptor.cpu_usage.fraction(),
-                    )
-                };
-                let (resolver, verdict) = self.internal_admit(&candidate, true);
-                let rejected = matches!(verdict, Decision::Reject(_));
-                self.note(DrcrEvent::AdmissionVerdict {
-                    component: name.to_string(),
-                    resolver,
-                    internal: true,
-                    admitted: !rejected,
-                    reason: match verdict {
-                        Decision::Reject(reason) => reason,
-                        _ => String::new(),
-                    },
-                });
-                if rejected {
-                    self.metrics.count("drcr.admission.rejections", 1);
+        let mut screened = screened.into_iter();
+        for (name, wiring) in screened.by_ref() {
+            let providers = match wiring {
+                Ok(providers) => providers,
+                Err(missing) => {
+                    self.note_unwired(&name, &missing);
                     continue;
                 }
-                match self.activate(&name, fw, providers) {
-                    Ok(()) => activated += 1,
-                    Err(err) => self.note(DrcrEvent::ActivationFailed {
+            };
+            // Every candidate's WCRT is in its CPU's single analysis (the
+            // pass models them all admitted).
+            self.metrics.count("drcr.admission.checks", 1);
+            self.metrics.count("drcr.admission.batched", 1);
+            let analysis = by_cpu[&self.components[&*name].descriptor.task.cpu()];
+            self.note_analysis(&name, analysis);
+            self.note(DrcrEvent::AdmissionVerdict {
+                component: name.to_string(),
+                resolver: batch.resolver.clone(),
+                internal: true,
+                admitted: true,
+                reason: String::new(),
+            });
+            match self.activate(&name, fw, providers) {
+                Ok(()) => activated += 1,
+                Err(err) => {
+                    self.note(DrcrEvent::ActivationFailed {
                         component: name.to_string(),
                         reason: err.to_string(),
-                    }),
+                    });
+                    break;
                 }
+            }
+        }
+        for (name, _) in screened {
+            if self.activate_waiting(&name, fw) {
+                activated += 1;
             }
         }
         Some(activated)
+    }
+
+    /// One step of the sequential activation sweep: attempts `name`,
+    /// recording a failed activation as an event. True when it went active.
+    fn activate_waiting(&mut self, name: &Rc<str>, fw: &mut Framework) -> bool {
+        match self.try_activate(name, fw) {
+            Ok(activated) => activated,
+            Err(err) => {
+                self.note(DrcrEvent::ActivationFailed {
+                    component: name.to_string(),
+                    reason: err.to_string(),
+                });
+                false
+            }
+        }
+    }
+
+    /// Records why `name` cannot activate yet: its unsatisfied inports.
+    fn note_unwired(&mut self, name: &str, missing: &[MissingPort]) {
+        self.note(DrcrEvent::WiringUnsatisfied {
+            component: name.to_string(),
+            missing: missing
+                .iter()
+                .map(|m| m.to_string())
+                .collect::<Vec<_>>()
+                .join("; "),
+        });
     }
 
     /// Performs the activation: channels, RT task, admission, management

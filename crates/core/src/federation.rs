@@ -43,12 +43,13 @@
 //! [`FedEvent`]s keyed on the tick, tallied into `fed.*` metrics.
 
 use crate::descriptor::ComponentDescriptor;
-use crate::drcr::{ComponentProvider, ResolutionStrategy};
+use crate::drcr::ComponentProvider;
 use crate::error::DrcrError;
 use crate::faults::{NodeFaultKind, NodeFaultPlan};
 use crate::hybrid::RtLogic;
 use crate::lifecycle::ComponentState;
 use crate::obs::{DrcrEvent, FedEndpoint, FedEvent, MetricsRegistry, MetricsReport};
+use crate::rta::RtaResolver;
 use crate::runtime::DrtRuntime;
 use crate::supervise::{FaultDecision, SupervisionConfig, Supervisor};
 use osgi::event::BundleId;
@@ -473,20 +474,19 @@ pub struct Federation {
 }
 
 impl Federation {
-    /// Builds the federation: one kernel + DRCR shard per node, all on
-    /// the response-time resolution strategy with batched admission (so
-    /// failover waves go through `admit_batch`).
+    /// Builds the federation: one kernel + DRCR shard per node, all ruling
+    /// admission with response-time analysis (so failover waves go through
+    /// `admit_batch`).
     pub fn new(config: FederationConfig, plan: NodeFaultPlan) -> Self {
         let mut lockstep = Lockstep::new();
         let nodes = (0..config.nodes)
             .map(|id| {
-                let mut rt = DrtRuntime::new(
+                let rt = DrtRuntime::with_resolver(
                     KernelConfig::new(config.seed.wrapping_add(id as u64).wrapping_mul(0x9E37))
                         .with_cpus(config.cpus_per_node)
                         .with_timer(TimerJitterModel::ideal()),
+                    Box::new(RtaResolver::default()),
                 );
-                rt.set_resolution_strategy(ResolutionStrategy::ResponseTime);
-                rt.set_batched_admission(true);
                 NodeSlot {
                     id,
                     rt,

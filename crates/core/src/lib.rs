@@ -97,9 +97,7 @@ pub use adapt::{
 pub use adl::{AdlError, Assembly, DeployedAssembly};
 pub use contracts::{ContractOutcome, LearningConfig, StochasticMonitor, UsageEstimator};
 pub use descriptor::{ComponentDescriptor, DescriptorBuilder};
-pub use drcr::{
-    ComponentProvider, Drcr, ResolutionStrategy, COMPONENT_SERVICE, PROP_COMPONENT_NAME,
-};
+pub use drcr::{ComponentProvider, Drcr, COMPONENT_SERVICE, PROP_COMPONENT_NAME};
 pub use enforce::{ContractMonitor, EnforcementAction, EnforcementPolicy, Violation};
 pub use error::{DescriptorError, DrcrError};
 pub use faults::{
@@ -119,7 +117,7 @@ pub use obs::{
     BridgeEvent, DrcrEvent, FedEndpoint, FedEvent, Histogram, MetricsRegistry, MetricsReport,
 };
 pub use parallel::{FleetBridge, FleetMember};
-pub use reactive::{AdmissionPolicy, NaiveResolver, ReactiveResolver};
+pub use reactive::{NaiveResolver, ReactiveResolver};
 pub use resolve::{
     AdmissionRuling, BatchAdmission, Decision, Resolver, ResolvingService, WiringCheck,
     RESOLVER_SERVICE,

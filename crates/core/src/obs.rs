@@ -14,8 +14,10 @@
 //! only — two runs with the same seed produce byte-identical reports.
 
 use crate::lifecycle::ComponentState;
+use crate::rta::TaskWcrt;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 
 pub use rtos::trace::{EventSink, Timestamped, TraceRing, TraceSubscriber};
 
@@ -66,10 +68,17 @@ pub enum DrcrEvent {
     },
     /// The response-time analysis behind an internal admission verdict:
     /// the computed worst-case response times of the hypothetical task set
-    /// (candidate included). Emitted only under
-    /// [`ResolutionStrategy::ResponseTime`](crate::drcr::ResolutionStrategy),
+    /// (candidate included). Emitted only when the internal policy's
+    /// rulings carry that analysis
+    /// ([`ResolvingService::rule`](crate::resolve::ResolvingService::rule)),
     /// immediately before the corresponding
-    /// [`DrcrEvent::AdmissionVerdict`].
+    /// [`DrcrEvent::AdmissionVerdict`]. In a batched wave every candidate
+    /// carries its CPU's whole-wave analysis: the hypothetical task set
+    /// with every member of the wave admitted, so an earlier member's WCRT
+    /// already counts the later members' interference. When a later member
+    /// then fails to activate, the evidence emitted for the earlier ones
+    /// still counts it: a superset of what joined the CPU. Their verdicts
+    /// stay sound, since response times only grow with the task set.
     AdmissionAnalysis {
         /// The candidate component.
         component: String,
@@ -77,9 +86,9 @@ pub enum DrcrEvent {
         cpu: u32,
         /// Whether every task met its implicit deadline.
         schedulable: bool,
-        /// `(task, wcrt_ns, deadline_ns)` per analysed task, priority
-        /// order; empty when the aperiodic utilization fallback ruled.
-        wcrts: Vec<(String, u64, u64)>,
+        /// Per analysed task, priority order; empty when the aperiodic
+        /// utilization fallback ruled. Shared with the analysis it reports.
+        wcrts: Rc<[TaskWcrt]>,
     },
     /// Functional constraints unsatisfied: the component stays waiting.
     WiringUnsatisfied {
@@ -282,7 +291,7 @@ impl fmt::Display for DrcrEvent {
                     "RTA for `{component}` on CPU {cpu}: {verdict} ({} tasks",
                     wcrts.len()
                 )?;
-                if let Some(worst) = wcrts.iter().map(|(_, w, _)| *w).max() {
+                if let Some(worst) = wcrts.iter().map(|w| w.wcrt_ns).max() {
                     write!(f, ", worst WCRT {worst} ns")?;
                 }
                 write!(f, ")")

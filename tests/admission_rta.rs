@@ -1,13 +1,13 @@
 //! Edge cases and lockstep laws for the response-time-analysis admission
-//! path (`drcom::rta`, `ResolutionStrategy::ResponseTime`).
+//! path (`drcom::rta`, an `RtaResolver` handed to the runtime as its
+//! internal policy).
 //!
 //! The analytical cases pin the recurrence against hand-computed response
 //! times; the lockstep properties relate the exact test to the utilization
-//! family (RM bound ⇒ RTA ⇒ EDF) and check that the `ResponseTime` strategy
-//! and the cap strategy drive the executive identically whenever they admit
-//! the same fleet.
+//! family (RM bound ⇒ RTA ⇒ EDF) and check that response-time admission
+//! and the cap drive the executive identically whenever they admit the
+//! same fleet.
 
-use drcom::drcr::ResolutionStrategy;
 use drcom::lifecycle::ComponentState;
 use drcom::resolve::{EdfResolver, ResolvingService, RmBoundResolver, UtilizationResolver};
 use drcom::rta::{RtaParams, RtaResolver};
@@ -161,7 +161,7 @@ fn rta_sits_between_rm_bound_and_edf_on_random_fleets() {
 }
 
 /// Lockstep law at the executive level: install a random fleet under the
-/// cap strategy and under `ResponseTime`. Whenever both strategies admit
+/// cap policy and under `RtaResolver`. Whenever both policies admit
 /// exactly the same components, their ledgers agree and their lifecycle
 /// event streams (modulo the RTA evidence events and verdict resolver
 /// names) are identical.
@@ -180,12 +180,11 @@ fn response_time_strategy_agrees_with_cap_when_both_admit() {
             })
             .collect();
 
-        let run = |strategy: ResolutionStrategy| {
+        let run = |policy: Box<dyn ResolvingService>| {
             let mut rt = DrtRuntime::with_resolver(
                 KernelConfig::new(1000 + case).with_timer(TimerJitterModel::ideal()),
-                Box::new(UtilizationResolver::new(0.9)),
+                policy,
             );
-            rt.set_resolution_strategy(strategy);
             for (name, freq, prio, usage) in &fleet {
                 rt.install_component(&format!("d.{name}"), pinned(name, *freq, *prio, *usage))
                     .unwrap();
@@ -214,8 +213,8 @@ fn response_time_strategy_agrees_with_cap_when_both_admit() {
             (admitted, utilization, lifecycle)
         };
 
-        let (cap_admitted, cap_util, cap_events) = run(ResolutionStrategy::Incremental);
-        let (rta_admitted, rta_util, rta_events) = run(ResolutionStrategy::ResponseTime);
+        let (cap_admitted, cap_util, cap_events) = run(Box::new(UtilizationResolver::new(0.9)));
+        let (rta_admitted, rta_util, rta_events) = run(Box::<RtaResolver>::default());
         if cap_admitted == rta_admitted {
             agreements += 1;
             assert_eq!(
@@ -229,5 +228,5 @@ fn response_time_strategy_agrees_with_cap_when_both_admit() {
             );
         }
     }
-    assert!(agreements > 0, "strategies never admitted the same fleet");
+    assert!(agreements > 0, "policies never admitted the same fleet");
 }

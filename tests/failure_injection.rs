@@ -447,10 +447,16 @@ fn fault_reaction_is_resolution_strategy_independent() {
     // naive reference must produce byte-identical DrcrEvent streams —
     // supervision is part of the executive's observable contract.
     let build = |naive: bool| {
-        let mut rt = runtime();
-        if naive {
-            rt.set_resolution_strategy(drt::drcom::ResolutionStrategy::NaiveReference);
-        }
+        let mut rt = if naive {
+            DrtRuntime::with_engine(
+                KernelConfig::new(77).with_timer(TimerJitterModel::ideal()),
+                Box::new(drt::drcom::NaiveResolver::new(Box::new(
+                    drt::drcom::resolve::UtilizationResolver::default(),
+                ))),
+            )
+        } else {
+            runtime()
+        };
         let log = Rc::new(std::cell::RefCell::new(Vec::new()));
         rt.drcr_mut()
             .add_event_subscriber(Box::new(Collector(log.clone())));

@@ -267,19 +267,74 @@ fn assert_lockstep(
         );
     }
     assert_eq!(
-        *inc_log.borrow(),
-        *naive_log.borrow(),
+        without_evidence(&inc_log.borrow()),
+        without_evidence(&naive_log.borrow()),
         "case {case} step {step}: event streams diverged"
     );
 }
 
+/// An event stream with each `AdmissionAnalysis` evidence payload dropped.
+/// The payload is the one thing a committed batch changes: every batched
+/// candidate carries its CPU's whole-wave analysis, while the naive oracle
+/// rules one candidate at a time. Policies without analysis emit no such
+/// events, so for them this is the byte-identical stream.
+fn without_evidence(log: &[(SimTime, DrcrEvent)]) -> Vec<(SimTime, String)> {
+    log.iter()
+        .map(|(t, e)| {
+            let e = match e {
+                DrcrEvent::AdmissionAnalysis { component, cpu, .. } => {
+                    format!("analysis of `{component}` on CPU {cpu}")
+                }
+                other => format!("{other:?}"),
+            };
+            (*t, e)
+        })
+        .collect()
+}
+
 #[test]
 fn incremental_resolver_matches_naive_reference() {
-    let mut rng = SimRng::from_seed(0x1DC5);
+    // A utilization cap never screens a wave, so even counting memo hits
+    // the reactive engine asks no more wiring questions than the oracle.
+    let batches = lockstep_against_naive(
+        0x1DC5,
+        || Box::new(drcom::resolve::UtilizationResolver::default()),
+        "drcr.wiring.checks",
+    );
+    assert_eq!(batches, 0, "a utilization cap never batches");
+}
+
+/// The same law under response-time admission, where the reactive engine
+/// batches arrival waves and the naive oracle does not: states, providers,
+/// ledger and event order stay in lockstep.
+#[test]
+fn batching_engine_matches_naive_reference_under_rta() {
+    // A wave screen re-asks memoized wiring questions, so the bound is on
+    // evaluations; every naive check is one.
+    let batches = lockstep_against_naive(
+        0x27A5,
+        || Box::<drcom::RtaResolver>::default(),
+        "drcr.wiring.evals",
+    );
+    assert!(batches > 0, "the sample never committed a batch");
+}
+
+/// Drives the reactive engine and the naive oracle, both ruling with
+/// `policy`, through 24 random operation sequences in lockstep, and bounds
+/// the reactive engine's `inc_work_counter` by the oracle's wiring checks.
+/// Returns how many batches the reactive engine committed.
+fn lockstep_against_naive(
+    seed: u64,
+    policy: fn() -> Box<dyn drcom::ResolvingService>,
+    inc_work_counter: &str,
+) -> u64 {
+    let mut rng = SimRng::from_seed(seed);
+    let mut batches = 0;
     for case in 0..24 {
-        let mut inc = DrtRuntime::new(KernelConfig::new(2).with_timer(TimerJitterModel::ideal()));
-        let mut naive = DrtRuntime::new(KernelConfig::new(2).with_timer(TimerJitterModel::ideal()));
-        naive.set_resolution_strategy(drcom::ResolutionStrategy::NaiveReference);
+        let config = || KernelConfig::new(2).with_timer(TimerJitterModel::ideal());
+        let mut inc = DrtRuntime::with_resolver(config(), policy());
+        let mut naive =
+            DrtRuntime::with_engine(config(), Box::new(drcom::NaiveResolver::new(policy())));
         let inc_log = tap(&inc);
         let naive_log = tap(&naive);
         let mut inc_bundles: std::collections::HashMap<&str, osgi::event::BundleId> =
@@ -351,15 +406,17 @@ fn incremental_resolver_matches_naive_reference() {
         assert_lockstep(case, usize::MAX, &inc, &naive, &inc_log, &naive_log);
         // The whole point: the incremental run did strictly less wiring
         // work while producing the identical observable history.
-        let inc_checks = inc.drcr().metrics().counter("drcr.wiring.checks");
-        let naive_builds = naive.drcr().metrics().counter("drcr.wiring.graph_builds");
+        let inc_work = inc.drcr().metrics().counter(inc_work_counter);
+        let naive_checks = naive.drcr().metrics().counter("drcr.wiring.checks");
         let inc_builds = inc.drcr().metrics().counter("drcr.wiring.graph_builds");
         assert_eq!(inc_builds, 0, "case {case}: incremental built a graph");
         assert!(
-            inc_checks <= naive.drcr().metrics().counter("drcr.wiring.checks"),
-            "case {case}: incremental checked more than the reference ({inc_checks} > {naive_builds})"
+            inc_work <= naive_checks,
+            "case {case}: incremental {inc_work_counter} exceeds the reference's checks ({inc_work} > {naive_checks})"
         );
+        batches += inc.drcr().metrics().counter("drcr.admission.batches");
     }
+    batches
 }
 
 #[test]
