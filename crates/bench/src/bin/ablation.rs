@@ -105,7 +105,11 @@ fn bridge_ablation() {
             BridgeMode::SyncBlocking(SimDuration::from_micros(900)),
         ),
     ] {
-        let mut rt = DrtRuntime::new(KernelConfig::new(17).with_timer(TimerJitterModel::ideal()));
+        let mut rt = DrtRuntime::new(
+            KernelConfig::new(17)
+                .with_timer(TimerJitterModel::ideal())
+                .with_latency_samples(),
+        );
         rt.drcr_mut().set_bridge_mode(bridge);
         let descriptor = ComponentDescriptor::builder("calc")
             .periodic(1000, 0, 2)
@@ -149,7 +153,7 @@ fn bridge_ablation() {
         println!(
             "{label:<28} {:>14.1} {:>12.1} {:>10}",
             stats.average(),
-            stats.avedev(),
+            stats.avedev().expect("the kernel retains samples"),
             kernel.task_overruns(calc_task).unwrap_or(0),
         );
     }
@@ -161,7 +165,7 @@ fn bridge_ablation() {
 }
 
 fn timer_mode_ablation() {
-    use bench::{run_table1_config, ImplKind, Table1Config};
+    use bench::{run_table1_config, table1_avedev, ImplKind, Table1Config};
     use rtos::latency::{LoadMode, TimerMode};
     println!();
     println!("== Ablation C: hardware timer programming mode ==");
@@ -187,7 +191,7 @@ fn timer_mode_ablation() {
         println!(
             "{label:<22} {:>12.2} {:>12.2} {:>10} {:>10}",
             stats.average(),
-            stats.avedev(),
+            table1_avedev(&stats),
             stats.min().unwrap_or(0),
             stats.max().unwrap_or(0),
         );

@@ -3,7 +3,7 @@
 //! Usage: `cargo run --release -p bench --bin table1 [cycles] [seed]`
 //! Defaults: 20000 cycles (the paper's scale), seed 42.
 
-use bench::{format_table1, run_table1, PAPER_TABLE1};
+use bench::{format_table1, run_table1, table1_avedev, PAPER_TABLE1};
 use drcom::obs::MetricsRegistry;
 
 fn main() {
@@ -41,18 +41,21 @@ fn main() {
     let pure_light = &rows[1].stats;
     let hrc_stress = &rows[2].stats;
     let pure_stress = &rows[3].stats;
+    let pure_light_dev = table1_avedev(pure_light);
+    let hrc_stress_dev = table1_avedev(hrc_stress);
+    let pure_stress_dev = table1_avedev(pure_stress);
 
     let delta_light = (hrc_light.average() - pure_light.average()).abs();
     println!(
         "HRC vs pure RTAI (light):  |Δavg| = {delta_light:.1} ns  (noise: avedev = {:.1} ns) -> {}",
-        pure_light.avedev(),
-        verdict(delta_light < pure_light.avedev())
+        pure_light_dev,
+        verdict(delta_light < pure_light_dev)
     );
     let delta_stress = (hrc_stress.average() - pure_stress.average()).abs();
     println!(
         "HRC vs pure RTAI (stress): |Δavg| = {delta_stress:.1} ns  (noise: avedev = {:.1} ns) -> {}",
-        pure_stress.avedev().max(200.0),
-        verdict(delta_stress < pure_stress.avedev().max(200.0) * 3.0)
+        pure_stress_dev.max(200.0),
+        verdict(delta_stress < pure_stress_dev.max(200.0) * 3.0)
     );
     let bound_ok = rows
         .iter()
@@ -61,8 +64,7 @@ fn main() {
         "Latency bounded within ~30 us in all modes -> {}",
         verdict(bound_ok)
     );
-    let stress_shape =
-        hrc_stress.average() < -15_000.0 && hrc_stress.avedev() < pure_light.avedev();
+    let stress_shape = hrc_stress.average() < -15_000.0 && hrc_stress_dev < pure_light_dev;
     println!(
         "Stress mode: mean shifts early (~-21 us) while deviation collapses -> {}",
         verdict(stress_shape)
@@ -86,7 +88,10 @@ fn main() {
             .collect();
         metrics.count(&format!("table1.{slug}.samples"), row.stats.count() as u64);
         metrics.gauge(&format!("table1.{slug}.avg_ns"), row.stats.average());
-        metrics.gauge(&format!("table1.{slug}.avedev_ns"), row.stats.avedev());
+        metrics.gauge(
+            &format!("table1.{slug}.avedev_ns"),
+            table1_avedev(&row.stats),
+        );
         metrics.gauge(
             &format!("table1.{slug}.min_ns"),
             row.stats.min().unwrap_or(0) as f64,

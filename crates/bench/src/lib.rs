@@ -16,5 +16,6 @@ pub mod microbench;
 pub mod timing;
 
 pub use harness::{
-    format_table1, run_table1, run_table1_config, ImplKind, Table1Config, Table1Row, PAPER_TABLE1,
+    format_table1, run_table1, run_table1_config, table1_avedev, ImplKind, Table1Config, Table1Row,
+    PAPER_TABLE1,
 };

@@ -46,7 +46,7 @@ use osgi::framework::Framework;
 use osgi::ldap::{PropValue, Properties};
 use osgi::registry::ServiceId;
 use rtos::kernel::Kernel;
-use rtos::task::{TaskConfig, TaskId};
+use rtos::task::{ObjName, TaskConfig, TaskId};
 use rtos::time::SimDuration;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -128,8 +128,8 @@ struct ComponentRecord {
     bundle: Option<BundleId>,
     task: Option<TaskId>,
     mgmt: Option<ServiceId>,
-    cmd_mbx: Option<String>,
-    reply_mbx: Option<String>,
+    cmd_mbx: Option<ObjName>,
+    reply_mbx: Option<ObjName>,
     /// Chosen provider per inport at activation (for diagnostics).
     providers: Vec<(String, String)>,
     /// The operating mode currently substituted into the contract.
@@ -1521,9 +1521,12 @@ impl Drcr {
                     self.next_chan = self.next_chan.wrapping_add(1);
                     let digits = base36(self.next_chan % BASE36_SPACE);
                     let tail = std::str::from_utf8(&digits).expect("base36 is ASCII");
-                    let c = format!("c{tail}");
-                    let r = format!("r{tail}");
-                    if kernel.mailboxes().get(&c).is_none() && kernel.mailboxes().get(&r).is_none()
+                    let name = |prefix| {
+                        ObjName::new(format!("{prefix}{tail}")).expect("bridge names are valid")
+                    };
+                    let (c, r) = (name('c'), name('r'));
+                    if kernel.mailboxes().get(c.as_str()).is_none()
+                        && kernel.mailboxes().get(r.as_str()).is_none()
                     {
                         chosen = Some((c, r));
                         break;
@@ -1535,14 +1538,14 @@ impl Drcr {
                         DrcrError::Kernel("no free bridge channel names".into())
                     );
                 };
-                if let Err(e) = kernel.mailboxes_mut().create(&c, 16) {
+                if let Err(e) = kernel.mailboxes_mut().create(c.as_str(), 16) {
                     rollback!(kernel, e);
                 }
-                created.push(Created::Mbx(c.clone()));
-                if let Err(e) = kernel.mailboxes_mut().create(&r, 16) {
+                created.push(Created::Mbx(c.to_string()));
+                if let Err(e) = kernel.mailboxes_mut().create(r.as_str(), 16) {
                     rollback!(kernel, e);
                 }
-                created.push(Created::Mbx(r.clone()));
+                created.push(Created::Mbx(r.to_string()));
                 (Some(c), Some(r))
             }
         };
@@ -1551,7 +1554,7 @@ impl Drcr {
         let bindings: Vec<PortBinding> = descriptor
             .ports()
             .map(|(direction, spec)| PortBinding {
-                spec: spec.clone(),
+                spec: *spec,
                 direction,
             })
             .collect();
@@ -1559,8 +1562,8 @@ impl Drcr {
             factory(),
             bindings,
             descriptor.properties.clone(),
-            cmd_mbx.clone(),
-            reply_mbx.clone(),
+            cmd_mbx,
+            reply_mbx,
             self.bridge,
         );
         let mut cfg = match descriptor.task {
@@ -1675,8 +1678,8 @@ impl Drcr {
                 rec.descriptor.clone(),
                 rec.task,
                 rec.mgmt,
-                rec.cmd_mbx.clone(),
-                rec.reply_mbx.clone(),
+                rec.cmd_mbx,
+                rec.reply_mbx,
                 rec.state,
             )
         };
@@ -1710,7 +1713,7 @@ impl Drcr {
             }
         }
         for mbx in [cmd_mbx, reply_mbx].into_iter().flatten() {
-            let _ = kernel.mailboxes_mut().delete(&mbx);
+            let _ = kernel.mailboxes_mut().delete(mbx.as_str());
         }
         drop(kernel);
         // Non-holding states legitimately carry no reservation (an
@@ -1952,7 +1955,7 @@ impl Drcr {
             .components
             .get(name)
             .ok_or_else(|| DrcrError::NoSuchComponent(name.to_string()))?;
-        let Some(cmd_mbx) = rec.cmd_mbx.clone() else {
+        let Some(cmd_mbx) = rec.cmd_mbx else {
             return Err(DrcrError::Management(format!(
                 "component `{name}` has no management channel (state {:?})",
                 rec.state
@@ -1971,9 +1974,12 @@ impl Drcr {
             let mut kernel = self.kernel.borrow_mut();
             let queued = kernel
                 .mailboxes_mut()
-                .send(&cmd_mbx, &frame)
+                .send(cmd_mbx.as_str(), &frame)
                 .map_err(|e| DrcrError::Management(e.to_string()))?;
-            let depth = kernel.mailboxes().get(&cmd_mbx).map_or(0, |m| m.len());
+            let depth = kernel
+                .mailboxes()
+                .get(cmd_mbx.as_str())
+                .map_or(0, |m| m.len());
             (queued, depth, kernel.now())
         };
         if !queued {
@@ -2011,7 +2017,7 @@ impl Drcr {
         let Some(rec) = self.components.get(name) else {
             return Err(DrcrError::NoSuchComponent(name.to_string()));
         };
-        let Some(reply_mbx) = rec.reply_mbx.clone() else {
+        let Some(reply_mbx) = rec.reply_mbx else {
             return Ok(());
         };
         let mut drained: u32 = 0;
@@ -2020,7 +2026,7 @@ impl Drcr {
                 .kernel
                 .borrow_mut()
                 .mailboxes_mut()
-                .recv(&reply_mbx)
+                .recv(reply_mbx.as_str())
                 .map_err(|e| DrcrError::Management(e.to_string()))?;
             let Some(msg) = msg else { break };
             let Ok(reply) = Reply::decode(&msg) else {

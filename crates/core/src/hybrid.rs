@@ -17,7 +17,7 @@
 
 use crate::model::{PortDirection, PortInterface, PortSpec, PropertyValue};
 use rtos::kernel::TaskCtx;
-use rtos::task::TaskBody;
+use rtos::task::{ObjName, TaskBody};
 use rtos::time::{SimDuration, SimTime};
 use std::fmt;
 
@@ -399,7 +399,7 @@ pub enum BridgeMode {
 }
 
 /// One port with its direction, as bound at activation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct PortBinding {
     /// The port's declared shape.
     pub spec: PortSpec,
@@ -413,8 +413,8 @@ pub struct HybridRtBody {
     logic: Box<dyn RtLogic>,
     bindings: Vec<PortBinding>,
     properties: Vec<(String, PropertyValue)>,
-    cmd_mbx: Option<String>,
-    reply_mbx: Option<String>,
+    cmd_mbx: Option<ObjName>,
+    reply_mbx: Option<ObjName>,
     bridge: BridgeMode,
 }
 
@@ -433,8 +433,8 @@ impl HybridRtBody {
         logic: Box<dyn RtLogic>,
         bindings: Vec<PortBinding>,
         properties: Vec<(String, PropertyValue)>,
-        cmd_mbx: Option<String>,
-        reply_mbx: Option<String>,
+        cmd_mbx: Option<ObjName>,
+        reply_mbx: Option<ObjName>,
         bridge: BridgeMode,
     ) -> Self {
         HybridRtBody {
@@ -448,13 +448,12 @@ impl HybridRtBody {
     }
 
     fn pump_commands(&mut self, ctx: &mut TaskCtx<'_>) {
-        let Some(cmd_mbx) = self.cmd_mbx.clone() else {
+        let Some(cmd_mbx) = self.cmd_mbx else {
             return;
         };
-        let reply_mbx = self.reply_mbx.clone();
         let mut served = 0u32;
         loop {
-            let msg = match ctx.mailbox_recv(&cmd_mbx) {
+            let msg = match ctx.mailbox_recv(cmd_mbx.as_str()) {
                 Ok(Some(m)) => m,
                 Ok(None) => break,
                 Err(_) => break, // channel torn down mid-flight
@@ -490,12 +489,12 @@ impl HybridRtBody {
                 }),
                 Command::Ping { token } => Some(Reply::Pong { token }),
             };
-            if let (Some(reply), Some(rmbx)) = (reply, reply_mbx.as_deref()) {
+            if let (Some(reply), Some(rmbx)) = (reply, self.reply_mbx) {
                 match reply.encode() {
                     // Non-blocking: a full reply mailbox drops the reply;
                     // the manager will re-poll.
                     Ok(bytes) => {
-                        let _ = ctx.mailbox_send(rmbx, &bytes);
+                        let _ = ctx.mailbox_send(rmbx.as_str(), &bytes);
                     }
                     // A reply can carry an oversized descriptor-installed
                     // Text property; dropping it (manager times out) beats
@@ -617,20 +616,20 @@ impl RtIo<'_, '_> {
     ///
     /// [`PortError`] for unknown ports or channel failures.
     pub fn read(&mut self, port: &str) -> Result<Option<Vec<u8>>, PortError> {
-        let binding = self.binding(port, PortDirection::In)?.clone();
-        match binding.spec.interface {
+        let spec = self.binding(port, PortDirection::In)?.spec;
+        match spec.interface {
             PortInterface::Shm => self
                 .ctx
-                .shm_read(binding.spec.name.as_str())
+                .shm_read(spec.name.as_str())
                 .map(Some)
                 .map_err(|e| PortError::Channel(e.to_string())),
             PortInterface::Mailbox => self
                 .ctx
-                .mailbox_recv(binding.spec.name.as_str())
+                .mailbox_recv(spec.name.as_str())
                 .map_err(|e| PortError::Channel(e.to_string())),
             PortInterface::Fifo => self
                 .ctx
-                .fifo_get(binding.spec.name.as_str(), binding.spec.byte_len())
+                .fifo_get(spec.name.as_str(), spec.byte_len())
                 .map(|bytes| if bytes.is_empty() { None } else { Some(bytes) })
                 .map_err(|e| PortError::Channel(e.to_string())),
         }
@@ -644,20 +643,20 @@ impl RtIo<'_, '_> {
     ///
     /// [`PortError`] for unknown ports or channel failures.
     pub fn write(&mut self, port: &str, data: &[u8]) -> Result<bool, PortError> {
-        let binding = self.binding(port, PortDirection::Out)?.clone();
-        match binding.spec.interface {
+        let spec = self.binding(port, PortDirection::Out)?.spec;
+        match spec.interface {
             PortInterface::Shm => self
                 .ctx
-                .shm_write(binding.spec.name.as_str(), data)
+                .shm_write(spec.name.as_str(), data)
                 .map(|()| true)
                 .map_err(|e| PortError::Channel(e.to_string())),
             PortInterface::Mailbox => self
                 .ctx
-                .mailbox_send(binding.spec.name.as_str(), data)
+                .mailbox_send(spec.name.as_str(), data)
                 .map_err(|e| PortError::Channel(e.to_string())),
             PortInterface::Fifo => self
                 .ctx
-                .fifo_put(binding.spec.name.as_str(), data)
+                .fifo_put(spec.name.as_str(), data)
                 .map(|taken| taken == data.len())
                 .map_err(|e| PortError::Channel(e.to_string())),
         }

@@ -121,7 +121,7 @@ impl fmt::Display for PortDirection {
 /// compatible; an inport is wired to the outport sharing its name (§2.3:
 /// "these attributes are used to determine the port compatibility between
 /// the provided and required interfaces").
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortSpec {
     /// Channel name (6-character OS limit; also the SHM/mailbox name).
     pub name: ObjName,

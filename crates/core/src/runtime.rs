@@ -46,7 +46,7 @@ use crate::manage::{
 use crate::resolve::{Resolver, ResolverHandle, ResolvingService, RESOLVER_SERVICE};
 use osgi::event::BundleId;
 use osgi::framework::{BundleActivator, BundleContext, Framework, FrameworkError};
-use osgi::ldap::{Filter, Properties};
+use osgi::ldap::Properties;
 use osgi::manifest::BundleManifest;
 use osgi::registry::ServiceId;
 use osgi::version::Version;
@@ -146,8 +146,11 @@ impl DrtRuntime {
     ) -> Self {
         let kernel = Rc::new(RefCell::new(Kernel::new(kernel_config)));
         let drcr = drcr(kernel.clone());
+        let mut framework = Framework::new();
+        // Management lookups by component name are exact matches.
+        framework.registry_mut().index_property(PROP_COMPONENT_NAME);
         DrtRuntime {
-            framework: Framework::new(),
+            framework,
             kernel,
             drcr,
         }
@@ -354,19 +357,13 @@ impl DrtRuntime {
     }
 
     /// Looks up the management service of a component, the way an external
-    /// adaptation manager would: through the service registry with an LDAP
-    /// filter on the component name.
+    /// adaptation manager would: through the service registry, by exact
+    /// component name. The registry indexes that property, so this is the
+    /// service the LDAP filter `(drt.name=<name>)` selects, without a scan.
     pub fn management(&self, name: &str) -> Option<Rc<dyn RtComponentManagement>> {
-        let filter = Filter::parse(&format!("({PROP_COMPONENT_NAME}={name})")).ok()?;
-        let service_ref = self
-            .framework
-            .registry()
-            .find_one(MANAGEMENT_SERVICE, Some(&filter))?;
-        let handle = self
-            .framework
-            .registry()
-            .get::<ManagementHandle>(service_ref.id())?;
-        Some(handle.0.clone())
+        let registry = self.framework.registry();
+        let id = registry.find_one_by(MANAGEMENT_SERVICE, PROP_COMPONENT_NAME, name)?;
+        Some(registry.get::<ManagementHandle>(id)?.0.clone())
     }
 
     /// A deterministic metrics snapshot covering all three layers: the
@@ -388,7 +385,10 @@ impl DrtRuntime {
                 continue;
             }
             metrics.gauge(&format!("sched.{name}.latency.avg_ns"), stats.average());
-            metrics.gauge(&format!("sched.{name}.latency.avedev_ns"), stats.avedev());
+            metrics.gauge(
+                &format!("sched.{name}.latency.min_ns"),
+                stats.min().unwrap_or(0) as f64,
+            );
             metrics.gauge(
                 &format!("sched.{name}.latency.max_ns"),
                 stats.max().unwrap_or(0) as f64,

@@ -277,7 +277,7 @@ impl PortIndex {
                     pos,
                     ProviderEntry {
                         component: id.clone(),
-                        port: port.clone(),
+                        port: *port,
                         active: false,
                     },
                 ),

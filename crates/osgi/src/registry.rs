@@ -72,10 +72,14 @@ impl ServiceRef {
 
     /// The service ranking (0 when unset).
     pub fn ranking(&self) -> i64 {
-        match self.properties.get(SERVICE_RANKING) {
-            Some(PropValue::Int(i)) => *i,
-            _ => 0,
-        }
+        ranking(&self.properties)
+    }
+}
+
+fn ranking(properties: &Properties) -> i64 {
+    match properties.get(SERVICE_RANKING) {
+        Some(PropValue::Int(i)) => *i,
+        _ => 0,
     }
 }
 
@@ -86,6 +90,52 @@ struct Entry {
     owner: Option<u64>,
 }
 
+/// Exact-match index over one property key: interface → string value →
+/// ascending ids of the registrations carrying that value.
+struct PropertyIndex {
+    key: String,
+    ids: HashMap<String, HashMap<String, Vec<u64>>>,
+}
+
+impl PropertyIndex {
+    fn add(&mut self, id: u64, entry: &Entry) {
+        let Some(PropValue::Str(value)) = entry.properties.get(&self.key) else {
+            return;
+        };
+        for interface in &entry.interfaces {
+            let ids = self
+                .ids
+                .entry(interface.clone())
+                .or_default()
+                .entry(value.clone())
+                .or_default();
+            if let Err(pos) = ids.binary_search(&id) {
+                ids.insert(pos, id);
+            }
+        }
+    }
+
+    fn remove(&mut self, id: u64, entry: &Entry) {
+        let Some(PropValue::Str(value)) = entry.properties.get(&self.key) else {
+            return;
+        };
+        for interface in &entry.interfaces {
+            let Some(by_value) = self.ids.get_mut(interface) else {
+                continue;
+            };
+            if let Some(ids) = by_value.get_mut(value) {
+                ids.retain(|&i| i != id);
+                if ids.is_empty() {
+                    by_value.remove(value);
+                }
+            }
+            if by_value.is_empty() {
+                self.ids.remove(interface);
+            }
+        }
+    }
+}
+
 /// The service registry. See the [module docs](self).
 #[derive(Default)]
 pub struct ServiceRegistry {
@@ -94,6 +144,8 @@ pub struct ServiceRegistry {
     // Ascending service ids per interface name, so lookups touch only the
     // registrations under the queried interface instead of the whole table.
     by_interface: HashMap<String, Vec<u64>>,
+    /// Exact-match indexes declared with [`ServiceRegistry::index_property`].
+    indexes: Vec<PropertyIndex>,
     events: Vec<ServiceEvent>,
 }
 
@@ -150,15 +202,16 @@ impl ServiceRegistry {
                 .or_default()
                 .push(id.raw());
         }
-        self.entries.insert(
-            id.raw(),
-            Entry {
-                interfaces: names,
-                properties,
-                object,
-                owner: None,
-            },
-        );
+        let entry = Entry {
+            interfaces: names,
+            properties,
+            object,
+            owner: None,
+        };
+        for index in &mut self.indexes {
+            index.add(id.raw(), &entry);
+        }
+        self.entries.insert(id.raw(), entry);
         id
     }
 
@@ -186,6 +239,9 @@ impl ServiceRegistry {
     pub fn unregister(&mut self, id: ServiceId) -> bool {
         match self.entries.remove(&id.raw()) {
             Some(entry) => {
+                for index in &mut self.indexes {
+                    index.remove(id.raw(), &entry);
+                }
                 for name in &entry.interfaces {
                     if let Some(ids) = self.by_interface.get_mut(name) {
                         if let Ok(pos) = ids.binary_search(&id.raw()) {
@@ -248,7 +304,13 @@ impl ServiceRegistry {
         if let Some(owner) = entry.owner {
             properties.insert(SERVICE_BUNDLE, owner as i64);
         }
+        for index in &mut self.indexes {
+            index.remove(id.raw(), entry);
+        }
         entry.properties = properties.clone();
+        for index in &mut self.indexes {
+            index.add(id.raw(), entry);
+        }
         self.events.push(ServiceEvent {
             service: id,
             interfaces: entry.interfaces.clone(),
@@ -286,6 +348,49 @@ impl ServiceRegistry {
     /// The best match for `interface` (highest ranking, lowest id).
     pub fn find_one(&self, interface: &str, filter: Option<&Filter>) -> Option<ServiceRef> {
         self.find(interface, filter).into_iter().next()
+    }
+
+    /// Maintains an exact-match index over the string values of property
+    /// `key` from now on (existing registrations included), so
+    /// [`ServiceRegistry::find_one_by`] answers without a scan. Idempotent.
+    pub fn index_property(&mut self, key: &str) {
+        let key = key.to_ascii_lowercase();
+        if self.indexes.iter().any(|i| i.key == key) {
+            return;
+        }
+        let mut index = PropertyIndex {
+            key,
+            ids: HashMap::new(),
+        };
+        for (id, entry) in &self.entries {
+            index.add(*id, entry);
+        }
+        self.indexes.push(index);
+    }
+
+    /// The best service under `interface` whose property `key` is the
+    /// string `value` (highest ranking, lowest id) — the same service
+    /// [`ServiceRegistry::find_one`] picks for the filter `(key=value)`
+    /// when the property holds strings — answered from the index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` was not declared with
+    /// [`ServiceRegistry::index_property`].
+    pub fn find_one_by(&self, interface: &str, key: &str, value: &str) -> Option<ServiceId> {
+        let index = self
+            .indexes
+            .iter()
+            .find(|i| i.key.eq_ignore_ascii_case(key))
+            .unwrap_or_else(|| panic!("property `{key}` is not indexed"));
+        index
+            .ids
+            .get(interface)?
+            .get(value)?
+            .iter()
+            .map(|id| (*id, ranking(&self.entries[id].properties)))
+            .max_by(|(a, ra), (b, rb)| ra.cmp(rb).then(b.cmp(a)))
+            .map(|(id, _)| ServiceId(id))
     }
 
     /// Fetches the service object behind a reference, downcast to `T`.
@@ -332,6 +437,14 @@ mod tests {
 
     fn reg() -> ServiceRegistry {
         ServiceRegistry::new()
+    }
+
+    #[test]
+    #[should_panic(expected = "not indexed")]
+    fn exact_lookup_needs_a_declared_index() {
+        let mut r = reg();
+        r.register(&["x"], Rc::new(()), Properties::new().with("name", "a"));
+        r.find_one_by("x", "name", "a");
     }
 
     #[test]

@@ -260,3 +260,79 @@ fn registry_selection_order() {
         assert!(reg.is_empty(), "case {case}");
     }
 }
+
+/// The exact-match property index picks the same service as the LDAP
+/// filter path `(key=value)`, through random registrations (some under a
+/// second interface, some without the key, some with a non-string value),
+/// ranking ties, property changes and unregistrations. An index declared
+/// after registrations exist agrees too.
+#[test]
+fn property_index_matches_the_filter_path() {
+    const NAMES: [&str; 4] = ["calc", "disp", "cam", "ctl"];
+    let mut rng = SimRng::from_seed(0x1DE7);
+    for case in 0..CASES {
+        let mut indexed = ServiceRegistry::new();
+        indexed.index_property("Drt.Name");
+        let mut late = ServiceRegistry::new();
+        let mut plain = ServiceRegistry::new();
+        let mut live = Vec::new();
+        let index_late_at = rng.uniform_u64(0, 40);
+        for step in 0..40 {
+            if step == index_late_at {
+                late.index_property("drt.name");
+            }
+            let roll = rng.uniform_u64(0, 10);
+            if roll < 5 || live.is_empty() {
+                let mut props =
+                    Properties::new().with("service.ranking", rng.uniform_u64(0, 3) as i64);
+                match rng.uniform_u64(0, 6) {
+                    0 => {}
+                    1 => {
+                        props.insert("drt.name", 7i64);
+                    }
+                    _ => {
+                        props.insert("drt.name", NAMES[rng.uniform_u64(0, 4) as usize]);
+                    }
+                }
+                let ifaces: &[&str] = if rng.chance(0.3) {
+                    &["svc", "other"]
+                } else {
+                    &["svc"]
+                };
+                let id = indexed.register(ifaces, Rc::new(()), props.clone());
+                assert_eq!(late.register(ifaces, Rc::new(()), props.clone()), id);
+                assert_eq!(plain.register(ifaces, Rc::new(()), props), id);
+                live.push(id);
+            } else if roll < 8 {
+                let id = live[rng.uniform_u64(0, live.len() as u64) as usize];
+                let props = Properties::new()
+                    .with("drt.name", NAMES[rng.uniform_u64(0, 4) as usize])
+                    .with("service.ranking", rng.uniform_u64(0, 3) as i64);
+                for reg in [&mut indexed, &mut late, &mut plain] {
+                    assert!(reg.set_properties(id, props.clone()), "case {case}");
+                }
+            } else {
+                let id = live.swap_remove(rng.uniform_u64(0, live.len() as u64) as usize);
+                for reg in [&mut indexed, &mut late, &mut plain] {
+                    assert!(reg.unregister(id), "case {case}");
+                }
+            }
+            for iface in ["svc", "other", "none"] {
+                for name in NAMES.iter().chain(&["7", "nope"]) {
+                    let filter = Filter::parse(&format!("(drt.name={name})")).unwrap();
+                    let expected = plain
+                        .find(iface, Some(&filter))
+                        .into_iter()
+                        .find(|r| matches!(r.properties().get("drt.name"), Some(PropValue::Str(_))))
+                        .map(|r| r.id());
+                    let got = indexed.find_one_by(iface, "drt.name", name);
+                    assert_eq!(got, expected, "case {case} step {step}: {iface} {name}");
+                    if step >= index_late_at {
+                        let got = late.find_one_by(iface, "drt.name", name);
+                        assert_eq!(got, expected, "case {case} step {step}: late index");
+                    }
+                }
+            }
+        }
+    }
+}

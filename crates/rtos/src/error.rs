@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn errors_display_meaningfully() {
         let name = ObjName::new("calc").unwrap();
-        let e = IpcError::NotFound(name.clone());
+        let e = IpcError::NotFound(name);
         assert!(e.to_string().contains("calc"));
         let e = KernelError::DuplicateTask(name);
         assert!(e.to_string().contains("already exists"));

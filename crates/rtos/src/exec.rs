@@ -527,7 +527,7 @@ impl Instance {
         let mut ids = vec![None; w.tasks.len()];
         let mut cpu_of = HashMap::new();
         for (idx, spec) in w.tasks.iter().enumerate() {
-            cpu_of.insert(spec.config.name.clone(), spec.config.cpu);
+            cpu_of.insert(spec.config.name, spec.config.cpu);
             if !hosts(spec) {
                 continue;
             }

@@ -105,7 +105,7 @@ impl FifoRegistry {
             }),
             Some(_) => Ok(()),
             None => {
-                self.fifos.insert(name.clone(), Fifo::new(name, capacity));
+                self.fifos.insert(name, Fifo::new(name, capacity));
                 Ok(())
             }
         }
@@ -131,7 +131,11 @@ impl FifoRegistry {
     ///
     /// [`IpcError::NotFound`] if no such FIFO exists.
     pub fn put(&mut self, name: &str, data: &[u8]) -> Result<usize, IpcError> {
-        let name = ObjName::new(name).map_err(IpcError::BadName)?;
+        self.put_obj(ObjName::new(name)?, data)
+    }
+
+    /// [`FifoRegistry::put`] for an already validated name.
+    pub(crate) fn put_obj(&mut self, name: ObjName, data: &[u8]) -> Result<usize, IpcError> {
         let fifo = self.fifos.get_mut(&name).ok_or(IpcError::NotFound(name))?;
         let room = fifo.capacity - fifo.buffer.len();
         let taken = room.min(data.len());
@@ -149,7 +153,11 @@ impl FifoRegistry {
     ///
     /// [`IpcError::NotFound`] if no such FIFO exists.
     pub fn get(&mut self, name: &str, max: usize) -> Result<Vec<u8>, IpcError> {
-        let name = ObjName::new(name).map_err(IpcError::BadName)?;
+        self.get_obj(ObjName::new(name)?, max)
+    }
+
+    /// [`FifoRegistry::get`] for an already validated name.
+    pub(crate) fn get_obj(&mut self, name: ObjName, max: usize) -> Result<Vec<u8>, IpcError> {
         let fifo = self.fifos.get_mut(&name).ok_or(IpcError::NotFound(name))?;
         let take = max.min(fifo.buffer.len());
         let out: Vec<u8> = fifo.buffer.drain(..take).collect();

@@ -57,6 +57,10 @@ pub struct KernelConfig {
     pub mbx_op_cost: SimDuration,
     /// Capacity of the in-kernel trace ring buffer (0 disables tracing).
     pub trace_capacity: usize,
+    /// Whether latency-tracked tasks also retain every raw sample (for
+    /// AVEDEV, percentiles and histograms). Off by default: tracking then
+    /// keeps only the constant-space streaming statistics.
+    pub latency_samples: bool,
 }
 
 impl KernelConfig {
@@ -71,6 +75,7 @@ impl KernelConfig {
             shm_op_cost: SimDuration::from_nanos(120),
             mbx_op_cost: SimDuration::from_nanos(180),
             trace_capacity: 0,
+            latency_samples: false,
         }
     }
 
@@ -96,6 +101,13 @@ impl KernelConfig {
     /// Enables the trace ring buffer.
     pub fn with_trace(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;
+        self
+    }
+
+    /// Makes latency-tracked tasks retain their raw samples (see
+    /// [`LatencyStats::with_samples`]).
+    pub fn with_latency_samples(mut self) -> Self {
+        self.latency_samples = true;
         self
     }
 }
@@ -142,6 +154,8 @@ impl PartialOrd for EventEntry {
 }
 
 struct Task {
+    /// This task's id; a slot lookup matches it to reject stale ids.
+    id: TaskId,
     cfg: TaskConfig,
     state: TaskState,
     body: Option<Box<dyn TaskBody>>,
@@ -196,6 +210,74 @@ impl std::fmt::Debug for Task {
     }
 }
 
+/// The kernel's task table: a dense slab indexed by [`TaskId::slot`].
+///
+/// Deleting a task frees its slot (body, statistics and fault cause go
+/// with it) and a later creation reuses it, so the table's size follows
+/// the number of live tasks, not the number ever created. A stale id is
+/// told apart from the slot's new occupant by the full id, which includes
+/// a never-reused creation serial.
+#[derive(Default)]
+struct TaskSlab {
+    slots: Vec<Option<Task>>,
+    /// Vacant slot indices, reused last-freed first.
+    free: Vec<usize>,
+    /// Serial of the most recently created task (0 before the first).
+    last_serial: u64,
+    live: usize,
+}
+
+impl TaskSlab {
+    fn insert(&mut self, make: impl FnOnce(TaskId) -> Task) -> TaskId {
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        assert!(slot < TaskId::MAX_SLOTS, "task table full");
+        self.last_serial += 1;
+        let id = TaskId::new(self.last_serial, slot);
+        let task = Some(make(id));
+        if slot == self.slots.len() {
+            self.slots.push(task);
+        } else {
+            self.slots[slot] = task;
+        }
+        self.live += 1;
+        id
+    }
+
+    fn get(&self, id: TaskId) -> Option<&Task> {
+        self.slots
+            .get(id.slot())
+            .and_then(Option::as_ref)
+            .filter(|t| t.id == id)
+    }
+
+    fn get_mut(&mut self, id: TaskId) -> Option<&mut Task> {
+        self.slots
+            .get_mut(id.slot())
+            .and_then(Option::as_mut)
+            .filter(|t| t.id == id)
+    }
+
+    fn remove(&mut self, id: TaskId) -> Option<Task> {
+        self.get(id)?;
+        self.free.push(id.slot());
+        self.live -= 1;
+        self.slots[id.slot()].take()
+    }
+
+    /// True for an id this kernel issued whose task has been deleted.
+    fn is_reaped(&self, id: TaskId) -> bool {
+        id.raw() <= self.last_serial && id.slot() < self.slots.len() && self.get(id).is_none()
+    }
+}
+
+impl std::ops::Index<TaskId> for TaskSlab {
+    type Output = Task;
+
+    fn index(&self, id: TaskId) -> &Task {
+        self.get(id).expect("live task")
+    }
+}
+
 #[derive(Debug, Default)]
 struct Cpu {
     running: Option<TaskId>,
@@ -231,9 +313,8 @@ pub struct Kernel {
     now: SimTime,
     seq: u64,
     events: BinaryHeap<Reverse<EventEntry>>,
-    tasks: HashMap<TaskId, Task>,
+    tasks: TaskSlab,
     names: HashMap<ObjName, TaskId>,
-    next_task_id: u64,
     cpus: Vec<Cpu>,
     shm: ShmRegistry,
     mailboxes: MailboxRegistry,
@@ -248,13 +329,17 @@ pub struct Kernel {
     /// Tasks currently parked in [`TaskState::Faulted`], so supervision
     /// layers can poll for faults without scanning every task.
     faulted: BTreeSet<TaskId>,
+    /// Reused across hook dispatches so a cycle's undo journal and the
+    /// wakeup service's due list do not allocate in steady state.
+    journal: Vec<UndoEntry>,
+    due_wakeups: Vec<(ObjName, TaskId)>,
 }
 
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
             .field("now", &self.now)
-            .field("tasks", &self.tasks.len())
+            .field("tasks", &self.tasks.live)
             .field("pending_events", &self.events.len())
             .finish()
     }
@@ -273,15 +358,16 @@ impl Kernel {
             now: SimTime::ZERO,
             seq: 0,
             events: BinaryHeap::new(),
-            tasks: HashMap::new(),
+            tasks: TaskSlab::default(),
             names: HashMap::new(),
-            next_task_id: 1,
             shm: ShmRegistry::new(),
             mailboxes: MailboxRegistry::new(),
             fifos: FifoRegistry::new(),
             counters: SchedCounters::default(),
             wakeups: BTreeMap::new(),
             faulted: BTreeSet::new(),
+            journal: Vec::new(),
+            due_wakeups: Vec::new(),
         }
     }
 
@@ -377,41 +463,43 @@ impl Kernel {
         if cfg.cpu as usize >= self.cpus.len() {
             return Err(KernelError::NoSuchCpu(cfg.cpu));
         }
-        let id = TaskId(self.next_task_id);
-        self.next_task_id += 1;
-        self.names.insert(cfg.name.clone(), id);
         self.emit(KernelEvent::TaskCreated {
-            task: cfg.name.clone(),
+            task: cfg.name,
             cpu: cfg.cpu,
             priority: cfg.priority,
         });
-        self.tasks.insert(
+        let name = cfg.name;
+        let stats = if self.cfg.latency_samples {
+            LatencyStats::with_samples
+        } else {
+            LatencyStats::new
+        };
+        let id = self.tasks.insert(|id| Task {
             id,
-            Task {
-                cfg,
-                state: TaskState::Dormant,
-                body: Some(body),
-                pending_ideal: None,
-                wake_queued: false,
-                grid_anchor: SimTime::ZERO,
-                remaining: SimDuration::ZERO,
-                run_gen: 0,
-                ready_gen: 0,
-                quantum_armed: false,
-                slice_start: SimTime::ZERO,
-                finish_at: SimTime::ZERO,
-                cycles: 0,
-                overruns: 0,
-                budget_overruns: 0,
-                faults: 0,
-                fault_cause: None,
-                cpu_time: SimDuration::ZERO,
-                stats: LatencyStats::new(),
-                response_stats: LatencyStats::new(),
-                deadline_misses: 0,
-                started: false,
-            },
-        );
+            cfg,
+            state: TaskState::Dormant,
+            body: Some(body),
+            pending_ideal: None,
+            wake_queued: false,
+            grid_anchor: SimTime::ZERO,
+            remaining: SimDuration::ZERO,
+            run_gen: 0,
+            ready_gen: 0,
+            quantum_armed: false,
+            slice_start: SimTime::ZERO,
+            finish_at: SimTime::ZERO,
+            cycles: 0,
+            overruns: 0,
+            budget_overruns: 0,
+            faults: 0,
+            fault_cause: None,
+            cpu_time: SimDuration::ZERO,
+            stats: stats(),
+            response_stats: stats(),
+            deadline_misses: 0,
+            started: false,
+        });
+        self.names.insert(name, id);
         Ok(id)
     }
 
@@ -427,7 +515,7 @@ impl Kernel {
         id: TaskId,
         policy: ReleasePolicy,
     ) -> Result<(), KernelError> {
-        let task = self.tasks.get_mut(&id).ok_or(KernelError::NoSuchTask(id))?;
+        let task = self.tasks.get_mut(id).ok_or(KernelError::NoSuchTask(id))?;
         if task.state != TaskState::Dormant {
             return Err(KernelError::InvalidState {
                 task: id,
@@ -445,7 +533,7 @@ impl Kernel {
     ///
     /// [`KernelError::NoSuchTask`] if the id is unknown.
     pub fn set_latency_tracking(&mut self, id: TaskId, on: bool) -> Result<(), KernelError> {
-        let task = self.tasks.get_mut(&id).ok_or(KernelError::NoSuchTask(id))?;
+        let task = self.tasks.get_mut(id).ok_or(KernelError::NoSuchTask(id))?;
         task.cfg.track_latency = on;
         Ok(())
     }
@@ -457,7 +545,7 @@ impl Kernel {
     ///
     /// [`KernelError::NoSuchTask`] / [`KernelError::InvalidState`].
     pub fn start_task(&mut self, id: TaskId) -> Result<(), KernelError> {
-        let task = self.tasks.get_mut(&id).ok_or(KernelError::NoSuchTask(id))?;
+        let task = self.tasks.get_mut(id).ok_or(KernelError::NoSuchTask(id))?;
         if task.state != TaskState::Dormant {
             return Err(KernelError::InvalidState {
                 task: id,
@@ -467,7 +555,7 @@ impl Kernel {
         }
         task.state = TaskState::Waiting;
         let release = task.cfg.release;
-        let name = task.cfg.name.clone();
+        let name = task.cfg.name;
         let outcome = self.run_hook(id, Hook::Start);
         if outcome.faulted {
             // `on_start` panicked: the task is parked in `Faulted` and its
@@ -477,7 +565,7 @@ impl Kernel {
         self.emit(KernelEvent::TaskStarted { task: name });
         if let ReleasePolicy::Periodic { period } = release {
             let ideal = self.now + period;
-            if let Some(task) = self.tasks.get_mut(&id) {
+            if let Some(task) = self.tasks.get_mut(id) {
                 task.grid_anchor = ideal;
             }
             self.schedule_release(id, ideal);
@@ -492,7 +580,7 @@ impl Kernel {
     ///
     /// [`KernelError::NoSuchTask`] / [`KernelError::InvalidState`].
     pub fn suspend_task(&mut self, id: TaskId) -> Result<(), KernelError> {
-        let task = self.tasks.get_mut(&id).ok_or(KernelError::NoSuchTask(id))?;
+        let task = self.tasks.get_mut(id).ok_or(KernelError::NoSuchTask(id))?;
         match task.state {
             TaskState::Deleted | TaskState::Dormant | TaskState::Faulted => {
                 Err(KernelError::InvalidState {
@@ -505,7 +593,7 @@ impl Kernel {
             TaskState::Running => {
                 // Takes effect at cycle end: the Finish handler checks state.
                 task.state = TaskState::Suspended;
-                let name = task.cfg.name.clone();
+                let name = task.cfg.name;
                 self.emit(KernelEvent::TaskSuspended {
                     task: name,
                     deferred: true,
@@ -516,7 +604,7 @@ impl Kernel {
                 task.state = TaskState::Suspended;
                 task.pending_ideal = None;
                 task.remaining = SimDuration::ZERO;
-                let name = task.cfg.name.clone();
+                let name = task.cfg.name;
                 self.remove_from_ready(id);
                 self.emit(KernelEvent::TaskSuspended {
                     task: name,
@@ -526,7 +614,7 @@ impl Kernel {
             }
             TaskState::Waiting => {
                 task.state = TaskState::Suspended;
-                let name = task.cfg.name.clone();
+                let name = task.cfg.name;
                 self.emit(KernelEvent::TaskSuspended {
                     task: name,
                     deferred: false,
@@ -546,7 +634,7 @@ impl Kernel {
     ///
     /// [`KernelError::NoSuchTask`] / [`KernelError::InvalidState`].
     pub fn resume_task(&mut self, id: TaskId) -> Result<(), KernelError> {
-        let task = self.tasks.get_mut(&id).ok_or(KernelError::NoSuchTask(id))?;
+        let task = self.tasks.get_mut(id).ok_or(KernelError::NoSuchTask(id))?;
         if task.state != TaskState::Suspended {
             return Err(KernelError::InvalidState {
                 task: id,
@@ -557,7 +645,7 @@ impl Kernel {
         task.state = TaskState::Waiting;
         let release = task.cfg.release;
         let anchor = task.grid_anchor;
-        let name = task.cfg.name.clone();
+        let name = task.cfg.name;
         self.emit(KernelEvent::TaskResumed { task: name });
         if let ReleasePolicy::Periodic { period } = release {
             let ideal = next_grid_point(anchor, period, self.now);
@@ -568,29 +656,25 @@ impl Kernel {
 
     /// Deletes a task, running its `on_stop` hook and freeing its name.
     ///
+    /// The task is reaped: its body, statistics and fault cause are
+    /// dropped and its table slot is recycled. Afterwards
+    /// [`Kernel::task_state`] reports [`TaskState::Deleted`] for the id and
+    /// every other per-task query returns `None`.
+    ///
     /// # Errors
     ///
     /// [`KernelError::NoSuchTask`] if the id is unknown or already deleted.
     pub fn delete_task(&mut self, id: TaskId) -> Result<(), KernelError> {
-        let state = self
-            .tasks
-            .get(&id)
-            .map(|t| t.state)
-            .ok_or(KernelError::NoSuchTask(id))?;
-        if state == TaskState::Deleted {
+        if self.tasks.get(id).is_none() {
             return Err(KernelError::NoSuchTask(id));
         }
         self.run_hook(id, Hook::Stop);
-        let task = self.tasks.get_mut(&id).expect("checked above");
-        let cpu = task.cfg.cpu;
-        let name = task.cfg.name.clone();
-        task.state = TaskState::Deleted;
-        task.run_gen += 1; // cancels any in-flight Finish/Timeslice
-        task.body = None;
+        let TaskConfig { name, cpu, .. } = self.tasks.remove(id).expect("checked above").cfg;
         self.names.remove(&name);
         self.faulted.remove(&id);
         self.drop_wakeup_bindings(id);
-        self.remove_from_ready(id);
+        // Queued ready entries and in-flight Release/Finish/Timeslice
+        // events for the id find no task and are discarded.
         if self.cpus[cpu as usize].running == Some(id) {
             self.cpus[cpu as usize].running = None;
             self.try_dispatch(cpu);
@@ -606,7 +690,7 @@ impl Kernel {
     /// [`KernelError::NoSuchTask`] / [`KernelError::InvalidState`] (e.g.
     /// triggering a periodic or suspended task).
     pub fn trigger(&mut self, id: TaskId) -> Result<(), KernelError> {
-        let task = self.tasks.get(&id).ok_or(KernelError::NoSuchTask(id))?;
+        let task = self.tasks.get(id).ok_or(KernelError::NoSuchTask(id))?;
         if !matches!(task.cfg.release, ReleasePolicy::Aperiodic) {
             return Err(KernelError::InvalidState {
                 task: id,
@@ -623,9 +707,9 @@ impl Kernel {
             TaskState::Ready | TaskState::Running => {
                 // Release while busy: counted as overrun, matching periodic
                 // semantics.
-                let t = self.tasks.get_mut(&id).expect("present");
+                let t = self.tasks.get_mut(id).expect("present");
                 t.overruns += 1;
-                let name = t.cfg.name.clone();
+                let name = t.cfg.name;
                 self.counters.overruns += 1;
                 self.emit(KernelEvent::Overrun { task: name });
                 Ok(())
@@ -645,7 +729,7 @@ impl Kernel {
     ///
     /// [`KernelError::NoSuchTask`] / [`KernelError::BadName`].
     pub fn bind_mailbox_wakeup(&mut self, mailbox: &str, task: TaskId) -> Result<(), KernelError> {
-        if !self.tasks.contains_key(&task) {
+        if self.tasks.get(task).is_none() {
             return Err(KernelError::NoSuchTask(task));
         }
         let name = ObjName::new(mailbox)?;
@@ -685,71 +769,74 @@ impl Kernel {
     /// Releases every wakeup-bound waiting task whose mailbox has pending
     /// messages.
     fn service_wakeups(&mut self) {
-        let due: Vec<(ObjName, TaskId)> = self
-            .wakeups
-            .iter()
-            .filter(|(mbx, _)| {
-                // Skip mailboxes without pending messages wholesale.
-                self.mailboxes
-                    .get(mbx.as_str())
-                    .map(|m| !m.is_empty())
-                    .unwrap_or(false)
-            })
-            .flat_map(|(mbx, bound)| bound.iter().map(move |t| (mbx, *t)))
-            .filter(|(_, task)| {
-                self.tasks
-                    .get(task)
-                    .map(|t| t.state == TaskState::Waiting && !t.wake_queued)
-                    .unwrap_or(false)
-            })
-            .map(|(mbx, t)| (mbx.clone(), t))
-            .collect();
-        for (mailbox, task) in due {
-            if self.trace.is_enabled() {
-                if let Some(name) = self.tasks.get(&task).map(|t| t.cfg.name.clone()) {
-                    self.emit(KernelEvent::MailboxWake {
-                        mailbox,
-                        task: name,
-                    });
-                }
+        let mut due = std::mem::take(&mut self.due_wakeups);
+        for (&mbx, bound) in &self.wakeups {
+            // Skip mailboxes without pending messages wholesale.
+            if self.mailboxes.get_obj(&mbx).is_none_or(|m| m.is_empty()) {
+                continue;
             }
-            if let Some(t) = self.tasks.get_mut(&task) {
-                t.wake_queued = true;
+            due.extend(
+                bound
+                    .iter()
+                    .filter(|&&t| {
+                        self.tasks
+                            .get(t)
+                            .is_some_and(|t| t.state == TaskState::Waiting && !t.wake_queued)
+                    })
+                    .map(|&t| (mbx, t)),
+            );
+        }
+        for &(mailbox, task) in &due {
+            let Some(t) = self.tasks.get_mut(task) else {
+                continue;
+            };
+            t.wake_queued = true;
+            let name = t.cfg.name;
+            if self.trace.is_enabled() {
+                self.emit(KernelEvent::MailboxWake {
+                    mailbox,
+                    task: name,
+                });
             }
             let ideal = self.now;
             self.push_event(self.now, Event::Release { task, ideal });
         }
+        due.clear();
+        self.due_wakeups = due;
     }
 
     /// Looks up a task by name.
     pub fn task_by_name(&self, name: &str) -> Option<TaskId> {
-        let name = ObjName::new(name).ok()?;
-        self.names.get(&name).copied()
+        self.names.get(&ObjName::new(name).ok()?).copied()
     }
 
-    /// Current state of a task.
+    /// Current state of a task: [`TaskState::Deleted`] for a deleted
+    /// task, `None` for an id this kernel never issued.
     pub fn task_state(&self, id: TaskId) -> Option<TaskState> {
-        self.tasks.get(&id).map(|t| t.state)
+        match self.tasks.get(id) {
+            Some(t) => Some(t.state),
+            None => self.tasks.is_reaped(id).then_some(TaskState::Deleted),
+        }
     }
 
     /// Completed cycles of a task.
     pub fn task_cycles(&self, id: TaskId) -> Option<u64> {
-        self.tasks.get(&id).map(|t| t.cycles)
+        self.tasks.get(id).map(|t| t.cycles)
     }
 
     /// Releases discarded because the task was still busy.
     pub fn task_overruns(&self, id: TaskId) -> Option<u64> {
-        self.tasks.get(&id).map(|t| t.overruns)
+        self.tasks.get(id).map(|t| t.overruns)
     }
 
     /// Cycles whose execution was clamped to the configured budget.
     pub fn task_budget_overruns(&self, id: TaskId) -> Option<u64> {
-        self.tasks.get(&id).map(|t| t.budget_overruns)
+        self.tasks.get(id).map(|t| t.budget_overruns)
     }
 
     /// Hook panics the kernel contained for this task.
     pub fn task_faults(&self, id: TaskId) -> Option<u64> {
-        self.tasks.get(&id).map(|t| t.faults)
+        self.tasks.get(id).map(|t| t.faults)
     }
 
     /// Tasks currently parked in [`TaskState::Faulted`], ascending id.
@@ -762,34 +849,34 @@ impl Kernel {
 
     /// Rendered payload of the task's most recent contained panic, if any.
     pub fn task_fault_cause(&self, id: TaskId) -> Option<&str> {
-        self.tasks.get(&id).and_then(|t| t.fault_cause.as_deref())
+        self.tasks.get(id).and_then(|t| t.fault_cause.as_deref())
     }
 
     /// Total CPU time the task has consumed.
     pub fn task_cpu_time(&self, id: TaskId) -> Option<SimDuration> {
-        self.tasks.get(&id).map(|t| t.cpu_time)
+        self.tasks.get(id).map(|t| t.cpu_time)
     }
 
     /// Latency statistics of a task (empty unless created with tracking).
     pub fn task_stats(&self, id: TaskId) -> Option<&LatencyStats> {
-        self.tasks.get(&id).map(|t| &t.stats)
+        self.tasks.get(id).map(|t| &t.stats)
     }
 
     /// Response-time (release → completion) statistics of a task (empty
     /// unless created with tracking).
     pub fn task_response_stats(&self, id: TaskId) -> Option<&LatencyStats> {
-        self.tasks.get(&id).map(|t| &t.response_stats)
+        self.tasks.get(id).map(|t| &t.response_stats)
     }
 
     /// Cycles whose response time exceeded the period (implicit-deadline
     /// misses), for tracked periodic tasks.
     pub fn task_deadline_misses(&self, id: TaskId) -> Option<u64> {
-        self.tasks.get(&id).map(|t| t.deadline_misses)
+        self.tasks.get(id).map(|t| t.deadline_misses)
     }
 
     /// Name of a task.
     pub fn task_name(&self, id: TaskId) -> Option<&ObjName> {
-        self.tasks.get(&id).map(|t| &t.cfg.name)
+        self.tasks.get(id).map(|t| &t.cfg.name)
     }
 
     /// Fraction of elapsed time CPU `cpu` spent running RT-domain work.
@@ -876,7 +963,7 @@ impl Kernel {
     }
 
     fn on_release(&mut self, id: TaskId, ideal: SimTime) {
-        let Some(task) = self.tasks.get_mut(&id) else {
+        let Some(task) = self.tasks.get_mut(id) else {
             return;
         };
         task.wake_queued = false;
@@ -897,7 +984,7 @@ impl Kernel {
                 let cpu = task.cfg.cpu;
                 let prio = task.cfg.priority;
                 let gen = task.ready_gen;
-                let name = self.trace.is_enabled().then(|| task.cfg.name.clone());
+                let name = self.trace.is_enabled().then_some(task.cfg.name);
                 self.seq += 1;
                 let seq = self.seq;
                 self.cpus[cpu as usize]
@@ -914,7 +1001,7 @@ impl Kernel {
             TaskState::Ready | TaskState::Running => {
                 task.overruns += 1;
                 self.counters.overruns += 1;
-                let name = self.trace.is_enabled().then(|| task.cfg.name.clone());
+                let name = self.trace.is_enabled().then_some(task.cfg.name);
                 if let Some(task) = name {
                     self.emit(KernelEvent::Overrun { task });
                 }
@@ -929,10 +1016,10 @@ impl Kernel {
     }
 
     fn on_finish(&mut self, id: TaskId, gen: u64) {
-        let Some(task) = self.tasks.get_mut(&id) else {
+        let Some(task) = self.tasks.get_mut(id) else {
             return;
         };
-        if task.run_gen != gen || task.state == TaskState::Deleted {
+        if task.run_gen != gen {
             return; // stale event from a cancelled slice
         }
         let cpu = task.cfg.cpu;
@@ -956,7 +1043,7 @@ impl Kernel {
                         // `counters()` with the trace ring disabled.
                         missed = true;
                         if self.trace.is_enabled() {
-                            deadline_missed = Some((task.cfg.name.clone(), response));
+                            deadline_missed = Some((task.cfg.name, response));
                         }
                     }
                 }
@@ -986,7 +1073,7 @@ impl Kernel {
     }
 
     fn on_timeslice(&mut self, id: TaskId, gen: u64) {
-        let Some(task) = self.tasks.get(&id) else {
+        let Some(task) = self.tasks.get(id) else {
             return;
         };
         if task.run_gen != gen || task.state != TaskState::Running {
@@ -994,7 +1081,7 @@ impl Kernel {
         }
         let cpu = task.cfg.cpu;
         let prio = task.cfg.priority;
-        let name = self.trace.is_enabled().then(|| task.cfg.name.clone());
+        let name = self.trace.is_enabled().then_some(task.cfg.name);
         // Rotate only if an equal-priority peer is waiting; more urgent peers
         // would already have preempted and less urgent ones must keep waiting.
         self.prune_ready_head(cpu);
@@ -1018,10 +1105,7 @@ impl Kernel {
         let Some(running_id) = self.cpus[cpu as usize].running.take() else {
             return;
         };
-        let task = self
-            .tasks
-            .get_mut(&running_id)
-            .expect("running task exists");
+        let task = self.tasks.get_mut(running_id).expect("running task exists");
         let progressed = self.now.duration_since(task.slice_start);
         task.cpu_time += progressed;
         let domain = task.cfg.domain;
@@ -1051,7 +1135,7 @@ impl Kernel {
     /// The supervisor's restart path suspends and deletes tasks routinely,
     /// so this must not be a linear heap rebuild.
     fn remove_from_ready(&mut self, id: TaskId) {
-        if let Some(task) = self.tasks.get_mut(&id) {
+        if let Some(task) = self.tasks.get_mut(id) {
             task.ready_gen = task.ready_gen.wrapping_add(1);
         }
     }
@@ -1064,7 +1148,7 @@ impl Kernel {
         while let Some(Reverse((_, _, id, gen))) = self.cpus[cpu as usize].ready.peek() {
             let live = self
                 .tasks
-                .get(id)
+                .get(*id)
                 .is_some_and(|t| t.state == TaskState::Ready && t.ready_gen == *gen);
             if live {
                 return;
@@ -1085,11 +1169,11 @@ impl Kernel {
                 return;
             };
             if let Some(running_id) = self.cpus[cpu as usize].running {
-                let running_prio = self.tasks[&running_id].cfg.priority;
+                let running_prio = self.tasks[running_id].cfg.priority;
                 if head_prio.preempts(running_prio) {
                     self.counters.preemptions += 1;
                     if self.trace.is_enabled() {
-                        let task = self.tasks[&running_id].cfg.name.clone();
+                        let task = self.tasks[running_id].cfg.name;
                         self.emit(KernelEvent::Preempt { task, cpu });
                     }
                     self.preempt_running(cpu);
@@ -1098,7 +1182,7 @@ impl Kernel {
                 // An equal-priority peer arrived while another runs: arm the
                 // round-robin quantum if it is not already ticking.
                 if head_prio == running_prio {
-                    let running = self.tasks.get_mut(&running_id).expect("running exists");
+                    let running = self.tasks.get_mut(running_id).expect("running exists");
                     if !running.quantum_armed {
                         running.quantum_armed = true;
                         let gen = running.run_gen;
@@ -1116,7 +1200,7 @@ impl Kernel {
             }
             // CPU idle: dispatch the head.
             self.cpus[cpu as usize].ready.pop();
-            let task = self.tasks.get_mut(&head_id).expect("queued task exists");
+            let task = self.tasks.get_mut(head_id).expect("queued task exists");
             if task.state != TaskState::Ready {
                 continue; // stale entry (suspended/deleted after queuing)
             }
@@ -1144,7 +1228,7 @@ impl Kernel {
                 let base = task.cfg.base_cost;
                 let budget = task.cfg.exec_budget;
                 if self.trace.is_enabled() {
-                    let task = self.tasks[&head_id].cfg.name.clone();
+                    let task = self.tasks[head_id].cfg.name;
                     self.emit(KernelEvent::Dispatch { task, cpu, latency });
                 }
                 let outcome = self.run_body_cycle(head_id);
@@ -1154,7 +1238,7 @@ impl Kernel {
                     // the task parked in `Faulted` by `run_hook`. The cycle
                     // never consumes virtual CPU time; free the CPU and
                     // look at the next ready task.
-                    let task = self.tasks.get_mut(&head_id).expect("still exists");
+                    let task = self.tasks.get_mut(head_id).expect("still exists");
                     task.pending_ideal = None;
                     task.remaining = SimDuration::ZERO;
                     task.run_gen += 1;
@@ -1167,10 +1251,10 @@ impl Kernel {
                     if exec > budget {
                         let demanded = exec;
                         exec = budget;
-                        let task = self.tasks.get_mut(&head_id).expect("still exists");
+                        let task = self.tasks.get_mut(head_id).expect("still exists");
                         task.budget_overruns += 1;
                         if self.trace.is_enabled() {
-                            let task = self.tasks[&head_id].cfg.name.clone();
+                            let task = self.tasks[head_id].cfg.name;
                             self.emit(KernelEvent::BudgetClamp {
                                 task,
                                 demanded,
@@ -1186,7 +1270,7 @@ impl Kernel {
             } else {
                 exec
             };
-            let task = self.tasks.get_mut(&head_id).expect("still exists");
+            let task = self.tasks.get_mut(head_id).expect("still exists");
             task.finish_at = self.now + exec;
             let finish_at = task.finish_at;
             self.push_event(finish_at, Event::Finish { task: head_id, gen });
@@ -1198,7 +1282,7 @@ impl Kernel {
                 .peek()
                 .map(|Reverse((p, _, _, _))| *p == head_prio)
                 .unwrap_or(false);
-            let task = self.tasks.get_mut(&head_id).expect("still exists");
+            let task = self.tasks.get_mut(head_id).expect("still exists");
             task.quantum_armed = peer_same_prio;
             if peer_same_prio {
                 let slice_end = self.now + self.cfg.rr_quantum;
@@ -1231,24 +1315,24 @@ impl Kernel {
     /// hook, where deletion proceeds regardless) and a
     /// [`KernelEvent::TaskFault`] is emitted.
     fn run_hook(&mut self, id: TaskId, hook: Hook) -> HookOutcome {
-        let Some(task) = self.tasks.get_mut(&id) else {
+        let Some(task) = self.tasks.get_mut(id) else {
             return HookOutcome::default();
         };
         let Some(mut body) = task.body.take() else {
             return HookOutcome::default();
         };
-        let name = task.cfg.name.clone();
+        let name = task.cfg.name;
         let cycle = task.cycles;
         let started = task.started;
         if hook == Hook::Start || hook == Hook::Cycle {
             task.started = true;
         }
-        let mut journal: Vec<UndoEntry> = Vec::new();
+        let mut journal = std::mem::take(&mut self.journal);
         let result = {
             let mut ctx = TaskCtx {
                 now: self.now,
                 task: id,
-                name: name.clone(),
+                name,
                 cycle,
                 charged: SimDuration::ZERO,
                 journal: &mut journal,
@@ -1274,11 +1358,12 @@ impl Kernel {
                 (body, ctx.charged)
             })
         };
-        match result {
+        let outcome = match result {
             Ok((body, charged)) => {
-                if let Some(task) = self.tasks.get_mut(&id) {
+                if let Some(task) = self.tasks.get_mut(id) {
                     task.body = Some(body);
                 }
+                journal.clear();
                 HookOutcome {
                     charged,
                     faulted: false,
@@ -1301,7 +1386,7 @@ impl Kernel {
                     }
                 }
                 let cause = render_panic(payload.as_ref());
-                if let Some(task) = self.tasks.get_mut(&id) {
+                if let Some(task) = self.tasks.get_mut(id) {
                     // The body went down with the unwind; the task can
                     // never run again, only be deleted.
                     task.faults += 1;
@@ -1322,7 +1407,9 @@ impl Kernel {
                     faulted: true,
                 }
             }
-        }
+        };
+        self.journal = journal;
+        outcome
     }
 }
 
@@ -1485,9 +1572,9 @@ impl TaskCtx<'_> {
     /// Propagates [`crate::error::IpcError`] from the registry.
     pub fn shm_write(&mut self, name: &str, buf: &[u8]) -> Result<(), crate::error::IpcError> {
         self.charged += self.shm_op_cost;
-        let obj = ObjName::new(name).map_err(crate::error::IpcError::BadName)?;
+        let obj = ObjName::new(name)?;
         let prior = self.shm.peek(&obj);
-        let result = self.shm.write(name, buf);
+        let result = self.shm.write_obj(obj, buf);
         if result.is_ok() {
             if let Some(prior) = prior {
                 self.journal.push(UndoEntry::ShmWrite { name: obj, prior });
@@ -1503,7 +1590,7 @@ impl TaskCtx<'_> {
     /// Propagates [`crate::error::IpcError`] from the registry.
     pub fn shm_read(&mut self, name: &str) -> Result<Vec<u8>, crate::error::IpcError> {
         self.charged += self.shm_op_cost;
-        self.shm.read(name)
+        self.shm.read_obj(ObjName::new(name)?)
     }
 
     /// Non-blocking mailbox send; charges the mailbox op cost.
@@ -1513,8 +1600,8 @@ impl TaskCtx<'_> {
     /// Propagates [`crate::error::IpcError`] from the registry.
     pub fn mailbox_send(&mut self, name: &str, msg: &[u8]) -> Result<bool, crate::error::IpcError> {
         self.charged += self.mbx_op_cost;
-        let obj = ObjName::new(name).map_err(crate::error::IpcError::BadName)?;
-        let result = self.mailboxes.send(name, msg);
+        let obj = ObjName::new(name)?;
+        let result = self.mailboxes.send_obj(obj, msg);
         if let Ok(accepted) = result {
             self.journal.push(UndoEntry::MailboxSend {
                 name: obj,
@@ -1532,7 +1619,7 @@ impl TaskCtx<'_> {
     /// Propagates [`crate::error::IpcError`] from the registry.
     pub fn mailbox_recv(&mut self, name: &str) -> Result<Option<Vec<u8>>, crate::error::IpcError> {
         self.charged += self.mbx_op_cost;
-        self.mailboxes.recv(name)
+        self.mailboxes.recv_obj(ObjName::new(name)?)
     }
 
     /// Non-blocking FIFO append; charges the mailbox op cost. Returns how
@@ -1543,8 +1630,8 @@ impl TaskCtx<'_> {
     /// Propagates [`crate::error::IpcError`] from the registry.
     pub fn fifo_put(&mut self, name: &str, data: &[u8]) -> Result<usize, crate::error::IpcError> {
         self.charged += self.mbx_op_cost;
-        let obj = ObjName::new(name).map_err(crate::error::IpcError::BadName)?;
-        let result = self.fifos.put(name, data);
+        let obj = ObjName::new(name)?;
+        let result = self.fifos.put_obj(obj, data);
         if let Ok(accepted) = result {
             self.journal.push(UndoEntry::FifoPut {
                 name: obj,
@@ -1563,14 +1650,14 @@ impl TaskCtx<'_> {
     /// Propagates [`crate::error::IpcError`] from the registry.
     pub fn fifo_get(&mut self, name: &str, max: usize) -> Result<Vec<u8>, crate::error::IpcError> {
         self.charged += self.mbx_op_cost;
-        self.fifos.get(name, max)
+        self.fifos.get_obj(ObjName::new(name)?, max)
     }
 
     /// Appends a line to the kernel trace (a [`KernelEvent::UserLog`]).
     pub fn log(&mut self, what: impl Into<String>) {
         if self.trace.is_enabled() {
             let event = KernelEvent::UserLog {
-                task: self.name.clone(),
+                task: self.name,
                 message: what.into(),
             };
             self.trace.emit(self.now, event);
@@ -1744,19 +1831,54 @@ mod tests {
     #[test]
     fn delete_frees_name_and_stops_cycles() {
         let mut k = quiet_kernel(7);
-        let cfg = TaskConfig::periodic("tick", Priority(2), SimDuration::from_millis(1)).unwrap();
-        let id = k.create_task(cfg, Box::new(IdleBody)).unwrap();
+        let cfg = TaskConfig::periodic("tick", Priority(2), SimDuration::from_millis(1))
+            .unwrap()
+            .with_latency_tracking();
+        let ran: Rc<RefCell<u64>> = Rc::default();
+        let r = ran.clone();
+        let id = k
+            .create_task(
+                cfg,
+                Box::new(FnBody(move |_ctx: &mut TaskCtx<'_>| *r.borrow_mut() += 1)),
+            )
+            .unwrap();
         k.start_task(id).unwrap();
         k.run_for(SimDuration::from_millis(3));
         k.delete_task(id).unwrap();
-        let cycles = k.task_cycles(id).unwrap();
+        let cycles = *ran.borrow();
+        assert_eq!(cycles, 3);
         k.run_for(SimDuration::from_millis(5));
-        assert_eq!(k.task_cycles(id).unwrap(), cycles);
+        assert_eq!(*ran.borrow(), cycles);
         assert_eq!(k.task_state(id), Some(TaskState::Deleted));
         assert_eq!(k.task_by_name("tick"), None);
-        // The name can be reused.
+        // The task was reaped: its counters and statistics went with it.
+        assert_eq!(k.task_cycles(id), None);
+        assert!(k.task_stats(id).is_none());
+        assert!(matches!(k.delete_task(id), Err(KernelError::NoSuchTask(_))));
+        // The name can be reused, and the recycled slot does not make the
+        // old id alias the new task.
         let cfg = TaskConfig::periodic("tick", Priority(2), SimDuration::from_millis(1)).unwrap();
-        k.create_task(cfg, Box::new(IdleBody)).unwrap();
+        let again = k.create_task(cfg, Box::new(IdleBody)).unwrap();
+        assert_ne!(again, id);
+        assert!(again > id, "ids order by creation");
+        assert_eq!(k.task_state(again), Some(TaskState::Dormant));
+        assert_eq!(k.task_state(id), Some(TaskState::Deleted));
+        assert!(matches!(k.start_task(id), Err(KernelError::NoSuchTask(_))));
+    }
+
+    #[test]
+    fn ids_never_issued_have_no_state() {
+        let k = quiet_kernel(8);
+        let mut other = quiet_kernel(8);
+        for name in ["tick", "tock"] {
+            let cfg = TaskConfig::periodic(name, Priority(2), SimDuration::from_millis(1)).unwrap();
+            other.create_task(cfg, Box::new(IdleBody)).unwrap();
+        }
+        let foreign = other.task_by_name("tock").unwrap();
+        assert_eq!(k.task_state(foreign), None);
+        // Ids print and report their creation serial.
+        assert_eq!(foreign.raw(), 2);
+        assert_eq!(format!("{foreign:?}"), "TaskId(2)");
     }
 
     #[test]
@@ -2201,7 +2323,8 @@ mod tests {
         assert_eq!(k.task_state(id), Some(TaskState::Deleted));
         assert_eq!(k.task_by_name("flaky"), None);
         k.run_for(SimDuration::from_millis(3));
-        assert_eq!(k.task_cycles(id), Some(0));
+        assert_eq!(k.task_cycles(id), None, "reaped at delete");
+        assert_eq!(k.task_fault_cause(id), None, "reaped at delete");
     }
 
     #[test]

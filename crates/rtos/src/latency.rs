@@ -26,41 +26,62 @@
 use crate::rng::SimRng;
 use crate::time::LatencyNs;
 
-/// Online + retained-sample statistics matching the paper's Table 1 columns.
+/// Streaming latency statistics matching the paper's Table 1 columns.
 ///
-/// Samples are retained (an experiment is tens of thousands of cycles) so the
-/// exact two-pass AVEDEV the paper's spreadsheet used can be computed, plus
-/// percentiles and histograms for richer reporting.
+/// Every recorder keeps an exact count, sum, minimum and maximum in
+/// constant space, which is all AVERAGE, MIN and MAX need. AVEDEV (the
+/// paper's two-pass mean absolute deviation), percentiles and histograms
+/// need the raw samples, so a recorder keeps them only when created with
+/// [`LatencyStats::with_samples`]; the sample-based queries report `None`
+/// on a streaming recorder instead of answering from nothing.
 ///
 /// ```
 /// use rtos::latency::LatencyStats;
 ///
-/// let mut stats = LatencyStats::new();
+/// let mut stats = LatencyStats::with_samples();
 /// for sample in [-10, 0, 10, 20] {
 ///     stats.record(sample);
 /// }
 /// assert_eq!(stats.average(), 5.0);
-/// assert_eq!(stats.avedev(), 10.0);
+/// assert_eq!(stats.avedev(), Some(10.0));
 /// assert_eq!(stats.min(), Some(-10));
 /// assert_eq!(stats.max(), Some(20));
+///
+/// let mut streaming = LatencyStats::new();
+/// streaming.record(7);
+/// assert_eq!(streaming.average(), 7.0);
+/// assert_eq!(streaming.avedev(), None);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
-    samples: Vec<LatencyNs>,
+    count: usize,
+    sum: i128,
     min: Option<LatencyNs>,
     max: Option<LatencyNs>,
-    sum: i128,
+    /// Raw samples in arrival order, when retention was asked for.
+    samples: Option<Vec<LatencyNs>>,
 }
 
 impl LatencyStats {
-    /// Creates an empty recorder.
+    /// Creates an empty streaming recorder (no raw samples kept).
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Creates an empty recorder that also retains every raw sample.
+    pub fn with_samples() -> Self {
+        LatencyStats {
+            samples: Some(Vec::new()),
+            ..Self::default()
+        }
+    }
+
     /// Records one latency sample.
     pub fn record(&mut self, sample: LatencyNs) {
-        self.samples.push(sample);
+        if let Some(samples) = &mut self.samples {
+            samples.push(sample);
+        }
+        self.count += 1;
         self.sum += sample as i128;
         self.min = Some(self.min.map_or(sample, |m| m.min(sample)));
         self.max = Some(self.max.map_or(sample, |m| m.max(sample)));
@@ -68,34 +89,38 @@ impl LatencyStats {
 
     /// Number of recorded samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.count
     }
 
     /// True if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count == 0
     }
 
     /// Arithmetic mean (the paper's AVERAGE column). Zero when empty.
     pub fn average(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             0.0
         } else {
-            self.sum as f64 / self.samples.len() as f64
+            self.sum as f64 / self.count as f64
         }
     }
 
-    /// Mean absolute deviation around the mean (the paper's AVEDEV column).
-    pub fn avedev(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
+    /// Mean absolute deviation around the mean (the paper's AVEDEV
+    /// column). `None` when empty or when raw samples are not retained.
+    pub fn avedev(&self) -> Option<f64> {
+        let samples = self.samples()?;
+        if samples.is_empty() {
+            return None;
         }
         let mean = self.average();
-        self.samples
-            .iter()
-            .map(|&s| (s as f64 - mean).abs())
-            .sum::<f64>()
-            / self.samples.len() as f64
+        Some(
+            samples
+                .iter()
+                .map(|&s| (s as f64 - mean).abs())
+                .sum::<f64>()
+                / samples.len() as f64,
+        )
     }
 
     /// Smallest sample (the paper's MIN column).
@@ -110,28 +135,30 @@ impl LatencyStats {
 
     /// The `p`-th percentile (0.0 ..= 100.0) by nearest-rank.
     ///
-    /// Returns `None` when empty.
+    /// Returns `None` when empty or when raw samples are not retained.
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn percentile(&self, p: f64) -> Option<LatencyNs> {
         assert!((0.0..=100.0).contains(&p), "percentile out of range");
-        if self.samples.is_empty() {
+        let samples = self.samples()?;
+        if samples.is_empty() {
             return None;
         }
-        let mut sorted = self.samples.clone();
+        let mut sorted = samples.to_vec();
         sorted.sort_unstable();
         let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
         Some(sorted[rank])
     }
 
-    /// Immutable view of the raw samples, in arrival order.
-    pub fn samples(&self) -> &[LatencyNs] {
-        &self.samples
+    /// The raw samples in arrival order, or `None` when not retained.
+    pub fn samples(&self) -> Option<&[LatencyNs]> {
+        self.samples.as_deref()
     }
 
-    /// Fixed-width histogram over `[lo, hi)` with `bins` buckets.
+    /// Fixed-width histogram over `[lo, hi)` with `bins` buckets, or
+    /// `None` when raw samples are not retained.
     ///
     /// Out-of-range samples are clamped into the first/last bucket. Returns
     /// the bucket counts.
@@ -139,23 +166,36 @@ impl LatencyStats {
     /// # Panics
     ///
     /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn histogram(&self, lo: LatencyNs, hi: LatencyNs, bins: usize) -> Vec<usize> {
+    pub fn histogram(&self, lo: LatencyNs, hi: LatencyNs, bins: usize) -> Option<Vec<usize>> {
         assert!(bins > 0, "need at least one bin");
         assert!(lo < hi, "empty range");
+        let samples = self.samples()?;
         let mut counts = vec![0usize; bins];
         let width = (hi - lo) as f64 / bins as f64;
-        for &s in &self.samples {
+        for &s in samples {
             let idx = (((s - lo) as f64 / width).floor() as i64).clamp(0, bins as i64 - 1);
             counts[idx as usize] += 1;
         }
-        counts
+        Some(counts)
     }
 
-    /// Merges another recorder's samples into this one.
+    /// Merges another recorder into this one. The result retains samples
+    /// only if both recorders did (otherwise part of them would be missing).
     pub fn merge(&mut self, other: &LatencyStats) {
-        for &s in &other.samples {
-            self.record(s);
+        match (&mut self.samples, other.samples()) {
+            (Some(mine), Some(theirs)) => mine.extend_from_slice(theirs),
+            (mine, _) => *mine = None,
         }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = match (self.min, other.min) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        self.max = match (self.max, other.max) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        };
     }
 }
 
@@ -292,7 +332,7 @@ mod tests {
     use super::*;
 
     fn stats_of(samples: &[LatencyNs]) -> LatencyStats {
-        let mut s = LatencyStats::new();
+        let mut s = LatencyStats::with_samples();
         for &x in samples {
             s.record(x);
         }
@@ -301,14 +341,44 @@ mod tests {
 
     #[test]
     fn empty_stats_are_well_behaved() {
-        let s = LatencyStats::new();
-        assert!(s.is_empty());
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.average(), 0.0);
-        assert_eq!(s.avedev(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
+        for s in [LatencyStats::new(), LatencyStats::with_samples()] {
+            assert!(s.is_empty());
+            assert_eq!(s.count(), 0);
+            assert_eq!(s.average(), 0.0);
+            assert_eq!(s.avedev(), None);
+            assert_eq!(s.min(), None);
+            assert_eq!(s.max(), None);
+            assert_eq!(s.percentile(50.0), None);
+        }
+    }
+
+    #[test]
+    fn streaming_stats_report_absent_samples() {
+        let mut s = LatencyStats::new();
+        for x in [-10, 0, 10, 20] {
+            s.record(x);
+        }
+        assert_eq!(s.count(), 4);
+        assert_eq!(s.average(), 5.0);
+        assert_eq!((s.min(), s.max()), (Some(-10), Some(20)));
+        assert_eq!(s.avedev(), None);
         assert_eq!(s.percentile(50.0), None);
+        assert_eq!(s.histogram(0, 10, 2), None);
+        assert_eq!(s.samples(), None);
+    }
+
+    #[test]
+    fn streaming_and_retaining_agree_on_the_streamed_columns() {
+        let xs = [-25_436, 17, 3_682, -633, 23_798, 0, -1];
+        let kept = stats_of(&xs);
+        let mut streamed = LatencyStats::new();
+        for &x in &xs {
+            streamed.record(x);
+        }
+        assert_eq!(kept.count(), streamed.count());
+        assert_eq!(kept.average().to_bits(), streamed.average().to_bits());
+        assert_eq!((kept.min(), kept.max()), (streamed.min(), streamed.max()));
+        assert_eq!(kept.samples(), Some(&xs[..]));
     }
 
     #[test]
@@ -317,7 +387,7 @@ mod tests {
         assert_eq!(s.count(), 4);
         assert_eq!(s.average(), 5.0);
         // |−15| + |−5| + |5| + |15| over 4 = 10
-        assert_eq!(s.avedev(), 10.0);
+        assert_eq!(s.avedev(), Some(10.0));
         assert_eq!(s.min(), Some(-10));
         assert_eq!(s.max(), Some(20));
     }
@@ -333,7 +403,7 @@ mod tests {
     #[test]
     fn histogram_clamps_out_of_range() {
         let s = stats_of(&[-100, 0, 5, 9, 100]);
-        let h = s.histogram(0, 10, 2);
+        let h = s.histogram(0, 10, 2).unwrap();
         assert_eq!(h, vec![2, 3]); // −100 clamps low, 100 clamps high
         assert_eq!(h.iter().sum::<usize>(), s.count());
     }
@@ -347,13 +417,20 @@ mod tests {
         assert_eq!(a.min(), Some(-5));
         assert_eq!(a.max(), Some(10));
         assert_eq!(a.average(), 2.0);
+        assert_eq!(a.samples(), Some(&[1, 2, -5, 10][..]));
+        // Merging a streaming recorder drops the now-incomplete samples.
+        let mut streaming = LatencyStats::new();
+        streaming.record(100);
+        a.merge(&streaming);
+        assert_eq!((a.count(), a.max()), (5, Some(100)));
+        assert_eq!(a.samples(), None);
     }
 
     #[test]
     fn calibrated_light_mode_has_table1_shape() {
         let model = TimerJitterModel::calibrated(TimerMode::Periodic);
         let mut rng = SimRng::from_seed(1);
-        let mut s = LatencyStats::new();
+        let mut s = LatencyStats::with_samples();
         for _ in 0..20_000 {
             s.record(model.sample_error(&mut rng, LoadMode::Light));
         }
@@ -363,11 +440,8 @@ mod tests {
             "avg {}",
             s.average()
         );
-        assert!(
-            (3_000.0..=4_500.0).contains(&s.avedev()),
-            "avedev {}",
-            s.avedev()
-        );
+        let avedev = s.avedev().unwrap();
+        assert!((3_000.0..=4_500.0).contains(&avedev), "avedev {avedev}");
         assert!(s.min().unwrap() < -12_000, "min {:?}", s.min());
         assert!(s.max().unwrap() > 12_000, "max {:?}", s.max());
     }
@@ -376,7 +450,7 @@ mod tests {
     fn calibrated_stress_mode_shifts_early_and_tightens() {
         let model = TimerJitterModel::calibrated(TimerMode::Periodic);
         let mut rng = SimRng::from_seed(2);
-        let mut s = LatencyStats::new();
+        let mut s = LatencyStats::with_samples();
         for _ in 0..20_000 {
             s.record(model.sample_error(&mut rng, LoadMode::Stress));
         }
@@ -386,7 +460,7 @@ mod tests {
             "avg {}",
             s.average()
         );
-        assert!(s.avedev() < 800.0, "avedev {}", s.avedev());
+        assert!(s.avedev().unwrap() < 800.0, "avedev {:?}", s.avedev());
         assert!(s.max().unwrap() < 0, "max {:?}", s.max());
     }
 

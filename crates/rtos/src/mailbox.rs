@@ -100,8 +100,7 @@ impl MailboxRegistry {
             }),
             Some(_) => Ok(()), // idempotent attach
             None => {
-                self.boxes
-                    .insert(name.clone(), Mailbox::new(name, capacity));
+                self.boxes.insert(name, Mailbox::new(name, capacity));
                 Ok(())
             }
         }
@@ -127,7 +126,11 @@ impl MailboxRegistry {
     ///
     /// [`IpcError::NotFound`] if no such mailbox exists.
     pub fn send(&mut self, name: &str, msg: &[u8]) -> Result<bool, IpcError> {
-        let name = ObjName::new(name).map_err(IpcError::BadName)?;
+        self.send_obj(ObjName::new(name)?, msg)
+    }
+
+    /// [`MailboxRegistry::send`] for an already validated name.
+    pub(crate) fn send_obj(&mut self, name: ObjName, msg: &[u8]) -> Result<bool, IpcError> {
         let mb = self.boxes.get_mut(&name).ok_or(IpcError::NotFound(name))?;
         if mb.queue.len() >= mb.capacity {
             mb.rejected += 1;
@@ -144,7 +147,11 @@ impl MailboxRegistry {
     ///
     /// [`IpcError::NotFound`] if no such mailbox exists.
     pub fn recv(&mut self, name: &str) -> Result<Option<Vec<u8>>, IpcError> {
-        let name = ObjName::new(name).map_err(IpcError::BadName)?;
+        self.recv_obj(ObjName::new(name)?)
+    }
+
+    /// [`MailboxRegistry::recv`] for an already validated name.
+    pub(crate) fn recv_obj(&mut self, name: ObjName) -> Result<Option<Vec<u8>>, IpcError> {
         let mb = self.boxes.get_mut(&name).ok_or(IpcError::NotFound(name))?;
         let msg = mb.queue.pop_front();
         if msg.is_some() {
@@ -172,8 +179,12 @@ impl MailboxRegistry {
 
     /// Looks up a mailbox by name.
     pub fn get(&self, name: &str) -> Option<&Mailbox> {
-        let name = ObjName::new(name).ok()?;
-        self.boxes.get(&name)
+        self.get_obj(&ObjName::new(name).ok()?)
+    }
+
+    /// [`MailboxRegistry::get`] for an already validated name.
+    pub(crate) fn get_obj(&self, name: &ObjName) -> Option<&Mailbox> {
+        self.boxes.get(name)
     }
 
     /// Number of live mailboxes.

@@ -156,7 +156,7 @@ impl ShmRegistry {
             }
             None => {
                 self.segments
-                    .insert(name.clone(), ShmSegment::new(name, data_type, elements));
+                    .insert(name, ShmSegment::new(name, data_type, elements));
                 Ok(())
             }
         }
@@ -172,7 +172,7 @@ impl ShmRegistry {
         let seg = self
             .segments
             .get_mut(&name)
-            .ok_or_else(|| IpcError::NotFound(name.clone()))?;
+            .ok_or(IpcError::NotFound(name))?;
         seg.attached -= 1;
         if seg.attached == 0 {
             self.segments.remove(&name);
@@ -187,11 +187,15 @@ impl ShmRegistry {
     /// [`IpcError::NotFound`] if the segment does not exist;
     /// [`IpcError::SizeMismatch`] if `buf` is not exactly the segment size.
     pub fn write(&mut self, name: &str, buf: &[u8]) -> Result<(), IpcError> {
-        let name = ObjName::new(name).map_err(IpcError::BadName)?;
+        self.write_obj(ObjName::new(name)?, buf)
+    }
+
+    /// [`ShmRegistry::write`] for an already validated name.
+    pub(crate) fn write_obj(&mut self, name: ObjName, buf: &[u8]) -> Result<(), IpcError> {
         let seg = self
             .segments
             .get_mut(&name)
-            .ok_or_else(|| IpcError::NotFound(name.clone()))?;
+            .ok_or(IpcError::NotFound(name))?;
         if buf.len() != seg.data.len() {
             return Err(IpcError::SizeMismatch {
                 name,
@@ -210,11 +214,15 @@ impl ShmRegistry {
     ///
     /// [`IpcError::NotFound`] if the segment does not exist.
     pub fn read(&mut self, name: &str) -> Result<Vec<u8>, IpcError> {
-        let name = ObjName::new(name).map_err(IpcError::BadName)?;
+        self.read_obj(ObjName::new(name)?)
+    }
+
+    /// [`ShmRegistry::read`] for an already validated name.
+    pub(crate) fn read_obj(&mut self, name: ObjName) -> Result<Vec<u8>, IpcError> {
         let seg = self
             .segments
             .get_mut(&name)
-            .ok_or_else(|| IpcError::NotFound(name.clone()))?;
+            .ok_or(IpcError::NotFound(name))?;
         seg.reads += 1;
         Ok(seg.data.clone())
     }

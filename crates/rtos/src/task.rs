@@ -11,8 +11,13 @@ use std::fmt;
 pub const MAX_OBJ_NAME: usize = 6;
 
 /// A validated kernel object name: 1–6 ASCII alphanumeric characters.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ObjName(String);
+///
+/// Stored inline and zero-padded, so a name is a `Copy` value that never
+/// touches the heap: the dispatch path hands names around by value. Names
+/// contain no NUL bytes, so comparing the padded byte arrays orders names
+/// exactly as comparing the strings does (a prefix sorts first).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ObjName([u8; MAX_OBJ_NAME]);
 
 impl ObjName {
     /// Validates and wraps a name.
@@ -21,8 +26,8 @@ impl ObjName {
     ///
     /// Returns [`NameError`] when the name is empty, longer than
     /// [`MAX_OBJ_NAME`], or contains non-alphanumeric ASCII.
-    pub fn new(name: impl Into<String>) -> Result<Self, NameError> {
-        let name = name.into();
+    pub fn new(name: impl AsRef<str>) -> Result<Self, NameError> {
+        let name = name.as_ref();
         if name.is_empty() {
             return Err(NameError::new(name, "name is empty"));
         }
@@ -32,24 +37,33 @@ impl ObjName {
         if !name.bytes().all(|b| b.is_ascii_alphanumeric()) {
             return Err(NameError::new(name, "name must be ASCII alphanumeric"));
         }
-        Ok(ObjName(name))
+        let mut bytes = [0; MAX_OBJ_NAME];
+        bytes[..name.len()].copy_from_slice(name.as_bytes());
+        Ok(ObjName(bytes))
     }
 
     /// The name as a string slice.
     pub fn as_str(&self) -> &str {
-        &self.0
+        let len = self.0.iter().position(|&b| b == 0).unwrap_or(MAX_OBJ_NAME);
+        std::str::from_utf8(&self.0[..len]).expect("validated names are ASCII")
+    }
+}
+
+impl fmt::Debug for ObjName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ObjName").field(&self.as_str()).finish()
     }
 }
 
 impl fmt::Display for ObjName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
 impl AsRef<str> for ObjName {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
@@ -60,14 +74,42 @@ impl std::str::FromStr for ObjName {
     }
 }
 
+/// Low bits of a [`TaskId`] naming the kernel's task-table slot; the high
+/// bits hold the task's creation serial.
+const SLOT_BITS: u32 = 24;
+
 /// Unique task identifier assigned by the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TaskId(pub(crate) u64);
+///
+/// An id packs the task's creation serial (1, 2, 3, … per kernel, never
+/// reused) above the index of its slot in the kernel's dense task table.
+/// Slots are recycled after a task is deleted, serials are not, so a stale
+/// id never aliases a newer task. Ids order by creation serial.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TaskId(u64);
 
 impl TaskId {
-    /// The raw id value.
+    /// Most live tasks one kernel can hold (the slot index width).
+    pub(crate) const MAX_SLOTS: usize = 1 << SLOT_BITS;
+
+    pub(crate) fn new(serial: u64, slot: usize) -> Self {
+        debug_assert!(slot < Self::MAX_SLOTS && serial < 1 << (64 - SLOT_BITS));
+        TaskId(serial << SLOT_BITS | slot as u64)
+    }
+
+    /// The task's creation serial: 1 for the first task a kernel creates.
     pub fn raw(self) -> u64 {
-        self.0
+        self.0 >> SLOT_BITS
+    }
+
+    /// Index of the task's slot in the kernel's task table.
+    pub(crate) fn slot(self) -> usize {
+        (self.0 & (Self::MAX_SLOTS as u64 - 1)) as usize
+    }
+}
+
+impl fmt::Debug for TaskId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("TaskId").field(&self.raw()).finish()
     }
 }
 

@@ -503,12 +503,12 @@ mod tests {
     fn display_matches_legacy_trace_lines() {
         let task = ObjName::new("tick").unwrap();
         assert_eq!(
-            KernelEvent::TaskStarted { task: task.clone() }.to_string(),
+            KernelEvent::TaskStarted { task }.to_string(),
             "start task `tick`"
         );
         assert_eq!(
             KernelEvent::TaskSuspended {
-                task: task.clone(),
+                task,
                 deferred: true
             }
             .to_string(),

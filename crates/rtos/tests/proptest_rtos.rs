@@ -34,26 +34,28 @@ fn stats_laws() {
         let samples: Vec<i64> = (0..len)
             .map(|_| sample_i64(&mut rng, -1_000_000, 1_000_000))
             .collect();
-        let mut s = LatencyStats::new();
+        let mut s = LatencyStats::with_samples();
         for &x in &samples {
             s.record(x);
         }
         let (min, max) = (s.min().unwrap(), s.max().unwrap());
         assert!(min as f64 <= s.average() + 1e-9, "case {case}");
         assert!(s.average() <= max as f64 + 1e-9, "case {case}");
-        assert!(s.avedev() >= 0.0, "case {case}");
-        assert!(s.avedev() <= (max - min) as f64 + 1e-9, "case {case}");
+        let avedev = s.avedev().expect("samples retained");
+        assert!(avedev >= 0.0, "case {case}");
+        assert!(avedev <= (max - min) as f64 + 1e-9, "case {case}");
         assert_eq!(s.count(), samples.len(), "case {case}");
         // Percentile endpoints are the order statistics.
         assert_eq!(s.percentile(0.0), Some(min), "case {case}");
         assert_eq!(s.percentile(100.0), Some(max), "case {case}");
         // Histograms conserve mass.
-        let h = s.histogram(min, max + 1, 7);
+        let h = s.histogram(min, max + 1, 7).expect("samples retained");
         assert_eq!(h.iter().sum::<usize>(), samples.len(), "case {case}");
     }
 }
 
-/// Merging recorders equals recording the concatenation.
+/// Merging recorders equals recording the concatenation, for streaming
+/// and sample-retaining recorders alike.
 #[test]
 fn stats_merge_is_concat() {
     let mut rng = SimRng::from_seed(0xB0B);
@@ -64,23 +66,26 @@ fn stats_merge_is_concat() {
         let b: Vec<i64> = (0..rng.uniform_u64(0, 50))
             .map(|_| sample_i64(&mut rng, -1_000, 1_000))
             .collect();
-        let mut left = LatencyStats::new();
-        for &x in &a {
-            left.record(x);
+        for fresh in [LatencyStats::new, LatencyStats::with_samples] {
+            let mut left = fresh();
+            for &x in &a {
+                left.record(x);
+            }
+            let mut right = fresh();
+            for &x in &b {
+                right.record(x);
+            }
+            left.merge(&right);
+            let mut all = fresh();
+            for &x in a.iter().chain(b.iter()) {
+                all.record(x);
+            }
+            assert_eq!(left.count(), all.count(), "case {case}");
+            assert_eq!(left.min(), all.min(), "case {case}");
+            assert_eq!(left.max(), all.max(), "case {case}");
+            assert!((left.average() - all.average()).abs() < 1e-9, "case {case}");
+            assert_eq!(left.samples(), all.samples(), "case {case}");
         }
-        let mut right = LatencyStats::new();
-        for &x in &b {
-            right.record(x);
-        }
-        left.merge(&right);
-        let mut all = LatencyStats::new();
-        for &x in a.iter().chain(b.iter()) {
-            all.record(x);
-        }
-        assert_eq!(left.count(), all.count(), "case {case}");
-        assert_eq!(left.min(), all.min(), "case {case}");
-        assert_eq!(left.max(), all.max(), "case {case}");
-        assert!((left.average() - all.average()).abs() < 1e-9, "case {case}");
     }
 }
 
@@ -100,7 +105,8 @@ fn kernel_determinism() {
             let mut k = Kernel::new(
                 KernelConfig::new(seed)
                     .with_timer(TimerJitterModel::calibrated(TimerMode::Periodic))
-                    .with_load_mode(load),
+                    .with_load_mode(load)
+                    .with_latency_samples(),
             );
             let cfg = TaskConfig::periodic("tick", Priority(2), SimDuration::from_millis(1))
                 .unwrap()
@@ -108,9 +114,14 @@ fn kernel_determinism() {
             let t = k.create_task(cfg, Box::new(IdleBody)).unwrap();
             k.start_task(t).unwrap();
             k.run_for(SimDuration::from_millis(50));
-            k.task_stats(t).unwrap().samples().to_vec()
+            k.task_stats(t).unwrap().samples().unwrap().to_vec()
         };
-        assert_eq!(run(seed), run(seed), "case {case}");
+        let first = run(seed);
+        assert!(
+            !first.is_empty(),
+            "case {case}: no latency samples recorded"
+        );
+        assert_eq!(first, run(seed), "case {case}");
     }
 }
 

@@ -7,7 +7,7 @@
 //!
 //! Defaults: hrc stress 20000 42.
 
-use bench::{run_table1_config, ImplKind, Table1Config};
+use bench::{run_table1_config, table1_avedev, ImplKind, Table1Config};
 use rtos::latency::LoadMode;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
     println!("\nscheduling latency of the 1 kHz calculation task (ns):");
     println!("  samples : {}", stats.count());
     println!("  average : {:>12.2}", stats.average());
-    println!("  avedev  : {:>12.2}", stats.avedev());
+    println!("  avedev  : {:>12.2}", table1_avedev(&stats));
     println!("  min     : {:>12}", stats.min().unwrap_or(0));
     println!("  max     : {:>12}", stats.max().unwrap_or(0));
     println!("  p1      : {:>12}", stats.percentile(1.0).unwrap_or(0));
@@ -58,7 +58,9 @@ fn main() {
     let lo = stats.min().unwrap_or(-1) - 1;
     let hi = stats.max().unwrap_or(1) + 1;
     let bins = 24usize;
-    let counts = stats.histogram(lo, hi, bins);
+    let counts = stats
+        .histogram(lo, hi, bins)
+        .expect("Table 1 cells retain samples");
     let peak = counts.iter().copied().max().unwrap_or(1).max(1);
     let width = (hi - lo) as f64 / bins as f64;
     println!("\nhistogram ({lo}..{hi} ns, {bins} bins):");

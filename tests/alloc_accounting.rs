@@ -1,0 +1,217 @@
+//! Heap accounting of the dispatch path, measured with a counting global
+//! allocator.
+//!
+//! * A steady-state dispatch allocates nothing: neither for a compute-only
+//!   [`FnBody`] nor for a [`HybridRtBody`] whose command mailbox is empty
+//!   (the container polls it every cycle).
+//! * Latency tracking keeps constant-space statistics, so the live heap
+//!   stays flat however long simulated time runs.
+//! * Deleted tasks are reaped: creating and deleting 10,000 tasks leaves
+//!   the live heap where one round of churn left it.
+//!
+//! The counters are per thread, so tests running in parallel threads of
+//! this binary do not see each other's allocations. Everything measured
+//! runs on the test's own thread.
+
+use drcom::hybrid::{BridgeMode, FnLogic, HybridRtBody, RtIo};
+use drt::prelude::*;
+use rtos::kernel::{Kernel, KernelConfig, TaskCtx};
+use rtos::task::{FnBody, ObjName, Priority, TaskConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+std::thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn note(allocations: u64, bytes: i64) {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + allocations));
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(1, layout.size() as i64);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as i64));
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(1, new_size as i64 - layout.size() as i64);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
+
+/// A two-CPU kernel with the calibrated timer: jitter, preemption and
+/// round-robin all happen, as in a real fleet.
+fn kernel() -> Kernel {
+    Kernel::new(KernelConfig::new(7).with_cpus(2))
+}
+
+/// Heap allocations per dispatch over `span` of steady-state simulation,
+/// after a warm-up long enough for every queue to reach its capacity.
+fn allocations_per_dispatch(kernel: &mut Kernel, span: SimDuration) -> (u64, u64) {
+    kernel.run_for(SimDuration::from_millis(200));
+    let dispatches = kernel.counters().dispatches;
+    let before = allocations();
+    kernel.run_for(span);
+    let allocated = allocations() - before;
+    (allocated, kernel.counters().dispatches - dispatches)
+}
+
+fn periodic(name: &str, hz: u64, prio: u8, cpu: u32) -> TaskConfig {
+    TaskConfig::periodic(name, Priority(prio), SimDuration::from_hz(hz))
+        .expect("valid name")
+        .on_cpu(cpu)
+        .with_latency_tracking()
+}
+
+#[test]
+fn compute_only_dispatch_allocates_nothing() {
+    let mut k = kernel();
+    for (i, hz) in [1000, 500, 250, 1000, 200, 100].into_iter().enumerate() {
+        let cfg = periodic(&format!("fn{i}"), hz, 2 + (i % 3) as u8, (i % 2) as u32);
+        let id = k
+            .create_task(
+                cfg,
+                Box::new(FnBody(|ctx: &mut TaskCtx<'_>| {
+                    ctx.compute_about(SimDuration::from_micros(120));
+                })),
+            )
+            .unwrap();
+        k.start_task(id).unwrap();
+    }
+    let (allocated, dispatches) = allocations_per_dispatch(&mut k, SimDuration::from_secs(1));
+    assert!(dispatches > 3_000, "only {dispatches} dispatches");
+    assert_eq!(
+        allocated, 0,
+        "{allocated} allocations over {dispatches} dispatches"
+    );
+}
+
+#[test]
+fn hybrid_container_with_an_empty_command_mailbox_allocates_nothing() {
+    let mut k = kernel();
+    for i in 0..4u32 {
+        let (cmd, reply) = (format!("c{i}"), format!("r{i}"));
+        k.mailboxes_mut().create(&cmd, 16).unwrap();
+        k.mailboxes_mut().create(&reply, 16).unwrap();
+        let body = HybridRtBody::new(
+            Box::new(FnLogic(|io: &mut RtIo<'_, '_>| {
+                io.compute(SimDuration::from_micros(80));
+            })),
+            Vec::new(),
+            vec![("gain".into(), PropertyValue::Integer(1))],
+            Some(ObjName::new(cmd).unwrap()),
+            Some(ObjName::new(reply).unwrap()),
+            BridgeMode::AsyncPoll,
+        );
+        let id = k
+            .create_task(
+                periodic(&format!("hrc{i}"), 1000, 2 + i as u8, i % 2),
+                Box::new(body),
+            )
+            .unwrap();
+        k.start_task(id).unwrap();
+    }
+    let (allocated, dispatches) = allocations_per_dispatch(&mut k, SimDuration::from_secs(1));
+    assert!(dispatches > 3_000, "only {dispatches} dispatches");
+    assert_eq!(
+        allocated, 0,
+        "{allocated} allocations over {dispatches} dispatches"
+    );
+}
+
+/// The declarative path: a DRCR-managed fleet (latency tracking on for
+/// every component) keeps a flat live heap while simulated time runs on.
+#[test]
+fn live_heap_stays_flat_as_simulated_time_grows() {
+    let mut rt = DrtRuntime::new(KernelConfig::new(11).with_cpus(2));
+    for i in 0..6u32 {
+        let descriptor = ComponentDescriptor::builder(&format!("m{i}"))
+            .periodic(1000 / (i + 1), i % 2, 2 + i as u8)
+            .cpu_usage(0.05)
+            .build()
+            .expect("descriptor");
+        rt.install_component(
+            &format!("demo.m{i}"),
+            ComponentProvider::new(descriptor, || {
+                Box::new(FnLogic(|io: &mut RtIo<'_, '_>| {
+                    io.compute(SimDuration::from_micros(30));
+                }))
+            }),
+        )
+        .expect("install");
+    }
+    let span = SimDuration::from_millis(500);
+    rt.advance(span);
+    let warm = live_bytes();
+    rt.advance(span);
+    let after_1x = live_bytes();
+    for _ in 0..4 {
+        rt.advance(span);
+    }
+    let after_4x = live_bytes();
+    let cycles = rt.kernel().counters().dispatches;
+    assert!(cycles > 5_000, "only {cycles} dispatches");
+    assert_eq!(after_1x, warm, "live heap grew over one span");
+    assert_eq!(after_4x, warm, "live heap grew over four more spans");
+}
+
+#[test]
+fn deleted_tasks_are_reaped() {
+    let mut k = kernel();
+    // One round: create 100 tracked tasks, run them, delete them all, and
+    // let their in-flight events drain.
+    let round = |k: &mut Kernel| {
+        let ids: Vec<_> = (0..100)
+            .map(|i| {
+                let id = k
+                    .create_task(
+                        periodic(&format!("t{i}"), 1000, 2 + (i % 5) as u8, (i % 2) as u32),
+                        Box::new(FnBody(|ctx: &mut TaskCtx<'_>| {
+                            ctx.compute(SimDuration::from_micros(5));
+                        })),
+                    )
+                    .unwrap();
+                k.start_task(id).unwrap();
+                id
+            })
+            .collect();
+        k.run_for(SimDuration::from_millis(5));
+        for id in ids {
+            k.delete_task(id).unwrap();
+        }
+        k.run_for(SimDuration::from_millis(5));
+    };
+    round(&mut k);
+    let baseline = live_bytes();
+    for _ in 1..100 {
+        round(&mut k);
+    }
+    let growth = live_bytes() - baseline;
+    assert!(k.counters().dispatches >= 10_000 * 4);
+    assert!(
+        growth.abs() <= 1_024,
+        "live heap moved {growth} bytes over 9,900 created-and-deleted tasks"
+    );
+}

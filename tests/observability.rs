@@ -17,7 +17,9 @@ fn run_scenario(seed: u64, trace_capacity: usize) -> DrtRuntime {
             .with_timer(TimerJitterModel::calibrated(
                 rtos::latency::TimerMode::Periodic,
             ))
-            .with_trace(trace_capacity),
+            .with_trace(trace_capacity)
+            // Retained samples let the fingerprint compare AVEDEV too.
+            .with_latency_samples(),
     ))
 }
 
@@ -34,7 +36,7 @@ fn scheduling_fingerprint(rt: &DrtRuntime) -> String {
             out.push_str(&format!("  cycles={cycles}\n"));
             if let Some(stats) = kernel.task_stats(task) {
                 out.push_str(&format!(
-                    "  lat: n={} avg={:.6} avedev={:.6} min={:?} max={:?}\n",
+                    "  lat: n={} avg={:.6} avedev={:?} min={:?} max={:?}\n",
                     stats.count(),
                     stats.average(),
                     stats.avedev(),
@@ -154,7 +156,8 @@ fn tracing_is_observer_effect_free_across_seeds() {
                 .with_timer(TimerJitterModel::calibrated(
                     rtos::latency::TimerMode::Periodic,
                 ))
-                .with_trace(2),
+                .with_trace(2)
+                .with_latency_samples(),
         );
         tapped
             .kernel_mut()

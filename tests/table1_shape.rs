@@ -3,7 +3,7 @@
 //! qualitative crossovers lie. Absolute nanoseconds are calibration;
 //! these relations are the reproduction target.
 
-use bench::{run_table1, run_table1_config, ImplKind, Table1Config};
+use bench::{run_table1, run_table1_config, table1_avedev, ImplKind, Table1Config};
 use rtos::latency::LoadMode;
 
 fn table(cycles: u64, seed: u64) -> Vec<(String, f64, f64, i64, i64)> {
@@ -13,7 +13,7 @@ fn table(cycles: u64, seed: u64) -> Vec<(String, f64, f64, i64, i64)> {
             (
                 r.label,
                 r.stats.average(),
-                r.stats.avedev(),
+                table1_avedev(&r.stats),
                 r.stats.min().unwrap(),
                 r.stats.max().unwrap(),
             )
