@@ -8,11 +8,13 @@
 //! resolver. The phase asserts the two `DrcrEvent` streams are
 //! byte-identical and reports the wiring-work counters side by side.
 //!
-//! **Phase 2 — churn at scale.** A 100k-component topology (reactive
-//! engine only; the naive oracle would take hours), installed in two
-//! arrival waves, then hub 0 flaps. Each flap touches only hub 0's
-//! consumer cohort (~n/hubs components), so the per-churn-event wiring
-//! work must stay O(changed), not O(n) — gated by counter ceilings.
+//! **Phase 2 — churn at scale.** Two fleets of 999-consumer hub cohorts,
+//! ~50k and ~100k components (reactive engine only; the naive oracle
+//! would take hours), each installed in two arrival waves, then hub 0
+//! flaps. Each flap touches only hub 0's cohort, so the per-churn-event
+//! wiring checks and view updates must stay O(changed), not O(n): gated
+//! by counter ceilings relative to the cohort, and by the doubled fleet
+//! doing no more per-event work than the smaller one.
 //!
 //! **Phase 3 — batched arrivals.** K components arrive in one wave under
 //! response-time admission. The reactive engine proves the whole wave
@@ -74,8 +76,13 @@ impl Params {
     }
 }
 
-/// Phase 2 scenario shape: both modes run the full 100k-component fleet
-/// (the phase avoids per-install resolve rounds, so scale is cheap).
+/// Consumers per hub in phase 2 — the churn blast radius.
+const CHURN_COHORT: usize = 999;
+/// Phase 2's two fleet sizes, in hubs (~50k and ~100k components).
+const CHURN_HUB_COUNTS: [usize; 2] = [50, 100];
+
+/// Phase 2 scenario shape: both modes run the full fleets (the phase
+/// avoids per-install resolve rounds, so scale is cheap).
 struct ChurnParams {
     hubs: usize,
     consumers: usize,
@@ -83,10 +90,10 @@ struct ChurnParams {
 }
 
 impl ChurnParams {
-    fn new() -> Self {
+    fn with_hubs(hubs: usize) -> Self {
         ChurnParams {
-            hubs: 100,
-            consumers: 99_900,
+            hubs,
+            consumers: hubs * CHURN_COHORT,
             churn_cycles: 5,
         }
     }
@@ -118,10 +125,12 @@ impl BatchParams {
 
 /// Counter ceilings asserted in `--check` mode, with ~25-50% headroom over
 /// the measured values so legitimate scenario tweaks don't trip them.
-/// Phase 1 measured (smoke): incremental checks=40570, sweeps=231,
-/// rebuilds=206; naive graph_builds=45370. Measured (full): incremental
-/// checks=1003874, sweeps=1045, rebuilds=1010; naive graph_builds=1040999.
-/// Phase 2 measured: 2997 checks per churn event at cohort=999 (3x).
+/// Phase 1 measured (smoke): incremental checks=40570, sweeps=231;
+/// naive graph_builds=45370. Measured (full): incremental
+/// checks=1003874, sweeps=1045; naive graph_builds=1040999. The view is
+/// maintained by delta and never rebuilt, in either engine.
+/// Phase 2 measured, at both fleet sizes: 2997 checks (3x) and 1001 view
+/// updates (1x) per churn event at cohort=999.
 struct Ceilings {
     incremental_checks: u64,
     incremental_sweeps: u64,
@@ -130,24 +139,18 @@ struct Ceilings {
     /// cohort. O(changed) work is a small constant; O(n) work at
     /// hubs=100 would be ~100x the cohort and trips this immediately.
     churn_checks_per_cohort: u64,
+    /// Phase 2: per-churn-event view updates, as a multiple of the cohort.
+    churn_view_updates_per_cohort: u64,
 }
 
 impl Ceilings {
     fn for_mode(smoke: bool) -> Self {
-        if smoke {
-            Ceilings {
-                incremental_checks: 60_000,
-                incremental_sweeps: 300,
-                view_rebuilds: 450,
-                churn_checks_per_cohort: 8,
-            }
-        } else {
-            Ceilings {
-                incremental_checks: 1_300_000,
-                incremental_sweeps: 1_300,
-                view_rebuilds: 2_000,
-                churn_checks_per_cohort: 8,
-            }
+        Ceilings {
+            incremental_checks: if smoke { 60_000 } else { 1_300_000 },
+            incremental_sweeps: if smoke { 300 } else { 1_300 },
+            view_rebuilds: 0,
+            churn_checks_per_cohort: 8,
+            churn_view_updates_per_cohort: 2,
         }
     }
 }
@@ -290,6 +293,7 @@ struct ChurnStats {
     churn_events: u64,
     checks_per_event: u64,
     evals_per_event: u64,
+    view_updates_per_event: u64,
     graph_builds: u64,
     active_after: usize,
 }
@@ -332,6 +336,7 @@ fn run_churn(params: &ChurnParams) -> ChurnStats {
         churn_events,
         checks_per_event: delta("drcr.wiring.checks") / churn_events,
         evals_per_event: delta("drcr.wiring.evals") / churn_events,
+        view_updates_per_event: delta("drcr.view.updates") / churn_events,
         graph_builds: counter(&after, "drcr.wiring.graph_builds"),
         active_after,
     }
@@ -391,6 +396,22 @@ fn stats_json(s: &RunStats) -> String {
             "\"view_rebuilds\": {}}}"
         ),
         s.wiring_checks, s.graph_builds, s.resolve_rounds, s.deactivation_sweeps, s.view_rebuilds
+    )
+}
+
+fn churn_json(c: &ChurnStats) -> String {
+    format!(
+        concat!(
+            "{{\"components\": {}, \"cohort\": {}, \"churn_events\": {}, ",
+            "\"checks_per_event\": {}, \"evals_per_event\": {}, ",
+            "\"view_updates_per_event\": {}}}"
+        ),
+        c.components,
+        c.cohort,
+        c.churn_events,
+        c.checks_per_event,
+        c.evals_per_event,
+        c.view_updates_per_event
     )
 }
 
@@ -493,63 +514,93 @@ fn main() {
             ceilings.incremental_sweeps
         );
         assert!(
-            incremental.view_rebuilds <= ceilings.view_rebuilds,
-            "view rebuilds {} exceed ceiling {}",
+            incremental.view_rebuilds <= ceilings.view_rebuilds
+                && naive.view_rebuilds <= ceilings.view_rebuilds,
+            "view rebuilds {} / {} exceed ceiling {}",
             incremental.view_rebuilds,
+            naive.view_rebuilds,
             ceilings.view_rebuilds
         );
         println!("  phase 1 check: PASS");
     }
 
     // ---- Phase 2: churn at scale ------------------------------------
-    let churn_params = ChurnParams::new();
-    println!();
-    println!(
-        "resolve_scale phase 2 (churn @ scale): {} components ({} hubs x {} consumers), cohort {}, {} churn cycles",
-        churn_params.components(),
-        churn_params.hubs,
-        churn_params.consumers,
-        churn_params.cohort(),
-        churn_params.churn_cycles,
-    );
+    let mut churns = Vec::with_capacity(CHURN_HUB_COUNTS.len());
     let phase2_clock = bench::timing::WallClock::new();
-    let churn = run_churn(&churn_params);
-    let phase2_secs = phase2_clock.elapsed_secs();
-    println!(
-        "  phase 2 wall: {phase2_secs:.3} s ({:.1} churn events/s)",
-        churn.churn_events as f64 / phase2_secs
-    );
-    println!(
-        "  per churn event: {} wiring checks ({} evaluated), {:.4}x of n",
-        churn.checks_per_event,
-        churn.evals_per_event,
-        churn.checks_per_event as f64 / churn.components as f64,
-    );
-    println!(
-        "  graph builds: {}, consumers active after churn: {}",
-        churn.graph_builds, churn.active_after
-    );
+    for hubs in CHURN_HUB_COUNTS {
+        let churn_params = ChurnParams::with_hubs(hubs);
+        println!();
+        println!(
+            "resolve_scale phase 2 (churn @ scale): {} components ({} hubs x {} consumers), cohort {}, {} churn cycles",
+            churn_params.components(),
+            churn_params.hubs,
+            churn_params.consumers,
+            churn_params.cohort(),
+            churn_params.churn_cycles,
+        );
+        let fleet_clock = bench::timing::WallClock::new();
+        let churn = run_churn(&churn_params);
+        let fleet_secs = fleet_clock.elapsed_secs();
+        println!(
+            "  fleet wall: {fleet_secs:.3} s ({:.1} churn events/s)",
+            churn.churn_events as f64 / fleet_secs
+        );
+        println!(
+            "  per churn event: {} wiring checks ({} evaluated), {} view updates, {:.4}x of n",
+            churn.checks_per_event,
+            churn.evals_per_event,
+            churn.view_updates_per_event,
+            churn.checks_per_event as f64 / churn.components as f64,
+        );
+        println!(
+            "  graph builds: {}, consumers active after churn: {}",
+            churn.graph_builds, churn.active_after
+        );
 
+        if check {
+            let cohort = churn.cohort as u64;
+            assert_eq!(churn.graph_builds, 0, "reactive engine built wiring graphs");
+            assert_eq!(
+                churn.active_after, churn_params.consumers,
+                "fleet did not fully re-activate after churn"
+            );
+            assert!(
+                churn.checks_per_event <= ceilings.churn_checks_per_cohort * cohort,
+                "per-churn-event wiring checks {} exceed O(changed) ceiling {}x cohort",
+                churn.checks_per_event,
+                ceilings.churn_checks_per_cohort
+            );
+            assert!(
+                churn.view_updates_per_event <= ceilings.churn_view_updates_per_cohort * cohort,
+                "per-churn-event view updates {} exceed O(changed) ceiling {}x cohort",
+                churn.view_updates_per_event,
+                ceilings.churn_view_updates_per_cohort
+            );
+            // The O(changed) headline: churn work must be far below fleet size.
+            assert!(
+                churn.checks_per_event < (churn.components / 10) as u64,
+                "per-churn-event work {} is within 10x of fleet size {}",
+                churn.checks_per_event,
+                churn.components
+            );
+        }
+        churns.push(churn);
+    }
+    let phase2_secs = phase2_clock.elapsed_secs();
     if check {
-        let churn_ceiling = ceilings.churn_checks_per_cohort * churn.cohort as u64;
-        assert_eq!(churn.graph_builds, 0, "reactive engine built wiring graphs");
-        assert_eq!(
-            churn.active_after, churn_params.consumers,
-            "fleet did not fully re-activate after churn"
-        );
+        // Same cohort, twice the fleet: per-event work must not grow.
+        let (small, large) = (&churns[0], &churns[1]);
         assert!(
-            churn.checks_per_event <= churn_ceiling,
-            "per-churn-event wiring checks {} exceed O(changed) ceiling {} ({}x cohort)",
-            churn.checks_per_event,
-            churn_ceiling,
-            ceilings.churn_checks_per_cohort
-        );
-        // The O(changed) headline: churn work must be far below fleet size.
-        assert!(
-            churn.checks_per_event < (churn.components / 10) as u64,
-            "per-churn-event work {} is within 10x of fleet size {}",
-            churn.checks_per_event,
-            churn.components
+            large.checks_per_event <= small.checks_per_event
+                && large.view_updates_per_event <= small.view_updates_per_event,
+            "per-churn-event work grew with the fleet: {} -> {} checks, {} -> {} view updates \
+             from {} to {} components",
+            small.checks_per_event,
+            large.checks_per_event,
+            small.view_updates_per_event,
+            large.view_updates_per_event,
+            small.components,
+            large.components
         );
         println!("  phase 2 check: PASS");
     }
@@ -618,9 +669,7 @@ fn main() {
                 "  \"graph_build_reduction\": {:.1},\n",
                 "  \"incremental\": {},\n",
                 "  \"naive_reference\": {},\n",
-                "  \"churn_at_scale\": {{\"components\": {}, \"cohort\": {}, ",
-                "\"churn_events\": {}, \"checks_per_event\": {}, ",
-                "\"evals_per_event\": {}}},\n",
+                "  \"churn_at_scale\": [{}],\n",
                 "  \"batched_arrivals\": {{\"arrivals\": {}, \"cpus\": {}, ",
                 "\"batched_rta_passes\": {}, \"sequential_rta_passes\": {}, ",
                 "\"activations\": {}}},\n",
@@ -639,11 +688,7 @@ fn main() {
             ratio,
             stats_json(&incremental),
             stats_json(&naive),
-            churn.components,
-            churn.cohort,
-            churn.churn_events,
-            churn.checks_per_event,
-            churn.evals_per_event,
+            churns.iter().map(churn_json).collect::<Vec<_>>().join(", "),
             batch_params.arrivals,
             batch_params.cpus,
             batched.rta_passes,
@@ -652,7 +697,7 @@ fn main() {
             phase1_secs,
             incremental.events.len() as f64 / phase1_incremental_secs.max(1e-9),
             phase2_secs,
-            churn.churn_events as f64 / phase2_secs,
+            churns.iter().map(|c| c.churn_events).sum::<u64>() as f64 / phase2_secs,
             phase3_secs,
             total_secs,
         );

@@ -160,7 +160,7 @@ impl AdaptationPolicy for LoadShedding {
             // Shed least-important active components until under the mark.
             let mut active: Vec<_> = ctx
                 .view
-                .components
+                .components()
                 .iter()
                 .filter(|c| c.cpu == self.cpu && c.state == ComponentState::Active)
                 .collect();
@@ -179,7 +179,7 @@ impl AdaptationPolicy for LoadShedding {
             // Restore most-important suspended components while room lasts.
             let mut suspended: Vec<_> = ctx
                 .view
-                .components
+                .components()
                 .iter()
                 .filter(|c| c.cpu == self.cpu && c.state == ComponentState::Suspended)
                 .collect();
@@ -236,7 +236,7 @@ impl AdaptationPolicy for GracefulDegradation {
         if pressure > self.high_watermark {
             let mut candidates: Vec<_> = ctx
                 .view
-                .components
+                .components()
                 .iter()
                 .filter(|c| {
                     c.cpu == self.cpu
@@ -264,7 +264,7 @@ impl AdaptationPolicy for GracefulDegradation {
         } else if pressure < self.low_watermark {
             let mut degraded: Vec<_> = ctx
                 .view
-                .components
+                .components()
                 .iter()
                 .filter(|c| {
                     c.cpu == self.cpu && ctx.current_mode_of(&c.name) != crate::model::BASE_MODE
@@ -480,7 +480,7 @@ mod tests {
         }
         fn evaluate(&mut self, ctx: &AdaptationContext) -> Vec<AdaptationCommand> {
             ctx.view
-                .components
+                .components()
                 .iter()
                 .filter(|c| c.state == ComponentState::Active)
                 .map(|c| AdaptationCommand::SetProperty {

@@ -8,6 +8,7 @@
 //! central scheme rather than by each single bundle") while the *accounting*
 //! stays authoritative in one place.
 
+use crate::model::{valid_claim, ClaimSum};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -18,7 +19,8 @@ pub enum LedgerError {
     AlreadyReserved(String),
     /// The CPU does not exist.
     NoSuchCpu(u32),
-    /// The usage claim is not a finite fraction in `(0, 1]`.
+    /// The usage claim is not a fraction in `[2⁻⁴⁸, 1]` (see
+    /// [`crate::model::MIN_CPU_USAGE`]).
     InvalidUsage(f64),
     /// The component holds no reservation (release-twice or
     /// release-unknown — either is an accounting bug in the caller).
@@ -33,7 +35,7 @@ impl fmt::Display for LedgerError {
             }
             LedgerError::NoSuchCpu(cpu) => write!(f, "no CPU {cpu}"),
             LedgerError::InvalidUsage(usage) => {
-                write!(f, "usage claim {usage} outside (0, 1]")
+                write!(f, "usage claim {usage} outside [2^-48, 1]")
             }
             LedgerError::NotReserved(name) => {
                 write!(f, "component `{name}` holds no reservation")
@@ -45,10 +47,15 @@ impl fmt::Display for LedgerError {
 impl std::error::Error for LedgerError {}
 
 /// Per-CPU reserved-budget accounting. See the [module docs](self).
+///
+/// Each CPU's total is an exact [`ClaimSum`] maintained on every reserve
+/// and release, so [`AdmissionLedger::utilization`] is O(1) and reads the
+/// correctly rounded sum of the live claims whatever order they came in.
 #[derive(Debug, Clone, Default)]
 pub struct AdmissionLedger {
     cpu_count: u32,
     reservations: BTreeMap<String, (u32, f64)>,
+    totals: Vec<ClaimSum>,
 }
 
 impl AdmissionLedger {
@@ -57,6 +64,7 @@ impl AdmissionLedger {
         AdmissionLedger {
             cpu_count,
             reservations: BTreeMap::new(),
+            totals: vec![ClaimSum::default(); cpu_count as usize],
         }
     }
 
@@ -75,12 +83,10 @@ impl AdmissionLedger {
         if cpu >= self.cpu_count {
             return Err(LedgerError::NoSuchCpu(cpu));
         }
-        // Same range `CpuUsage` enforces at parse time. Pluggable resolvers
-        // feed this path too, and a single NaN reservation would poison
-        // every later `utilization()` sum (NaN propagates, and every
-        // `hypothetical > cap` comparison against NaN is false — everything
-        // would be admitted from then on).
-        if !usage.is_finite() || usage <= 0.0 || usage > 1.0 {
+        // Same domain `CpuUsage` enforces at parse time. Pluggable resolvers
+        // feed this path too, and a reservation outside it could not be
+        // summed exactly: it would turn the CPU's total into NaN.
+        if !valid_claim(usage) {
             return Err(LedgerError::InvalidUsage(usage));
         }
         if self.reservations.contains_key(component) {
@@ -88,6 +94,7 @@ impl AdmissionLedger {
         }
         self.reservations
             .insert(component.to_string(), (cpu, usage));
+        self.totals[cpu as usize].add(usage);
         Ok(())
     }
 
@@ -102,18 +109,20 @@ impl AdmissionLedger {
     /// passed, masking per-CPU total corruption), so it is surfaced as a
     /// typed error instead of a silent no-op.
     pub fn release(&mut self, component: &str) -> Result<(u32, f64), LedgerError> {
-        self.reservations
+        let (cpu, usage) = self
+            .reservations
             .remove(component)
-            .ok_or_else(|| LedgerError::NotReserved(component.to_string()))
+            .ok_or_else(|| LedgerError::NotReserved(component.to_string()))?;
+        self.totals[cpu as usize].remove(usage);
+        Ok((cpu, usage))
     }
 
-    /// Total reserved fraction on `cpu`.
+    /// Total reserved fraction on `cpu`: the correctly rounded sum of its
+    /// live claims (`0.0` for an empty or unknown CPU).
     pub fn utilization(&self, cpu: u32) -> f64 {
-        self.reservations
-            .values()
-            .filter(|(c, _)| *c == cpu)
-            .map(|(_, u)| u)
-            .sum()
+        self.totals
+            .get(cpu as usize)
+            .map_or(0.0, |total| total.value())
     }
 
     /// The reservation held by a component.
@@ -203,6 +212,8 @@ mod tests {
             -0.1,
             0.0,
             1.0 + 1e-9,
+            crate::model::MIN_CPU_USAGE / 2.0,
+            1e-16,
         ] {
             let err = l.reserve("evil", 0, bad).unwrap_err();
             assert!(
@@ -217,6 +228,19 @@ mod tests {
         assert!((l.utilization(0) - 0.5).abs() < 1e-9);
         assert!(l.utilization(0).is_finite());
         assert_eq!(l.len(), 1);
+    }
+
+    #[test]
+    fn ten_tenths_fill_a_cpu_exactly() {
+        let mut l = AdmissionLedger::new(1);
+        for i in 0..10 {
+            l.reserve(&format!("c{i}"), 0, 0.1).unwrap();
+        }
+        assert_eq!(l.utilization(0), 1.0);
+        for i in 0..10 {
+            l.release(&format!("c{i}")).unwrap();
+        }
+        assert_eq!(l.utilization(0).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Validation is strict: names obey the 6-character OS limit, `cpuusage`
-//! must be in `(0, 1]`, periodic components need a `periodictask` element,
+//! must be in `[2⁻⁴⁸, 1]`, periodic components need a `periodictask` element,
 //! port names must be unique within the component, and port attributes must
 //! be complete — a bad contract is rejected at deployment, never at run
 //! time.
@@ -210,7 +210,7 @@ impl ComponentDescriptor {
                 .ok_or_else(|| DescriptorError::BadValue {
                     element: mode.name.clone(),
                     attribute: "cpuusage",
-                    reason: format!("`{usage_raw}` is not a CPU fraction in (0, 1]"),
+                    reason: format!("`{usage_raw}` is not a CPU fraction in [2^-48, 1]"),
                 })?;
             let prio_raw = mode
                 .attr("priority")

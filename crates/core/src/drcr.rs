@@ -175,14 +175,10 @@ pub struct Drcr {
     /// Components currently `Unsatisfied` (the activation sweep's work
     /// list), maintained on every state transition.
     unsatisfied: BTreeSet<Rc<str>>,
-    /// Cached global view. Lifecycle flips are applied in place; structural
-    /// changes (register/remove/mode switch) set `view_dirty` for a full
-    /// rebuild at the next refresh.
-    view_cache: SystemView,
-    /// Name → index into `view_cache.components`, rebuilt with the view.
-    view_index: HashMap<Rc<str>, usize>,
-    /// Set by every *structural* change to the view's contents.
-    view_dirty: bool,
+    /// The global view, kept current by delta: registration and removal
+    /// insert and remove one record, lifecycle flips and contract rewrites
+    /// patch one in place. It is never rebuilt.
+    view: SystemView,
     /// Restart/quarantine bookkeeping for faulted components.
     supervisor: Supervisor,
     /// Kernel task → owning component, for O(faulted) supervision scans.
@@ -243,9 +239,7 @@ impl Drcr {
             dirty: false,
             resolver,
             unsatisfied: BTreeSet::new(),
-            view_cache: SystemView::new(cpu_count, Vec::new()),
-            view_index: HashMap::new(),
-            view_dirty: false,
+            view: SystemView::new(cpu_count, Vec::new()),
             supervisor: Supervisor::new(),
             task_names: BTreeMap::new(),
             self_ref: Weak::new(),
@@ -339,27 +333,26 @@ impl Drcr {
         if initial == ComponentState::Unsatisfied {
             self.unsatisfied.insert(id.clone());
         }
-        self.components.insert(
-            id.clone(),
-            ComponentRecord {
-                base_descriptor: descriptor.clone(),
-                descriptor,
-                factory,
-                state: initial,
-                bundle,
-                task: None,
-                mgmt: None,
-                cmd_mbx: None,
-                reply_mbx: None,
-                providers: Vec::new(),
-                current_mode: crate::model::BASE_MODE.to_string(),
-                reply_buffer: HashMap::new(),
-            },
-        );
+        let record = ComponentRecord {
+            base_descriptor: descriptor.clone(),
+            descriptor,
+            factory,
+            state: initial,
+            bundle,
+            task: None,
+            mgmt: None,
+            cmd_mbx: None,
+            reply_mbx: None,
+            providers: Vec::new(),
+            current_mode: crate::model::BASE_MODE.to_string(),
+            reply_buffer: HashMap::new(),
+        };
+        self.view.insert(record.info(id.clone()));
+        self.metrics.count("drcr.view.updates", 1);
+        self.components.insert(id.clone(), record);
         self.note(DrcrEvent::Registered {
             component: id.to_string(),
         });
-        self.view_dirty = true;
         self.dirty = true;
         Ok(())
     }
@@ -386,7 +379,8 @@ impl Drcr {
         }
         self.unsatisfied.remove(name);
         self.supervisor.clear(name);
-        self.view_dirty = true;
+        self.view.remove(name);
+        self.metrics.count("drcr.view.updates", 1);
         self.dirty = true;
         Ok(())
     }
@@ -480,64 +474,32 @@ impl Drcr {
         &self.ledger
     }
 
-    /// Snapshot of the global real-time context.
-    ///
-    /// Served from the executive's cached view when it is current (the
-    /// common case); rebuilt on demand after an invalidating transition.
+    /// Snapshot of the global real-time context (a copy of the
+    /// executive's view, which is always current).
     pub fn system_view(&self) -> SystemView {
-        if self.view_dirty {
-            self.build_view()
-        } else {
-            self.view_cache.clone()
-        }
+        self.view.clone()
     }
 
-    /// Builds a fresh view from the component table. Interned names are
-    /// shared with the table, so a rebuild allocates only the list itself.
-    fn build_view(&self) -> SystemView {
-        SystemView::new(
-            self.ledger.cpu_count(),
-            self.components
-                .iter()
-                .map(|(id, r)| r.info(id.clone()))
-                .collect(),
-        )
-    }
-
-    /// Re-derives the cached view if a *structural* change invalidated it
-    /// (lifecycle flips are applied in place and never get here).
-    fn refresh_view(&mut self) {
-        if self.view_dirty {
-            self.view_cache = self.build_view();
-            self.view_index = self
-                .view_cache
-                .components
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (c.name.clone(), i))
-                .collect();
-            self.view_dirty = false;
-            self.metrics.count("drcr.view.rebuilds", 1);
-        }
-    }
-
-    /// Applies one lifecycle flip to the cached view in place (O(1), cache
-    /// invalidation only when the admission-holding status changes). A
-    /// structurally-dirty view skips the update — the pending rebuild will
-    /// pick the state up from the component table.
+    /// Applies one lifecycle flip to the view in place.
     fn view_set_state(&mut self, name: &str, state: ComponentState) {
-        if self.view_dirty {
-            return;
-        }
-        match self.view_index.get(name) {
-            Some(&idx) => {
-                self.view_cache.set_state_at(idx, state);
-                self.metrics.count("drcr.view.updates", 1);
-            }
-            // Unknown to the cached view (never refreshed since this
-            // component registered): fall back to a rebuild.
-            None => self.view_dirty = true,
-        }
+        let idx = self
+            .view
+            .position(name)
+            .expect("registered components are in the view");
+        self.view.set_state_at(idx, state);
+        self.metrics.count("drcr.view.updates", 1);
+    }
+
+    /// Re-writes one component's view record from its (changed) contract.
+    fn view_replace(&mut self, name: &str) {
+        let (key, rec) = self.components.get_key_value(name).expect("present");
+        let info = rec.info(key.clone());
+        let idx = self
+            .view
+            .position(name)
+            .expect("registered components are in the view");
+        self.view.replace_at(idx, info);
+        self.metrics.count("drcr.view.updates", 1);
     }
 
     /// The single state-transition bottleneck: updates the record, the
@@ -557,7 +519,7 @@ impl Drcr {
             self.unsatisfied.remove(&**name);
         }
         self.resolver.on_state_changed(name, cpu, from, to);
-        self.view_set_state(&name.clone(), to);
+        self.view_set_state(name, to);
     }
 
     /// The kernel task id behind an active component.
@@ -679,18 +641,8 @@ impl Drcr {
         // and admission results (its ports are unchanged, but its claim,
         // frequency and priority are not).
         self.resolver.on_contract_changed(name, &descriptor);
-        // The cached view takes the rewritten contract in place.
-        if !self.view_dirty {
-            match self.view_index.get(name).copied() {
-                Some(idx) => {
-                    let (key, rec) = self.components.get_key_value(name).expect("present");
-                    let info = rec.info(key.clone());
-                    self.view_cache.replace_at(idx, info);
-                    self.metrics.count("drcr.view.updates", 1);
-                }
-                None => self.view_dirty = true,
-            }
-        }
+        // The view takes the rewritten contract in place.
+        self.view_replace(name);
         self.note(DrcrEvent::ModeSwitch {
             component: name.to_string(),
             mode: mode_name.to_string(),
@@ -756,17 +708,7 @@ impl Drcr {
         // so peers' memoized rejections are re-evaluated against the
         // reclaimed capacity.
         self.resolver.on_contract_changed(name, &descriptor);
-        if !self.view_dirty {
-            match self.view_index.get(name).copied() {
-                Some(idx) => {
-                    let (key, rec) = self.components.get_key_value(name).expect("present");
-                    let info = rec.info(key.clone());
-                    self.view_cache.replace_at(idx, info);
-                    self.metrics.count("drcr.view.updates", 1);
-                }
-                None => self.view_dirty = true,
-            }
-        }
+        self.view_replace(name);
         self.note(DrcrEvent::ClaimRefined {
             component: name.to_string(),
             declared,
@@ -936,7 +878,6 @@ impl Drcr {
         self.resolve_round += 1;
         let round = self.resolve_round;
         self.note(DrcrEvent::ResolveRoundStarted { round });
-        self.refresh_view();
         let mut activations: u32 = 0;
         let mut deactivations: u32 = 0;
         let mut sweeps: u64 = 0;
@@ -1051,8 +992,7 @@ impl Drcr {
     }
 
     /// The internal non-functional verdict on one candidate, ruled by the
-    /// engine's admission policy. Callers must
-    /// [`Drcr::refresh_view`] first. Returns the ruling resolver's name
+    /// engine's admission policy. Returns the ruling resolver's name
     /// with the decision; an RTA ruling also emits a
     /// [`DrcrEvent::AdmissionAnalysis`] evidence event and feeds the
     /// candidate's computed WCRT into the `drcr.admission.wcrt_ns`
@@ -1064,7 +1004,7 @@ impl Drcr {
     /// one-off probes that must not populate the memo.
     fn internal_admit(&mut self, candidate: &ComponentInfo, memoize: bool) -> (String, Decision) {
         self.metrics.count("drcr.admission.checks", 1);
-        let ruling = self.resolver.admit(candidate, &self.view_cache, memoize);
+        let ruling = self.resolver.admit(candidate, &self.view, memoize);
         if ruling.evaluated {
             self.metrics.count("drcr.admission.evals", 1);
         } else {
@@ -1155,7 +1095,6 @@ impl Drcr {
         // Admission for every member, against the view as members join.
         for name in &assume {
             let candidate = self.components[&**name].info(name.clone());
-            self.refresh_view();
             let (resolver, verdict) = self.internal_admit(&candidate, true);
             if let Decision::Reject(reason) = verdict {
                 self.note(DrcrEvent::GroupAbandoned {
@@ -1171,7 +1110,7 @@ impl Drcr {
                 let Some(handle) = fw.registry().get::<ResolverHandle>(service_ref.id()) else {
                     continue;
                 };
-                if let Decision::Reject(reason) = handle.0.admit(&candidate, &self.view_cache) {
+                if let Decision::Reject(reason) = handle.0.admit(&candidate, &self.view) {
                     let resolver = handle.0.name().to_string();
                     self.note(DrcrEvent::GroupAbandoned {
                         component: name.to_string(),
@@ -1220,7 +1159,6 @@ impl Drcr {
 
         // Non-functional constraints: internal + every customized resolver.
         let candidate = self.components[&**name].info(name.clone());
-        self.refresh_view();
         let (resolver, verdict) = self.internal_admit(&candidate, true);
         let rejected = matches!(verdict, Decision::Reject(_));
         self.note(DrcrEvent::AdmissionVerdict {
@@ -1241,7 +1179,7 @@ impl Drcr {
             let Some(handle) = fw.registry().get::<ResolverHandle>(service_ref.id()) else {
                 continue;
             };
-            let verdict = handle.0.admit(&candidate, &self.view_cache);
+            let verdict = handle.0.admit(&candidate, &self.view);
             let resolver = handle.0.name().to_string();
             let rejected = matches!(verdict, Decision::Reject(_));
             self.note(DrcrEvent::AdmissionVerdict {
@@ -1295,7 +1233,6 @@ impl Drcr {
         {
             return None;
         }
-        self.refresh_view();
 
         let mut screened: Vec<(Rc<str>, WiringResult)> = Vec::with_capacity(waiting.len());
         let mut passers: Vec<Rc<str>> = Vec::new();
@@ -1328,7 +1265,7 @@ impl Drcr {
             .iter()
             .map(|name| self.components[&**name].info(name.clone()))
             .collect();
-        let Some(batch) = self.resolver.admit_batch(&candidates, &self.view_cache) else {
+        let Some(batch) = self.resolver.admit_batch(&candidates, &self.view) else {
             self.metrics.count("drcr.admission.batches_declined", 1);
             return None;
         };
@@ -1645,7 +1582,7 @@ impl Drcr {
         self.task_names.insert(task, key.clone());
         // A newly active provider can only *satisfy* consumers, never break
         // one, so the engine refreshes its memos without seeding the dirty
-        // scope; the cached view takes the flip in place.
+        // scope; the view takes the flip in place.
         self.apply_state(&key, ComponentState::Active);
         self.record_transition(
             name,
@@ -2082,10 +2019,10 @@ impl Drcr {
         self.bridge_events.emit(now, event);
     }
 
-    /// Refreshes the per-CPU reserved-utilization gauges from the ledger —
-    /// once per resolve round, not per transition: the ledger fold is
-    /// O(components), and every activation/deactivation happens inside,
-    /// or is immediately followed by, a resolve round.
+    /// Refreshes the per-CPU reserved-utilization gauges from the ledger's
+    /// running totals — once per resolve round: every
+    /// activation/deactivation happens inside, or is immediately followed
+    /// by, a resolve round.
     fn update_admission_gauges(&mut self) {
         for cpu in 0..self.ledger.cpu_count() {
             self.metrics.gauge(

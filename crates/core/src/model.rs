@@ -255,8 +255,90 @@ pub struct OperatingMode {
 /// The name of the implicit mode described by the base contract.
 pub const BASE_MODE: &str = "normal";
 
+/// The smallest CPU fraction a component may claim: 2⁻⁴⁸ (≈ 3.6e-15).
+///
+/// Every `f64` in `[2⁻⁴⁸, 1]` is an exact multiple of 2⁻¹⁰⁰, which is what
+/// lets [`ClaimSum`] add claims exactly in an integer.
+pub const MIN_CPU_USAGE: f64 = f64::from_bits((1023 - 48) << 52);
+
+/// 2⁻¹⁰⁰, the unit [`ClaimSum`] counts in.
+const CLAIM_UNIT: f64 = f64::from_bits((1023 - 100) << 52);
+
+/// True for a claim in the admissible domain `[2⁻⁴⁸, 1]` (so never NaN).
+pub fn valid_claim(fraction: f64) -> bool {
+    (MIN_CPU_USAGE..=1.0).contains(&fraction)
+}
+
+/// A valid claim as an exact integer count of 2⁻¹⁰⁰ units; `None` outside
+/// the domain.
+fn claim_units(fraction: f64) -> Option<i128> {
+    if !valid_claim(fraction) {
+        return None;
+    }
+    // Normal, positive: `fraction = mantissa · 2^(exp − 1075)`, and
+    // `exp ≥ 975` because `fraction ≥ 2⁻⁴⁸`.
+    let bits = fraction.to_bits();
+    let exp = (bits >> 52) as u32;
+    let mantissa = (bits & ((1 << 52) - 1)) | (1 << 52);
+    Some(i128::from(mantissa) << (exp - 975))
+}
+
+/// An exact, order-independent sum of CPU claims.
+///
+/// Each claim in `[2⁻⁴⁸, 1]` is accumulated exactly as an `i128` count of
+/// 2⁻¹⁰⁰ units (room for 2²⁷ full-CPU claims), so adding and removing
+/// claims in any order leaves the same state, and [`ClaimSum::value`] is
+/// the correctly rounded sum: ten `0.1` claims read exactly `1.0`. A claim
+/// outside the domain (NaN, ≤ 0, > 1 or below [`MIN_CPU_USAGE`]) is never
+/// clamped: while one is included the sum reads NaN, so an admission test
+/// against it fails closed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClaimSum {
+    units: i128,
+    invalid: usize,
+}
+
+impl ClaimSum {
+    /// Adds one claim.
+    pub fn add(&mut self, fraction: f64) {
+        match claim_units(fraction) {
+            Some(units) => self.units += units,
+            None => self.invalid += 1,
+        }
+    }
+
+    /// Removes one claim previously added.
+    pub fn remove(&mut self, fraction: f64) {
+        match claim_units(fraction) {
+            Some(units) => self.units -= units,
+            None => self.invalid -= 1,
+        }
+    }
+
+    /// The correctly rounded total (`0.0` when empty, NaN while an invalid
+    /// claim is included).
+    pub fn value(&self) -> f64 {
+        if self.invalid > 0 {
+            return f64::NAN;
+        }
+        // `i128 as f64` rounds to nearest; scaling by a power of two is
+        // exact.
+        self.units as f64 * CLAIM_UNIT
+    }
+}
+
+impl FromIterator<f64> for ClaimSum {
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
+        let mut sum = ClaimSum::default();
+        for fraction in iter {
+            sum.add(fraction);
+        }
+        sum
+    }
+}
+
 /// The CPU fraction a component claims (`cpuusage` attribute), validated to
-/// lie in `(0, 1]`.
+/// lie in `[2⁻⁴⁸, 1]` (see [`MIN_CPU_USAGE`]).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct CpuUsage(f64);
 
@@ -265,10 +347,10 @@ impl CpuUsage {
     ///
     /// # Errors
     ///
-    /// Rejects values outside `(0, 1]` and non-finite values.
+    /// Rejects values outside `[2⁻⁴⁸, 1]`, including non-finite values.
     pub fn new(fraction: f64) -> Result<Self, String> {
-        if !fraction.is_finite() || fraction <= 0.0 || fraction > 1.0 {
-            return Err(format!("cpuusage must be in (0, 1], got {fraction}"));
+        if !valid_claim(fraction) {
+            return Err(format!("cpuusage must be in [2^-48, 1], got {fraction}"));
         }
         Ok(CpuUsage(fraction))
     }
@@ -378,5 +460,108 @@ mod tests {
             assert!(CpuUsage::new(bad).is_err(), "{bad}");
         }
         assert_eq!(CpuUsage::new(0.25).unwrap().fraction(), 0.25);
+    }
+
+    #[test]
+    fn cpu_usage_floor_is_a_typed_rejection() {
+        assert_eq!(MIN_CPU_USAGE, 2f64.powi(-48));
+        assert!(CpuUsage::new(MIN_CPU_USAGE).is_ok());
+        for tiny in [MIN_CPU_USAGE / 2.0, 1e-16, f64::MIN_POSITIVE] {
+            let err = CpuUsage::new(tiny).unwrap_err();
+            assert!(err.contains("2^-48"), "{tiny}: {err}");
+        }
+    }
+
+    /// Shewchuk's exact `f64` summation (Python's `math.fsum`): an
+    /// independent reference for a correctly rounded sum.
+    fn fsum(values: &[f64]) -> f64 {
+        let mut partials: Vec<f64> = Vec::new();
+        for &v in values {
+            let mut x = v;
+            let mut kept = 0;
+            for i in 0..partials.len() {
+                let mut y = partials[i];
+                if x.abs() < y.abs() {
+                    std::mem::swap(&mut x, &mut y);
+                }
+                let hi = x + y;
+                let lo = y - (hi - x);
+                if lo != 0.0 {
+                    partials[kept] = lo;
+                    kept += 1;
+                }
+                x = hi;
+            }
+            partials.truncate(kept);
+            partials.push(x);
+        }
+        // Round the non-overlapping partials, top down, half-even.
+        let mut n = partials.len();
+        let mut hi = 0.0;
+        if n > 0 {
+            n -= 1;
+            hi = partials[n];
+            let mut lo = 0.0;
+            while n > 0 {
+                let x = hi;
+                n -= 1;
+                let y = partials[n];
+                hi = x + y;
+                lo = y - (hi - x);
+                if lo != 0.0 {
+                    break;
+                }
+            }
+            if n > 0 && ((lo < 0.0 && partials[n - 1] < 0.0) || (lo > 0.0 && partials[n - 1] > 0.0))
+            {
+                let y = lo * 2.0;
+                let x = hi + y;
+                if y == x - hi {
+                    hi = x;
+                }
+            }
+        }
+        hi
+    }
+
+    #[test]
+    fn claim_sum_is_exact_and_order_independent() {
+        let tenth: ClaimSum = std::iter::repeat_n(0.1, 10).collect();
+        assert_eq!(tenth.value(), 1.0);
+        assert_ne!(std::iter::repeat_n(0.1, 10).sum::<f64>(), 1.0);
+        assert_eq!(ClaimSum::default().value().to_bits(), 0.0f64.to_bits());
+        let mut rng = rtos::rng::SimRng::from_seed(0xC1A1);
+        for _ in 0..200 {
+            let n = rng.uniform_u64(1, 40) as usize;
+            let claims: Vec<f64> = (0..n)
+                .map(|_| match rng.uniform_u64(0, 3) {
+                    0 => rng.uniform_range(0.0, 1.0).max(MIN_CPU_USAGE),
+                    1 => 0.008 * rng.uniform_range(0.8, 1.2),
+                    _ => MIN_CPU_USAGE * rng.uniform_u64(1, 1 << 20) as f64,
+                })
+                .collect();
+            let forward: ClaimSum = claims.iter().copied().collect();
+            let backward: ClaimSum = claims.iter().rev().copied().collect();
+            assert_eq!(forward, backward);
+            assert_eq!(forward.value().to_bits(), fsum(&claims).to_bits());
+            // Removing every claim again leaves the empty sum.
+            let mut drained = forward;
+            for &c in &claims {
+                drained.remove(c);
+            }
+            assert_eq!(drained, ClaimSum::default());
+        }
+    }
+
+    #[test]
+    fn claim_sum_reads_nan_while_an_invalid_claim_is_in() {
+        for bad in [f64::NAN, 0.0, -0.25, 1.5, MIN_CPU_USAGE / 4.0] {
+            let mut sum: ClaimSum = [0.25, bad].into_iter().collect();
+            assert!(sum.value().is_nan(), "{bad}");
+            sum.remove(bad);
+            assert_eq!(sum.value(), 0.25, "{bad}");
+        }
+        let full: ClaimSum = [1.0, 1.0].into_iter().collect();
+        assert_eq!(full.value(), 2.0);
     }
 }

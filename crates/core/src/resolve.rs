@@ -375,12 +375,7 @@ impl ResolvingService for RmBoundResolver {
         }
         let n = view.periodic_count(candidate.cpu) + 1;
         let bound = Self::bound(n);
-        let u: f64 = view
-            .admitted_on(candidate.cpu)
-            .filter(|c| c.is_periodic())
-            .map(|c| c.cpu_usage)
-            .sum::<f64>()
-            + candidate.cpu_usage;
+        let u = view.periodic_utilization(candidate.cpu) + candidate.cpu_usage;
         if u <= bound + 1e-9 {
             Decision::Admit
         } else {
@@ -597,6 +592,32 @@ mod tests {
         let d = c.admit(&big, &v);
         assert!(!d.is_admit());
         assert!(d.to_string().contains("edf"), "{d}");
+    }
+
+    #[test]
+    fn an_invalid_admitted_claim_fails_every_policy_closed() {
+        let v = view(vec![
+            info("a", ComponentState::Active, 0, 0.1, true),
+            info("sick", ComponentState::Active, 0, f64::NAN, true),
+        ]);
+        let candidate = info("b", ComponentState::Unsatisfied, 0, 0.1, true);
+        let policies: [&dyn ResolvingService; 3] = [
+            &UtilizationResolver::default(),
+            &EdfResolver,
+            &RmBoundResolver,
+        ];
+        for policy in policies {
+            assert!(
+                !policy.admit(&candidate, &v).is_admit(),
+                "{} admitted against a NaN claim",
+                policy.name()
+            );
+        }
+        // The other CPU is unaffected.
+        let elsewhere = info("c", ComponentState::Unsatisfied, 1, 0.1, true);
+        assert!(UtilizationResolver::default()
+            .admit(&elsewhere, &v)
+            .is_admit());
     }
 
     #[test]

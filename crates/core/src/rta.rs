@@ -38,9 +38,10 @@
 //! the CPU hosts any aperiodic claim.
 
 use crate::lifecycle::ComponentState;
+use crate::model::valid_claim;
 use crate::resolve::{Decision, ResolvingService};
 use crate::view::{ComponentInfo, SystemView};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 
@@ -208,16 +209,13 @@ impl RtaResolver {
     /// fits.
     pub fn analyze(&self, candidate: &ComponentInfo, view: &SystemView) -> RtaAnalysis {
         let cpu = candidate.cpu;
-        if !candidate.cpu_usage.is_finite()
-            || candidate.cpu_usage <= 0.0
-            || candidate.cpu_usage > 1.0
-        {
+        if !valid_claim(candidate.cpu_usage) {
             return RtaAnalysis {
                 cpu,
                 schedulable: false,
                 wcrts: Rc::from([]),
                 reason: Some(format!(
-                    "RTA: invalid cpuusage claim {} (must be finite, in (0, 1])",
+                    "RTA: invalid cpuusage claim {} (must be in [2^-48, 1])",
                     candidate.cpu_usage
                 )),
             };
@@ -340,10 +338,7 @@ impl RtaResolver {
         if candidates.is_empty() {
             return None;
         }
-        if candidates
-            .iter()
-            .any(|c| !c.cpu_usage.is_finite() || c.cpu_usage <= 0.0 || c.cpu_usage > 1.0)
-        {
+        if candidates.iter().any(|c| !valid_claim(c.cpu_usage)) {
             return None;
         }
         // Group per CPU, preserving arrival (sweep) order within each group.
@@ -366,21 +361,11 @@ impl RtaResolver {
             .iter()
             .map(|(cpu, group)| (*cpu, &*group[group.len() - 1].name))
             .collect();
-        let flip: HashSet<&str> = candidates
-            .iter()
-            .filter(|c| last_of[&c.cpu] != &*c.name)
-            .map(|c| &*c.name)
-            .collect();
         let mut hyp = view.clone();
-        let indices: Vec<usize> = hyp
-            .components
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| flip.contains(&*c.name))
-            .map(|(i, _)| i)
-            .collect();
-        for idx in indices {
-            hyp.set_state_at(idx, ComponentState::Active);
+        for c in candidates.iter().filter(|c| last_of[&c.cpu] != &*c.name) {
+            if let Some(idx) = hyp.position(&c.name) {
+                hyp.set_state_at(idx, ComponentState::Active);
+            }
         }
         let mut analyses = Vec::with_capacity(groups.len());
         for group in groups.values() {
@@ -400,9 +385,9 @@ impl RtaResolver {
     /// cast and produce a plausible-looking WCET.
     fn model_of(&self, c: &ComponentInfo) -> Result<TaskModel, String> {
         let period_ns = c.period_ns.expect("periodic component");
-        if !c.cpu_usage.is_finite() || c.cpu_usage <= 0.0 || c.cpu_usage > 1.0 {
+        if !valid_claim(c.cpu_usage) {
             return Err(format!(
-                "component `{}` carries an invalid cpuusage claim {} (must be finite, in (0, 1])",
+                "component `{}` carries an invalid cpuusage claim {} (must be in [2^-48, 1])",
                 c.name, c.cpu_usage
             ));
         }

@@ -8,7 +8,7 @@
 //! over this view and nothing else, which keeps them pure and composable.
 
 use crate::lifecycle::ComponentState;
-use crate::model::TaskSpec;
+use crate::model::{ClaimSum, TaskSpec};
 use std::cell::OnceCell;
 use std::rc::Rc;
 
@@ -64,34 +64,60 @@ impl ComponentInfo {
     }
 }
 
-/// Per-CPU admission totals derived from the component list, computed once
-/// per snapshot on first use.
+/// One CPU's admission totals, maintained exactly on every mutation.
 #[derive(Debug, Clone, Default)]
 struct CpuTotals {
-    utilization: f64,
+    /// Claims of every admission holder on the CPU.
+    claims: ClaimSum,
+    /// Claims of the periodic admission holders.
+    periodic_claims: ClaimSum,
+    /// Number of periodic admission holders.
     periodic: usize,
+}
+
+impl CpuTotals {
+    fn add(&mut self, c: &ComponentInfo) {
+        self.claims.add(c.cpu_usage);
+        if c.is_periodic() {
+            self.periodic_claims.add(c.cpu_usage);
+            self.periodic += 1;
+        }
+    }
+
+    fn remove(&mut self, c: &ComponentInfo) {
+        self.claims.remove(c.cpu_usage);
+        if c.is_periodic() {
+            self.periodic_claims.remove(c.cpu_usage);
+            self.periodic -= 1;
+        }
+    }
 }
 
 /// Snapshot of the whole real-time context at one resolution point.
 ///
+/// The component list is kept sorted by name, so name lookups are binary
+/// searches. The DRCR maintains its view by delta: registration and
+/// removal go through [`SystemView::insert`] / [`SystemView::remove`],
+/// lifecycle flips and contract rewrites through in-place updates, and
+/// nothing ever rebuilds the list.
+///
 /// Per-CPU aggregates ([`SystemView::utilization`],
-/// [`SystemView::periodic_count`]) are computed lazily on first query and
-/// cached until the next invalidating mutation, so admission checks that
-/// probe the same CPU repeatedly pay the component walk once. The DRCR
-/// maintains its view incrementally: lifecycle flips go through
-/// [`SystemView::set_state_at`], which drops the aggregate caches only when
-/// the admission-holding status actually changes; the recompute re-runs the
-/// same list-order scan, so cached totals stay bit-identical to a fresh
-/// build. Structural changes (component registration/removal) still rebuild
-/// the snapshot wholesale.
+/// [`SystemView::periodic_utilization`], [`SystemView::periodic_count`])
+/// are exact [`ClaimSum`]s adjusted on every mutation, so each query is
+/// O(1) and a view maintained by delta reads bit-identically to a fresh
+/// [`SystemView::new`] over the same list. A claim outside `[2⁻⁴⁸, 1]` in
+/// a hand-built view makes its CPU's utilization NaN, which every
+/// admission test rejects. The per-CPU priority-sorted index behind
+/// [`SystemView::admitted_sorted`] is computed lazily and dropped by any
+/// mutation that could change it.
 #[derive(Debug, Clone, Default)]
 pub struct SystemView {
     /// Number of CPUs on the kernel.
     pub cpu_count: u32,
     /// Every registered component (all states, including the candidate
-    /// under consideration).
-    pub components: Vec<ComponentInfo>,
-    totals: OnceCell<Vec<CpuTotals>>,
+    /// under consideration), sorted by name.
+    components: Vec<ComponentInfo>,
+    totals: Vec<CpuTotals>,
     admitted_index: OnceCell<Vec<Vec<usize>>>,
 }
 
@@ -102,48 +128,79 @@ impl PartialEq for SystemView {
 }
 
 impl SystemView {
-    /// Builds a snapshot from a component list.
-    pub fn new(cpu_count: u32, components: Vec<ComponentInfo>) -> Self {
+    /// Builds a snapshot from a component list, sorted stably by name.
+    pub fn new(cpu_count: u32, mut components: Vec<ComponentInfo>) -> Self {
+        components.sort_by(|a, b| a.name.cmp(&b.name));
+        let mut totals = vec![CpuTotals::default(); cpu_count as usize];
+        for c in &components {
+            tally(&mut totals, c, true);
+        }
         SystemView {
             cpu_count,
             components,
-            totals: OnceCell::new(),
+            totals,
             admitted_index: OnceCell::new(),
         }
     }
 
+    /// Every component, sorted by name.
+    pub fn components(&self) -> &[ComponentInfo] {
+        &self.components
+    }
+
+    /// Index of the (first) component called `name` (a binary search).
+    pub(crate) fn position(&self, name: &str) -> Option<usize> {
+        let idx = self.components.partition_point(|c| &*c.name < name);
+        (self.components.get(idx).is_some_and(|c| &*c.name == name)).then_some(idx)
+    }
+
     /// Looks up a component by name.
     pub fn component(&self, name: &str) -> Option<&ComponentInfo> {
-        self.components.iter().find(|c| &*c.name == name)
+        self.position(name).map(|idx| &self.components[idx])
     }
 
-    /// In-place lifecycle update for incremental view maintenance.
-    ///
-    /// Drops the per-CPU aggregate caches only when the admission-holding
-    /// status flips (activate/deactivate); suspend↔resume and installed-side
-    /// churn keep them. The next aggregate query re-runs the list-order
-    /// scan, so the recomputed totals are bit-identical to a fresh build.
+    /// Adds a component at its place in name order (after any namesakes).
+    pub fn insert(&mut self, info: ComponentInfo) {
+        let idx = self.components.partition_point(|c| c.name <= info.name);
+        tally(&mut self.totals, &info, true);
+        self.components.insert(idx, info);
+        self.admitted_index.take();
+    }
+
+    /// Removes the (first) component called `name`, returning its record.
+    pub fn remove(&mut self, name: &str) -> Option<ComponentInfo> {
+        let idx = self.position(name)?;
+        let info = self.components.remove(idx);
+        tally(&mut self.totals, &info, false);
+        self.admitted_index.take();
+        Some(info)
+    }
+
+    /// In-place lifecycle update. The totals move only when the
+    /// admission-holding status flips (activate/deactivate);
+    /// suspend↔resume and installed-side churn leave them and the
+    /// priority index alone.
     pub(crate) fn set_state_at(&mut self, idx: usize, state: ComponentState) {
-        let old = self.components[idx].state;
-        if old == state {
-            return;
-        }
-        self.components[idx].state = state;
-        if old.holds_admission() != state.holds_admission() {
-            self.totals.take();
+        let c = &mut self.components[idx];
+        if c.state.holds_admission() != state.holds_admission() {
+            tally(&mut self.totals, c, false);
+            c.state = state;
+            tally(&mut self.totals, c, true);
             self.admitted_index.take();
+        } else {
+            c.state = state;
         }
     }
 
-    /// Replaces one component's whole info record (contract re-write on a
-    /// mode switch). Drops the aggregate caches when either the old or the
-    /// new record holds admission.
+    /// Replaces one component's whole info record (a contract rewrite on
+    /// a mode switch or claim refinement; the name must not change).
     pub(crate) fn replace_at(&mut self, idx: usize, info: ComponentInfo) {
-        let invalidate =
-            self.components[idx].state.holds_admission() || info.state.holds_admission();
+        debug_assert_eq!(self.components[idx].name, info.name);
+        let reindex = self.components[idx].state.holds_admission() || info.state.holds_admission();
+        tally(&mut self.totals, &self.components[idx], false);
+        tally(&mut self.totals, &info, true);
         self.components[idx] = info;
-        if invalidate {
-            self.totals.take();
+        if reindex {
             self.admitted_index.take();
         }
     }
@@ -156,53 +213,14 @@ impl SystemView {
             .filter(move |c| c.cpu == cpu && c.state.holds_admission())
     }
 
-    /// One pass over the component list, accumulating per-CPU admission
-    /// totals in list order (so float summation order matches a direct
-    /// filtered sum over the same list).
-    fn totals(&self) -> &[CpuTotals] {
-        self.totals.get_or_init(|| {
-            let mut width = self.cpu_count as usize;
-            for c in &self.components {
-                width = width.max(c.cpu as usize + 1);
-            }
-            // Seed each accumulator with -0.0, the identity `Sum for f64`
-            // uses, so the cached total is bit-identical to a direct
-            // `admitted_on(cpu).map(..).sum()` — including the empty case,
-            // which sums to -0.0.
-            let mut totals = vec![
-                CpuTotals {
-                    utilization: -0.0,
-                    periodic: 0,
-                };
-                width
-            ];
-            for c in &self.components {
-                if !c.state.holds_admission() {
-                    continue;
-                }
-                let slot = &mut totals[c.cpu as usize];
-                slot.utilization += c.cpu_usage;
-                if c.is_periodic() {
-                    slot.periodic += 1;
-                }
-            }
-            totals
-        })
-    }
-
-    /// Per-CPU index of admission holders sorted by priority (stable: list
+    /// Per-CPU index of admission holders sorted by priority (stable: name
     /// order within a priority class), computed once per snapshot on first
-    /// use. Response-time analysis walks a CPU's admitted task set once per
-    /// admission check; caching the sorted index here makes that walk share
-    /// the snapshot-lifetime invalidation discipline of the utilization
-    /// totals — a stale view can never feed the recurrence.
+    /// use and dropped by any mutation that could change it. Response-time
+    /// analysis walks a CPU's admitted task set once per admission check,
+    /// so a stale view can never feed the recurrence.
     fn admitted_index(&self) -> &[Vec<usize>] {
         self.admitted_index.get_or_init(|| {
-            let mut width = self.cpu_count as usize;
-            for c in &self.components {
-                width = width.max(c.cpu as usize + 1);
-            }
-            let mut index = vec![Vec::new(); width];
+            let mut index = vec![Vec::new(); self.totals.len()];
             for (i, c) in self.components.iter().enumerate() {
                 if c.state.holds_admission() {
                     index[c.cpu as usize].push(i);
@@ -216,7 +234,7 @@ impl SystemView {
     }
 
     /// Components holding an admission reservation on `cpu`, most urgent
-    /// (lowest priority value) first; ties keep component-list order.
+    /// (lowest priority value) first; ties keep name order.
     pub fn admitted_sorted(&self, cpu: u32) -> impl Iterator<Item = &ComponentInfo> {
         self.admitted_index()
             .get(cpu as usize)
@@ -226,16 +244,43 @@ impl SystemView {
             .map(|&i| &self.components[i])
     }
 
-    /// Total claimed CPU fraction reserved on `cpu`.
+    fn cpu_totals(&self, cpu: u32) -> Option<&CpuTotals> {
+        self.totals.get(cpu as usize)
+    }
+
+    /// Total claimed CPU fraction reserved on `cpu`: the correctly rounded
+    /// sum of its admission holders' claims.
     pub fn utilization(&self, cpu: u32) -> f64 {
-        self.totals()
-            .get(cpu as usize)
-            .map_or(-0.0, |t| t.utilization)
+        self.cpu_totals(cpu).map_or(0.0, |t| t.claims.value())
+    }
+
+    /// Total claimed CPU fraction of the periodic admission holders on
+    /// `cpu` (the rate-monotonic bound's operand).
+    pub fn periodic_utilization(&self, cpu: u32) -> f64 {
+        self.cpu_totals(cpu)
+            .map_or(0.0, |t| t.periodic_claims.value())
     }
 
     /// Number of admitted periodic components on `cpu`.
     pub fn periodic_count(&self, cpu: u32) -> usize {
-        self.totals().get(cpu as usize).map_or(0, |t| t.periodic)
+        self.cpu_totals(cpu).map_or(0, |t| t.periodic)
+    }
+}
+
+/// Adds `c`'s claim to (or takes it from) its CPU's totals when `c` holds
+/// admission.
+fn tally(totals: &mut Vec<CpuTotals>, c: &ComponentInfo, add: bool) {
+    if !c.state.holds_admission() {
+        return;
+    }
+    let cpu = c.cpu as usize;
+    if cpu >= totals.len() {
+        totals.resize(cpu + 1, CpuTotals::default());
+    }
+    if add {
+        totals[cpu].add(c);
+    } else {
+        totals[cpu].remove(c);
     }
 }
 
@@ -306,10 +351,11 @@ mod tests {
             ],
         );
         for cpu in 0..3 {
-            let direct: f64 = view.admitted_on(cpu).map(|c| c.cpu_usage).sum();
-            // Bit-identical, not just approximately equal: both sums add
-            // the same values in the same (list) order.
-            assert_eq!(view.utilization(cpu).to_bits(), direct.to_bits());
+            let direct: ClaimSum = view.admitted_on(cpu).map(|c| c.cpu_usage).collect();
+            // Bit-identical, not just approximately equal: both are the
+            // exact sum of the same claims, correctly rounded (`+0.0` for
+            // an empty CPU, where an in-order `f64` fold gives `-0.0`).
+            assert_eq!(view.utilization(cpu).to_bits(), direct.value().to_bits());
             assert_eq!(
                 view.periodic_count(cpu),
                 view.admitted_on(cpu).filter(|c| c.is_periodic()).count()
@@ -391,5 +437,130 @@ mod tests {
         assert!((a.utilization(0) - 0.5).abs() < 1e-9);
         assert_eq!(a, b);
         assert!((b.utilization(0) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn new_sorts_by_name_and_lookups_find_every_component() {
+        let view = SystemView::new(
+            1,
+            vec![
+                info("m", ComponentState::Active, 0, 0.1),
+                info("b", ComponentState::Active, 0, 0.1),
+                info("x", ComponentState::Active, 0, 0.1),
+            ],
+        );
+        let names: Vec<&str> = view.components().iter().map(|c| &*c.name).collect();
+        assert_eq!(names, vec!["b", "m", "x"]);
+        for name in ["b", "m", "x"] {
+            assert_eq!(view.component(name).map(|c| &*c.name), Some(name));
+        }
+        assert!(view.component("a").is_none() && view.component("z").is_none());
+    }
+
+    #[test]
+    fn ten_tenths_fill_a_cpu_exactly() {
+        let view = SystemView::new(
+            1,
+            (0..10)
+                .map(|i| info(&format!("t{i}"), ComponentState::Active, 0, 0.1))
+                .collect(),
+        );
+        assert_eq!(view.utilization(0), 1.0);
+        assert_eq!(view.periodic_utilization(0), 1.0);
+    }
+
+    #[test]
+    fn an_out_of_domain_claim_makes_its_cpu_nan_until_it_leaves() {
+        for bad in [f64::NAN, 0.0, -0.5, 1.5, crate::model::MIN_CPU_USAGE / 2.0] {
+            let mut view = SystemView::new(
+                2,
+                vec![
+                    info("good", ComponentState::Active, 0, 0.25),
+                    info("sick", ComponentState::Active, 0, bad),
+                    info("other", ComponentState::Active, 1, 0.5),
+                ],
+            );
+            assert!(view.utilization(0).is_nan(), "{bad}");
+            assert!(view.periodic_utilization(0).is_nan(), "{bad}");
+            assert_eq!(view.utilization(1), 0.5, "{bad}: other CPUs unaffected");
+            let idx = view.position("sick").unwrap();
+            view.set_state_at(idx, ComponentState::Unsatisfied);
+            assert_eq!(view.utilization(0), 0.25, "{bad}");
+            view.set_state_at(idx, ComponentState::Active);
+            assert!(view.utilization(0).is_nan(), "{bad}");
+            view.remove("sick");
+            assert_eq!(view.utilization(0), 0.25, "{bad}");
+        }
+    }
+
+    /// Randomized: inserts, removals, state flips and record rewrites keep
+    /// every aggregate bit-identical to a fresh build over the same list,
+    /// invalid claims included.
+    #[test]
+    fn delta_maintenance_matches_a_fresh_build() {
+        use crate::model::MIN_CPU_USAGE;
+        const STATES: [ComponentState; 5] = [
+            ComponentState::Unsatisfied,
+            ComponentState::Active,
+            ComponentState::Suspended,
+            ComponentState::Disabled,
+            ComponentState::Active,
+        ];
+        let mut rng = rtos::rng::SimRng::from_seed(0x51E7);
+        for case in 0..64 {
+            let mut view = SystemView::new(2, Vec::new());
+            let random_info = |rng: &mut rtos::rng::SimRng, name: &str| {
+                let usage = match rng.uniform_u64(0, 8) {
+                    0 => [f64::NAN, 0.0, MIN_CPU_USAGE / 2.0, 1.25][rng.uniform_u64(0, 4) as usize],
+                    1 => MIN_CPU_USAGE,
+                    2..=4 => 0.008 * rng.uniform_range(0.8, 1.2),
+                    _ => rng.uniform_range(0.01, 1.0),
+                };
+                ComponentInfo {
+                    name: name.into(),
+                    state: STATES[rng.uniform_u64(0, 5) as usize],
+                    // CPU 2 lies beyond `cpu_count`: the totals grow.
+                    cpu: rng.uniform_u64(0, 3) as u32,
+                    cpu_usage: usage,
+                    priority: rng.uniform_u64(0, 4) as u8,
+                    period_ns: rng.chance(0.7).then_some(1_000_000),
+                }
+            };
+            for step in 0..rng.uniform_u64(1, 80) {
+                let name = format!("c{}", rng.uniform_u64(0, 12));
+                match (view.position(&name), rng.uniform_u64(0, 3)) {
+                    (None, _) => view.insert(random_info(&mut rng, &name)),
+                    (Some(_), 0) => {
+                        view.remove(&name).unwrap();
+                    }
+                    (Some(idx), 1) => {
+                        view.set_state_at(idx, STATES[rng.uniform_u64(0, 5) as usize]);
+                    }
+                    (Some(idx), _) => view.replace_at(idx, random_info(&mut rng, &name)),
+                }
+                assert!(
+                    view.components().windows(2).all(|w| w[0].name <= w[1].name),
+                    "case {case} step {step}: name order"
+                );
+                let fresh = SystemView::new(2, view.components().to_vec());
+                for cpu in 0..4 {
+                    let at = format!("case {case} step {step} cpu {cpu}");
+                    assert_eq!(
+                        view.utilization(cpu).to_bits(),
+                        fresh.utilization(cpu).to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        view.periodic_utilization(cpu).to_bits(),
+                        fresh.periodic_utilization(cpu).to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(view.periodic_count(cpu), fresh.periodic_count(cpu), "{at}");
+                    let a: Vec<&str> = view.admitted_sorted(cpu).map(|c| &*c.name).collect();
+                    let b: Vec<&str> = fresh.admitted_sorted(cpu).map(|c| &*c.name).collect();
+                    assert_eq!(a, b, "{at}");
+                }
+            }
+        }
     }
 }

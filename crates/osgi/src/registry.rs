@@ -13,7 +13,7 @@
 use crate::event::{ServiceEvent, ServiceEventKind};
 use crate::ldap::{Filter, PropValue, Properties};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
 /// The property key holding the interface names of a registration.
@@ -142,8 +142,13 @@ pub struct ServiceRegistry {
     next_id: u64,
     entries: BTreeMap<u64, Entry>,
     // Ascending service ids per interface name, so lookups touch only the
-    // registrations under the queried interface instead of the whole table.
-    by_interface: HashMap<String, Vec<u64>>,
+    // registrations under the queried interface instead of the whole table,
+    // and an unregistration removes its id in O(log n).
+    by_interface: HashMap<String, BTreeSet<u64>>,
+    // Ascending ids of the services each bundle registered (ids are
+    // allocated in ascending order, so pushes keep each list sorted), so a
+    // bundle stop touches only that bundle's services.
+    by_owner: HashMap<u64, Vec<u64>>,
     /// Exact-match indexes declared with [`ServiceRegistry::index_property`].
     indexes: Vec<PropertyIndex>,
     events: Vec<ServiceEvent>,
@@ -196,11 +201,10 @@ impl ServiceRegistry {
             kind: ServiceEventKind::Registered,
         });
         for name in &names {
-            // `next_id` is monotonic, so a push keeps each list ascending.
             self.by_interface
                 .entry(name.clone())
                 .or_default()
-                .push(id.raw());
+                .insert(id.raw());
         }
         let entry = Entry {
             interfaces: names,
@@ -230,6 +234,7 @@ impl ServiceRegistry {
             .get_mut(&id.raw())
             .expect("just inserted")
             .owner = Some(owner);
+        self.by_owner.entry(owner).or_default().push(id.raw());
         id
     }
 
@@ -244,11 +249,20 @@ impl ServiceRegistry {
                 }
                 for name in &entry.interfaces {
                     if let Some(ids) = self.by_interface.get_mut(name) {
+                        ids.remove(&id.raw());
+                        if ids.is_empty() {
+                            self.by_interface.remove(name);
+                        }
+                    }
+                }
+                // Absent when `unregister_owned` already took the list.
+                if let Some(owner) = entry.owner {
+                    if let Some(ids) = self.by_owner.get_mut(&owner) {
                         if let Ok(pos) = ids.binary_search(&id.raw()) {
                             ids.remove(pos);
                         }
                         if ids.is_empty() {
-                            self.by_interface.remove(name);
+                            self.by_owner.remove(&owner);
                         }
                     }
                 }
@@ -264,16 +278,12 @@ impl ServiceRegistry {
         }
     }
 
-    /// Unregisters every service owned by `owner`, returning how many.
+    /// Unregisters every service owned by `owner`, in ascending id order,
+    /// returning how many.
     pub(crate) fn unregister_owned(&mut self, owner: u64) -> usize {
-        let ids: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.owner == Some(owner))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &ids {
-            self.unregister(ServiceId(*id));
+        let ids = self.by_owner.remove(&owner).unwrap_or_default();
+        for &id in &ids {
+            self.unregister(ServiceId(id));
         }
         ids.len()
     }
@@ -323,9 +333,8 @@ impl ServiceRegistry {
     /// Finds services registered under `interface`, optionally narrowed by
     /// an LDAP filter, ordered by descending ranking then ascending id.
     pub fn find(&self, interface: &str, filter: Option<&Filter>) -> Vec<ServiceRef> {
-        let ids = match self.by_interface.get(interface) {
-            Some(ids) => ids.as_slice(),
-            None => return Vec::new(),
+        let Some(ids) = self.by_interface.get(interface) else {
+            return Vec::new();
         };
         let mut found: Vec<ServiceRef> = ids
             .iter()
@@ -548,6 +557,76 @@ mod tests {
         let id = r.register(&["x"], Rc::new(Echo("hi".into())), Properties::new());
         assert!(r.get::<String>(id).is_none());
         assert!(r.get::<Echo>(id).is_some());
+    }
+
+    /// Randomized: `unregister_owned` removes exactly the services a full
+    /// scan of the table by owner finds, in ascending id order, and `find`
+    /// keeps its descending-ranking, ascending-id order throughout.
+    #[test]
+    fn owner_index_matches_a_full_scan() {
+        let mut rng = rtos::rng::SimRng::from_seed(0x0511);
+        const IFACES: [&str; 3] = ["x", "y", "z"];
+        for case in 0..64 {
+            let mut r = reg();
+            for _ in 0..rng.uniform_u64(1, 120) {
+                match rng.uniform_u64(0, 6) {
+                    0..=2 => {
+                        let ifaces: Vec<&str> =
+                            IFACES.iter().copied().filter(|_| rng.chance(0.5)).collect();
+                        let ifaces = if ifaces.is_empty() { vec!["x"] } else { ifaces };
+                        let props =
+                            Properties::new().with(SERVICE_RANKING, rng.uniform_u64(0, 3) as i64);
+                        match rng.uniform_u64(0, 5) {
+                            0 => r.register(&ifaces, Rc::new(()), props),
+                            owner => r.register_owned(owner, &ifaces, Rc::new(()), props),
+                        };
+                    }
+                    3 => {
+                        let id = rng.uniform_u64(0, r.next_id + 2);
+                        r.unregister(ServiceId(id));
+                    }
+                    4 => {
+                        let id = ServiceId(rng.uniform_u64(0, r.next_id + 2));
+                        let props =
+                            Properties::new().with(SERVICE_RANKING, rng.uniform_u64(0, 3) as i64);
+                        r.set_properties(id, props);
+                    }
+                    _ => {
+                        let owner = rng.uniform_u64(1, 5);
+                        let scanned: Vec<ServiceId> = r
+                            .entries
+                            .iter()
+                            .filter(|(_, e)| e.owner == Some(owner))
+                            .map(|(id, _)| ServiceId(*id))
+                            .collect();
+                        r.drain_events();
+                        assert_eq!(r.unregister_owned(owner), scanned.len(), "case {case}");
+                        let gone: Vec<ServiceId> =
+                            r.drain_events().iter().map(|e| e.service).collect();
+                        assert_eq!(gone, scanned, "case {case}");
+                        assert!(
+                            r.entries.values().all(|e| e.owner != Some(owner)),
+                            "case {case}"
+                        );
+                    }
+                }
+                for iface in IFACES {
+                    let mut expect: Vec<(i64, u64)> = r
+                        .entries
+                        .iter()
+                        .filter(|(_, e)| e.interfaces.iter().any(|i| i == iface))
+                        .map(|(id, e)| (ranking(&e.properties), *id))
+                        .collect();
+                    expect.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                    let found: Vec<(i64, u64)> = r
+                        .find(iface, None)
+                        .iter()
+                        .map(|s| (s.ranking(), s.id().raw()))
+                        .collect();
+                    assert_eq!(found, expect, "case {case}: `{iface}` order");
+                }
+            }
+        }
     }
 
     #[test]
