@@ -25,10 +25,11 @@ use crate::descriptor::ComponentDescriptor;
 use crate::error::DrcrError;
 use crate::hybrid::{BridgeMode, Command, HybridRtBody, PortBinding, Reply, RtLogic};
 use crate::lifecycle::{ComponentState, Transition};
+use crate::lower::{lower, Channel};
 use crate::manage::{
     ManagementHandle, ManagementReply, RequestToken, RtComponentManagement, MANAGEMENT_SERVICE,
 };
-use crate::model::{CpuUsage, PortInterface, PropertyValue, TaskSpec};
+use crate::model::{CpuUsage, PortDirection, PortInterface, PropertyValue};
 use crate::obs::{
     BridgeEvent, DrcrEvent, EventSink, Histogram, MetricsRegistry, MetricsReport, Timestamped,
     TraceRing, TraceSubscriber,
@@ -46,7 +47,7 @@ use osgi::framework::Framework;
 use osgi::ldap::{PropValue, Properties};
 use osgi::registry::ServiceId;
 use rtos::kernel::Kernel;
-use rtos::task::{ObjName, TaskConfig, TaskId};
+use rtos::task::{ObjName, TaskId};
 use rtos::time::SimDuration;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -1357,6 +1358,7 @@ impl Drcr {
             (rec.descriptor.clone(), rec.factory.clone(), rec.state)
         };
         debug_assert!(from_state.can_transition(ComponentState::Active));
+        let lowered = lower(&descriptor, self.enforce_budgets)?;
 
         let mut kernel = self.kernel.borrow_mut();
 
@@ -1400,36 +1402,32 @@ impl Drcr {
 
         // 1. Port channels: providers own their outport channels; consumers
         //    attach to SHM (refcounted) and share mailboxes.
-        for port in &descriptor.outports {
-            let result = match port.interface {
-                PortInterface::Shm => kernel
+        for (direction, port, channel) in lowered.channels() {
+            let name = port.name.as_str();
+            let result = match (direction, channel) {
+                (
+                    _,
+                    Channel::Shm {
+                        data_type,
+                        elements,
+                    },
+                ) => kernel
                     .shm_mut()
-                    .alloc(port.name.as_str(), port.data_type, port.size)
-                    .map(|()| Created::Shm(port.name.to_string())),
-                PortInterface::Mailbox => kernel
+                    .alloc(name, data_type, elements)
+                    .map(|()| Created::Shm(name.to_string())),
+                (PortDirection::In, _) => continue,
+                (PortDirection::Out, Channel::Mailbox { capacity }) => kernel
                     .mailboxes_mut()
-                    .create(port.name.as_str(), port.size.max(1))
-                    .map(|()| Created::Mbx(port.name.to_string())),
-                // Streams get 4 buffers' worth of slack.
-                PortInterface::Fifo => kernel
+                    .create(name, capacity)
+                    .map(|()| Created::Mbx(name.to_string())),
+                (PortDirection::Out, Channel::Fifo { capacity }) => kernel
                     .fifos_mut()
-                    .create(port.name.as_str(), port.byte_len().max(1) * 4)
-                    .map(|()| Created::Fifo(port.name.to_string())),
+                    .create(name, capacity)
+                    .map(|()| Created::Fifo(name.to_string())),
             };
             match result {
                 Ok(c) => created.push(c),
                 Err(e) => rollback!(kernel, e),
-            }
-        }
-        for port in &descriptor.inports {
-            if port.interface == PortInterface::Shm {
-                match kernel
-                    .shm_mut()
-                    .alloc(port.name.as_str(), port.data_type, port.size)
-                {
-                    Ok(()) => created.push(Created::Shm(port.name.to_string())),
-                    Err(e) => rollback!(kernel, e),
-                }
             }
         }
 
@@ -1503,31 +1501,7 @@ impl Drcr {
             reply_mbx,
             self.bridge,
         );
-        let mut cfg = match descriptor.task {
-            TaskSpec::Periodic { .. } => TaskConfig::periodic(
-                descriptor.name.as_str(),
-                descriptor.task.priority(),
-                descriptor.task.period().expect("periodic"),
-            )
-            .map_err(|e| DrcrError::Kernel(e.to_string()))?
-            .on_cpu(descriptor.task.cpu())
-            .with_latency_tracking(),
-            TaskSpec::Aperiodic { .. } => {
-                TaskConfig::aperiodic(descriptor.name.as_str(), descriptor.task.priority())
-                    .map_err(|e| DrcrError::Kernel(e.to_string()))?
-                    .on_cpu(descriptor.task.cpu())
-                    .with_latency_tracking()
-            }
-        };
-        if self.enforce_budgets {
-            if let Some(period) = descriptor.task.period() {
-                let budget_ns = (period.as_nanos() as f64 * descriptor.cpu_usage.fraction())
-                    .round()
-                    .max(1.0) as u64;
-                cfg = cfg.with_exec_budget(rtos::time::SimDuration::from_nanos(budget_ns));
-            }
-        }
-        let task = match kernel.create_task(cfg, Box::new(body)) {
+        let task = match kernel.create_task(lowered.task, Box::new(body)) {
             Ok(t) => t,
             Err(e) => rollback!(kernel, e),
         };

@@ -66,6 +66,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adapt;
 pub mod adl;
 pub mod admission;
@@ -78,6 +80,7 @@ pub mod faults;
 pub mod federation;
 pub mod hybrid;
 pub mod lifecycle;
+pub mod lower;
 pub mod manage;
 pub mod model;
 pub mod obs;

@@ -11,13 +11,17 @@
 //! group), with the linearization guarantee proven by the kernel's
 //! equivalence suite.
 //!
-//! The lowering mirrors the executive's activation path exactly:
+//! The task and channel shapes come from [`crate::lower::lower`], the
+//! lowering `Drcr::activate` uses too:
 //!
-//! * task contracts become the same [`TaskConfig`]s `Drcr::activate` builds
+//! * task contracts become the executive's [`rtos::task::TaskConfig`]s
 //!   (periodic/aperiodic, CPU placement, latency tracking, optional
 //!   execution budgets derived from the claimed CPU fraction);
 //! * SHM ports allocate last-value segments, mailbox outports create queues,
-//!   stream outports create FIFOs with the same 4-buffer slack;
+//!   stream outports create FIFOs with the same 4-buffer slack.
+//!
+//! What the bridge adds is its own homing, validation and start-up:
+//!
 //! * mailbox and FIFO state is homed on the *consuming* component's CPU, so
 //!   cross-CPU traffic flows through the executor's barrier exchange and
 //!   aperiodic mailbox-wakeup bindings stay CPU-local, as the kernel
@@ -33,10 +37,11 @@ use std::collections::BTreeMap;
 
 use crate::descriptor::ComponentDescriptor;
 use crate::error::DrcrError;
-use crate::model::PortInterface;
+use crate::lower::{lower, Channel};
+use crate::model::{PortDirection, PortInterface};
 use rtos::exec::{BodyFactory, TaskSpec as ExecTaskSpec, Workload};
-use rtos::task::{TaskBody, TaskConfig};
-use rtos::time::{SimDuration, SimTime};
+use rtos::task::TaskBody;
+use rtos::time::SimTime;
 
 /// One component in a bridged fleet: its declarative contract plus the
 /// factory that builds its body on whichever thread executes its CPU.
@@ -68,8 +73,8 @@ impl FleetBridge {
     }
 
     /// Derives per-cycle execution budgets from each periodic component's
-    /// claimed CPU fraction, exactly as the executive's enforcement layer
-    /// does (budget = period × fraction, floored at 1 ns).
+    /// claimed CPU fraction, through the executive's own lowering
+    /// (budget = period × fraction, floored at 1 ns).
     pub fn enforce_budgets(mut self, on: bool) -> Self {
         self.enforce_budgets = on;
         self
@@ -151,36 +156,38 @@ impl FleetBridge {
             }
         }
 
+        let lowered = self
+            .members
+            .iter()
+            .map(|m| lower(&m.descriptor, self.enforce_budgets))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut workload = Workload::new(self.cpus, self.seed);
-        let mut declared: Vec<String> = Vec::new();
-        let mut declare = |workload: Workload, port: &crate::model::PortSpec, owner_cpu: u32| {
-            let name = port.name.as_str();
-            if declared.contains(&name.to_string()) {
-                return workload;
-            }
-            declared.push(name.to_string());
-            let home = consumer_cpu.get(name).copied().unwrap_or(owner_cpu);
-            match port.interface {
-                PortInterface::Shm => workload.shm(name, port.data_type, port.size),
-                PortInterface::Mailbox => workload.mailbox(name, port.size.max(1), home),
-                // Streams get 4 buffers' worth of slack, as in the executive.
-                PortInterface::Fifo => workload.fifo(name, port.byte_len().max(1) * 4, home),
-            }
-        };
-        for member in &self.members {
-            let cpu = member.descriptor.task.cpu();
-            for port in &member.descriptor.outports {
-                workload = declare(workload, port, cpu);
-            }
-        }
-        // SHM inports allocate their segment too (the executive refcounts
-        // the shared allocation); orphan mailbox inports still need a queue
-        // to bind wakeups against.
-        for member in &self.members {
-            let cpu = member.descriptor.task.cpu();
-            for port in &member.descriptor.inports {
-                if port.interface != PortInterface::Fifo {
-                    workload = declare(workload, port, cpu);
+        let mut declared: Vec<&str> = Vec::new();
+        // Outports first; then SHM inports allocate their segment too (the
+        // executive refcounts the shared allocation), and orphan mailbox
+        // inports still need a queue to bind wakeups against.
+        for outports in [true, false] {
+            for (member, lowering) in self.members.iter().zip(&lowered) {
+                for (dir, port, channel) in lowering.channels() {
+                    let name = port.name.as_str();
+                    let wanted = match dir {
+                        PortDirection::Out => outports,
+                        PortDirection::In => !outports && port.interface != PortInterface::Fifo,
+                    };
+                    if !wanted || declared.contains(&name) {
+                        continue;
+                    }
+                    declared.push(name);
+                    let owner_cpu = member.descriptor.task.cpu();
+                    let home = consumer_cpu.get(name).copied().unwrap_or(owner_cpu);
+                    workload = match channel {
+                        Channel::Shm {
+                            data_type,
+                            elements,
+                        } => workload.shm(name, data_type, elements),
+                        Channel::Mailbox { capacity } => workload.mailbox(name, capacity, home),
+                        Channel::Fifo { capacity } => workload.fifo(name, capacity, home),
+                    };
                 }
             }
         }
@@ -191,8 +198,7 @@ impl FleetBridge {
         // before an executor ever spins up.
         for member in &self.members {
             for port in &member.descriptor.inports {
-                if port.interface == PortInterface::Fifo
-                    && !declared.iter().any(|d| d == port.name.as_str())
+                if port.interface == PortInterface::Fifo && !declared.contains(&port.name.as_str())
                 {
                     return Err(DrcrError::MissingChannel {
                         component: member.descriptor.name.to_string(),
@@ -202,25 +208,9 @@ impl FleetBridge {
             }
         }
 
-        for member in &self.members {
+        for (member, lowering) in self.members.iter().zip(lowered) {
             let descriptor = &member.descriptor;
             let name = descriptor.name.as_str();
-            let mut config = match descriptor.task.period() {
-                Some(period) => TaskConfig::periodic(name, descriptor.task.priority(), period)
-                    .map_err(|e| DrcrError::Kernel(e.to_string()))?,
-                None => TaskConfig::aperiodic(name, descriptor.task.priority())
-                    .map_err(|e| DrcrError::Kernel(e.to_string()))?,
-            }
-            .on_cpu(descriptor.task.cpu())
-            .with_latency_tracking();
-            if self.enforce_budgets {
-                if let Some(period) = descriptor.task.period() {
-                    let budget_ns = (period.as_nanos() as f64 * descriptor.cpu_usage.fraction())
-                        .round()
-                        .max(1.0) as u64;
-                    config = config.with_exec_budget(SimDuration::from_nanos(budget_ns));
-                }
-            }
             let wake_on = if descriptor.task.is_periodic() {
                 None
             } else {
@@ -252,7 +242,7 @@ impl FleetBridge {
                 }
             };
             workload = workload.task_spec(ExecTaskSpec {
-                config,
+                config: lowering.task,
                 factory: member.factory.clone(),
                 autostart: descriptor.enabled,
                 wake_on,
@@ -406,7 +396,9 @@ mod tests {
     }
 
     #[test]
-    fn budgets_mirror_the_executive_derivation() {
+    fn budgeted_fleet_validates_and_runs() {
+        // The budget derivation itself is `crate::lower`'s, unit-tested
+        // there and shared with `Drcr::activate`.
         let workload = pipeline_bridge().enforce_budgets(true).build().unwrap();
         workload.validate().unwrap();
         let outcome = DeterministicExecutor

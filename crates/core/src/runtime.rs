@@ -34,8 +34,10 @@
 //! already-admitted fleet across worker threads (one per simulated-CPU
 //! group) instead, lower its descriptors through
 //! [`crate::parallel::FleetBridge`] and hand the resulting workload to
-//! [`rtos::exec::ParallelExecutor`]; the kernel's linearization guarantee
-//! makes the two paths observably equivalent on quiescent fleets.
+//! [`rtos::exec::ParallelExecutor`]. Both paths build tasks and channels
+//! through the same [`crate::lower::lower`], and the kernel's
+//! linearization guarantee makes them observably equivalent on quiescent
+//! fleets.
 
 use crate::drcr::{ComponentProvider, Drcr, COMPONENT_SERVICE, PROP_COMPONENT_NAME};
 use crate::error::DrcrError;

@@ -21,20 +21,22 @@
 //! CPU count, so global CPU ids appear unchanged in events). Workers run
 //! in lockstep *epochs*: each advances its kernel to the epoch boundary
 //! independently, then all meet at a [`std::sync::Barrier`] to exchange
-//! cross-CPU traffic through lock-free carriers:
+//! cross-CPU traffic. Each worker owns one outbox. Before the barrier it
+//! puts there the images of the SHM segments it wrote this epoch, and the
+//! messages and bytes it sent to mailboxes and FIFOs homed on other
+//! workers. After the barrier every worker reads all outboxes in rank
+//! order:
 //!
-//! * SHM segments — published through [`SeqlockCell`]s; competing writers
-//!   converge by highest `(epoch, worker rank)` version, never by OS
-//!   scheduling order.
-//! * Mailboxes — envelopes pushed into per-mailbox [`MpscChannel`]s and
-//!   drained by the declared *home* worker, which re-sorts them by
-//!   `(producer rank, sequence)` before posting, so delivery order is
-//!   deterministic.
-//! * FIFO byte streams — per-producer [`SpscRing`]s drained in worker-rank
-//!   order at the home worker.
+//! * SHM segments — the highest-rank writer of the epoch wins on every
+//!   replica, never the first thread to arrive.
+//! * Mailboxes and FIFOs — the *home* worker (the one owning the declared
+//!   home CPU) appends the messages and bytes in rank order, each rank's
+//!   in send order.
 //!
-//! Per-thread trace buffers are tagged `(cpu, seq)` and merged into one
-//! deterministic total order at each barrier ([`merge_tagged`]).
+//! The barrier orders every outbox access, so the lock around each outbox
+//! is never contended across the two phases. Each worker tags its events
+//! `(cpu, seq)`, and the per-worker traces are merged into one
+//! deterministic total order at the end ([`merge_tagged`]).
 //!
 //! # The equivalence guarantee
 //!
@@ -53,18 +55,16 @@
 //! modes are then deliberately allowed to differ.
 
 use crate::error::KernelError;
-use crate::fifo::SpscRing;
 use crate::kernel::{Kernel, KernelConfig, SchedCounters};
 use crate::latency::{LoadMode, TimerJitterModel};
-use crate::mailbox::MpscChannel;
-use crate::shm::{DataType, SeqlockCell, ShmRegistry};
+use crate::shm::{DataType, ShmRegistry};
 use crate::task::{ObjName, TaskBody, TaskConfig, TaskId, TaskState};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{merge_tagged, KernelEvent, TaggedEvent, Timestamped, TraceSubscriber};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, RwLock};
 
 /// Builds a task body on whichever thread will run it. Factories are the
 /// `Send + Sync` half of a task; the produced [`TaskBody`] never crosses a
@@ -410,31 +410,6 @@ pub trait Executor {
     fn run(&self, workload: &Workload, horizon: SimDuration) -> Result<ExecOutcome, ExecError>;
 }
 
-/// Selects an executor from the `RTOS_EXECUTOR` environment variable:
-/// `parallel` (optionally `parallel:<workers>`) for [`ParallelExecutor`],
-/// anything else — including unset — for [`DeterministicExecutor`].
-pub fn executor_from_env() -> Box<dyn Executor> {
-    match std::env::var("RTOS_EXECUTOR") {
-        Ok(value) => {
-            let value = value.trim().to_ascii_lowercase();
-            if let Some(rest) = value.strip_prefix("parallel") {
-                let workers = rest
-                    .strip_prefix(':')
-                    .and_then(|n| n.parse::<usize>().ok())
-                    .unwrap_or_else(|| {
-                        std::thread::available_parallelism()
-                            .map(|n| n.get())
-                            .unwrap_or(1)
-                    });
-                Box::new(ParallelExecutor::new(workers.max(1)))
-            } else {
-                Box::new(DeterministicExecutor)
-            }
-        }
-        Err(_) => Box::new(DeterministicExecutor),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Shared machinery
 // ---------------------------------------------------------------------------
@@ -641,12 +616,160 @@ impl Instance {
                 .unwrap_or_default(),
         }
     }
+
+    /// Puts this epoch's outgoing traffic into `out`: the image of every
+    /// segment written since the last barrier (`published` holds the write
+    /// counts already sent), and everything sent to mailboxes and FIFOs
+    /// not `homed` here.
+    fn fill_outbox(
+        &mut self,
+        w: &Workload,
+        out: &mut Outbox,
+        published: &mut [u64],
+        homed: impl Fn(u32) -> bool,
+    ) {
+        for (i, decl) in w.shms.iter().enumerate() {
+            let writes = self
+                .kernel
+                .shm()
+                .get(&decl.name)
+                .map_or(0, |s| s.write_count());
+            out.shm[i] = (writes > published[i]).then(|| {
+                published[i] = writes;
+                self.kernel.shm_mut().read(&decl.name).unwrap_or_default()
+            });
+        }
+        for (i, decl) in w.mailboxes.iter().enumerate() {
+            out.mailboxes[i].clear();
+            if !homed(decl.home_cpu) {
+                while let Ok(Some(msg)) = self.kernel.mailboxes_mut().recv(&decl.name) {
+                    out.mailboxes[i].push(msg);
+                }
+            }
+        }
+        for (i, decl) in w.fifos.iter().enumerate() {
+            out.fifos[i] = if homed(decl.home_cpu) {
+                Vec::new()
+            } else {
+                self.kernel
+                    .fifos_mut()
+                    .get(&decl.name, usize::MAX)
+                    .unwrap_or_default()
+            };
+        }
+    }
+
+    /// Applies every worker's outbox (indexed by rank) to this worker:
+    /// each segment takes the image of its highest-rank writer, and
+    /// mailboxes and FIFOs `homed` here receive the messages and bytes in
+    /// rank order.
+    fn take_deliveries(
+        &mut self,
+        w: &Workload,
+        outboxes: &[RwLock<Outbox>],
+        homed: impl Fn(u32) -> bool,
+    ) {
+        let slots: Vec<_> = outboxes.iter().map(|o| o.read().unwrap()).collect();
+        for (i, decl) in w.shms.iter().enumerate() {
+            if let Some(image) = slots.iter().rev().find_map(|slot| slot.shm[i].as_ref()) {
+                self.kernel.shm_mut().overwrite(&decl.name, image);
+            }
+        }
+        for (i, decl) in w.mailboxes.iter().enumerate() {
+            if homed(decl.home_cpu) {
+                for msg in slots.iter().flat_map(|slot| &slot.mailboxes[i]) {
+                    let _ = self.kernel.post(&decl.name, msg);
+                }
+            }
+        }
+        for (i, decl) in w.fifos.iter().enumerate() {
+            if homed(decl.home_cpu) {
+                for slot in slots.iter().filter(|slot| !slot.fifos[i].is_empty()) {
+                    let _ = self.kernel.fifos_mut().put(&decl.name, &slot.fifos[i]);
+                }
+            }
+        }
+    }
+
+    /// Final state: the trace, the hosted tasks, the mailboxes and FIFOs
+    /// `homed` here, and the SHM images if `with_shm`.
+    fn into_shard(mut self, w: &Workload, homed: impl Fn(u32) -> bool, with_shm: bool) -> Shard {
+        let trace = self.drain_tagged();
+        let mailboxes = (w.mailboxes.iter().enumerate())
+            .filter(|(_, d)| homed(d.home_cpu))
+            .map(|(i, d)| (i, self.mailbox_outcome(&d.name)))
+            .collect();
+        let fifos = (w.fifos.iter().enumerate())
+            .filter(|(_, d)| homed(d.home_cpu))
+            .map(|(i, d)| (i, self.fifo_outcome(&d.name)))
+            .collect();
+        let shm = if with_shm {
+            self.shm_outcomes(w)
+        } else {
+            Vec::new()
+        };
+        Shard {
+            trace,
+            counters: self.kernel.counters(),
+            tasks: self.task_outcomes(w),
+            mailboxes,
+            fifos,
+            shm,
+        }
+    }
 }
 
-fn finalize_tasks(mut tasks: Vec<TaskOutcome>) -> (Vec<TaskOutcome>, u64) {
+/// One kernel's share of an [`ExecOutcome`].
+struct Shard {
+    trace: Vec<TaggedEvent<KernelEvent>>,
+    counters: SchedCounters,
+    tasks: Vec<TaskOutcome>,
+    /// Homed mailboxes and FIFOs, by declaration index.
+    mailboxes: Vec<(usize, PortOutcome)>,
+    fifos: Vec<(usize, PortOutcome)>,
+    /// SHM images; empty unless requested.
+    shm: Vec<PortOutcome>,
+}
+
+/// Merges the shards of one run into its outcome.
+fn assemble(mode: &'static str, workers: usize, w: &Workload, shards: Vec<Shard>) -> ExecOutcome {
+    let mut counters = SchedCounters::default();
+    let mut tasks = Vec::new();
+    let mut mailboxes = vec![None; w.mailboxes.len()];
+    let mut fifos = vec![None; w.fifos.len()];
+    let mut shm = Vec::new();
+    let mut traces = Vec::with_capacity(shards.len());
+    for shard in shards {
+        let c = shard.counters;
+        counters.dispatches += c.dispatches;
+        counters.preemptions += c.preemptions;
+        counters.timeslices += c.timeslices;
+        counters.overruns += c.overruns;
+        counters.faults += c.faults;
+        counters.deadline_misses += c.deadline_misses;
+        tasks.extend(shard.tasks);
+        for (i, outcome) in shard.mailboxes {
+            mailboxes[i] = Some(outcome);
+        }
+        for (i, outcome) in shard.fifos {
+            fifos[i] = Some(outcome);
+        }
+        shm.extend(shard.shm);
+        traces.push(shard.trace);
+    }
     tasks.sort_by(|a, b| a.name.cmp(&b.name));
-    let total = tasks.iter().map(|t| t.cycles).sum();
-    (tasks, total)
+    ExecOutcome {
+        mode,
+        workers,
+        cpus: w.cpus,
+        counters,
+        total_cycles: tasks.iter().map(|t| t.cycles).sum(),
+        tasks,
+        shm,
+        mailboxes: mailboxes.into_iter().flatten().collect(),
+        fifos: fifos.into_iter().flatten().collect(),
+        trace: merge_tagged(traces),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -670,36 +793,12 @@ impl Executor for DeterministicExecutor {
         workload.validate()?;
         let mut inst = Instance::build(workload, |_| true)?;
         inst.run_to(SimTime::ZERO + horizon);
-        // Present the trace in the same canonical (time, cpu, seq) order
-        // the parallel merge produces, so same-instant events on different
+        // `assemble` sorts the trace into the canonical (time, cpu, seq)
+        // order of the parallel merge, so same-instant events on different
         // CPUs — whose serial interleaving is an implementation accident —
         // compare equal across modes.
-        let trace = merge_tagged(vec![inst.drain_tagged()]);
-        let counters = inst.kernel.counters();
-        let (tasks, total_cycles) = finalize_tasks(inst.task_outcomes(workload));
-        let shm = inst.shm_outcomes(workload);
-        let mailboxes = workload
-            .mailboxes
-            .iter()
-            .map(|d| inst.mailbox_outcome(&d.name))
-            .collect();
-        let fifos = workload
-            .fifos
-            .iter()
-            .map(|d| inst.fifo_outcome(&d.name))
-            .collect();
-        Ok(ExecOutcome {
-            mode: "deterministic",
-            workers: 1,
-            cpus: workload.cpus,
-            counters,
-            tasks,
-            shm,
-            mailboxes,
-            fifos,
-            trace,
-            total_cycles,
-        })
+        let shard = inst.into_shard(workload, |_| true, true);
+        Ok(assemble("deterministic", 1, workload, vec![shard]))
     }
 }
 
@@ -707,13 +806,29 @@ impl Executor for DeterministicExecutor {
 // Parallel executor
 // ---------------------------------------------------------------------------
 
-/// Cross-worker mailbox envelope. Sorting by `(producer, seq)` restores a
-/// deterministic delivery order out of the arbitrary interleaving the
-/// lock-free channel permits.
-struct Envelope {
-    producer: u32,
-    seq: u64,
-    bytes: Vec<u8>,
+/// What one worker hands the others at an epoch barrier. A worker fills
+/// only its own outbox, before the barrier; after it, every worker reads
+/// all outboxes in rank order.
+struct Outbox {
+    /// Per SHM declaration: the segment image, if this worker wrote the
+    /// segment this epoch.
+    shm: Vec<Option<Vec<u8>>>,
+    /// Per mailbox declaration: messages sent to a mailbox homed on
+    /// another worker, in send order.
+    mailboxes: Vec<Vec<Vec<u8>>>,
+    /// Per FIFO declaration: bytes written to a FIFO homed on another
+    /// worker.
+    fifos: Vec<Vec<u8>>,
+}
+
+impl Outbox {
+    fn new(w: &Workload) -> Self {
+        Outbox {
+            shm: vec![None; w.shms.len()],
+            mailboxes: vec![Vec::new(); w.mailboxes.len()],
+            fifos: vec![Vec::new(); w.fifos.len()],
+        }
+    }
 }
 
 /// Per-CPU worker threads in lockstep epochs. See the [module docs](self).
@@ -782,264 +897,55 @@ impl Executor for ParallelExecutor {
         let workers = self.workers.min(workload.cpus as usize).max(1);
         let shard_of = |cpu: u32| (cpu as usize) % workers;
         let epoch_ends = self.epoch_ends(horizon);
-
-        // Cross-worker carriers, one set per port declaration.
-        let mut probe = ShmRegistry::new();
-        let shm_cells: Vec<SeqlockCell> = workload
-            .shms
-            .iter()
-            .map(|d| {
-                probe
-                    .alloc(&d.name, d.data_type, d.elements)
-                    .map_err(|e| ExecError::new(e.to_string()))?;
-                Ok(SeqlockCell::new(
-                    probe.get(&d.name).map(|s| s.byte_len()).unwrap_or(0),
-                ))
-            })
-            .collect::<Result<_, ExecError>>()?;
-        let mbx_channels: Vec<MpscChannel<Envelope>> = workload
-            .mailboxes
-            .iter()
-            .map(|_| MpscChannel::new())
+        let outboxes: Vec<RwLock<Outbox>> = (0..workers)
+            .map(|_| RwLock::new(Outbox::new(workload)))
             .collect();
-        // One ring per (fifo, producing worker); generously sized so an
-        // epoch's worth of traffic is not truncated before the home FIFO
-        // gets to apply its own bounded-capacity policy.
-        let fifo_rings: Vec<Vec<SpscRing>> = workload
-            .fifos
-            .iter()
-            .map(|d| {
-                (0..workers)
-                    .map(|_| SpscRing::new(d.capacity.max(4096)))
-                    .collect()
-            })
-            .collect();
-
         let barrier = Barrier::new(workers);
-        let epoch_chunks: Mutex<Vec<Vec<TaggedEvent<KernelEvent>>>> = Mutex::new(Vec::new());
-        let merged: Mutex<Vec<TaggedEvent<KernelEvent>>> = Mutex::new(Vec::new());
-        type ShardReport = (
-            SchedCounters,
-            Vec<TaskOutcome>,
-            Vec<(usize, PortOutcome)>, // mailboxes homed here (decl idx)
-            Vec<(usize, PortOutcome)>, // fifos homed here (decl idx)
-            Vec<PortOutcome>,          // SHM images (worker 0 only)
-        );
-        let reports: Mutex<Vec<Option<ShardReport>>> =
-            Mutex::new((0..workers).map(|_| None).collect());
-        let setup_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let barrier = &barrier;
-                let epoch_chunks = &epoch_chunks;
-                let merged = &merged;
-                let reports = &reports;
-                let setup_errors = &setup_errors;
-                let shm_cells = &shm_cells;
-                let mbx_channels = &mbx_channels;
-                let fifo_rings = &fifo_rings;
-                let epoch_ends = &epoch_ends;
-                scope.spawn(move || {
-                    // Validation ran on the calling thread, so setup can
-                    // only fail on kernel invariants already checked;
-                    // record and bail through the barriers if it somehow
-                    // does, keeping the other workers deadlock-free.
-                    let built = Instance::build(workload, |spec| shard_of(spec.config.cpu) == me);
-                    let mut inst = match built {
-                        Ok(inst) => inst,
-                        Err(e) => {
-                            setup_errors.lock().unwrap().push(e.to_string());
-                            for _ in epoch_ends.iter() {
-                                barrier.wait();
-                                barrier.wait();
-                            }
-                            return;
-                        }
-                    };
-                    // Per-decl publication bookkeeping.
-                    let mut shm_published: Vec<u64> = vec![0; workload.shms.len()];
-                    let mut shm_seen: Vec<u64> = vec![0; workload.shms.len()];
-                    let mut mbx_seq: u64 = 0;
-
-                    for (epoch_idx, end) in epoch_ends.iter().enumerate() {
-                        inst.run_to(*end);
-
-                        // --- exchange out (lock-free, pre-barrier) ---
-                        for (i, decl) in workload.shms.iter().enumerate() {
-                            let seg = inst.kernel.shm().get(&decl.name);
-                            let writes = seg.map(|s| s.write_count()).unwrap_or(0);
-                            if writes > shm_published[i] {
-                                shm_published[i] = writes;
-                                let image =
-                                    inst.kernel.shm_mut().read(&decl.name).unwrap_or_default();
-                                let version =
-                                    SeqlockCell::pack_version(epoch_idx as u64 + 1, me as u32);
-                                if shm_cells[i].publish(version, &image) {
-                                    shm_seen[i] = version;
+        let shards: Result<Vec<Shard>, ExecError> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|me| {
+                    let (barrier, outboxes, epoch_ends) = (&barrier, &outboxes, &epoch_ends);
+                    scope.spawn(move || {
+                        let homed = |cpu: u32| shard_of(cpu) == me;
+                        let built = Instance::build(workload, |spec| homed(spec.config.cpu));
+                        let mut inst = match built {
+                            Ok(inst) => inst,
+                            Err(e) => {
+                                // Validation ran on the calling thread, so
+                                // this is unreachable in practice; keep the
+                                // other workers' barriers deadlock-free.
+                                for _ in epoch_ends {
+                                    barrier.wait();
+                                    barrier.wait();
                                 }
+                                return Err(e);
                             }
+                        };
+                        let mut shm_published = vec![0u64; workload.shms.len()];
+                        for end in epoch_ends {
+                            inst.run_to(*end);
+                            inst.fill_outbox(
+                                workload,
+                                &mut outboxes[me].write().unwrap(),
+                                &mut shm_published,
+                                homed,
+                            );
+                            barrier.wait();
+                            inst.take_deliveries(workload, outboxes, homed);
+                            barrier.wait();
                         }
-                        for (i, decl) in workload.mailboxes.iter().enumerate() {
-                            if shard_of(decl.home_cpu) == me {
-                                continue; // local sends stay local
-                            }
-                            while let Ok(Some(bytes)) = inst.kernel.mailboxes_mut().recv(&decl.name)
-                            {
-                                mbx_channels[i].push(Envelope {
-                                    producer: me as u32,
-                                    seq: mbx_seq,
-                                    bytes,
-                                });
-                                mbx_seq += 1;
-                            }
-                        }
-                        for (i, decl) in workload.fifos.iter().enumerate() {
-                            if shard_of(decl.home_cpu) == me {
-                                continue;
-                            }
-                            let bytes = inst
-                                .kernel
-                                .fifos_mut()
-                                .get(&decl.name, usize::MAX)
-                                .unwrap_or_default();
-                            if !bytes.is_empty() {
-                                fifo_rings[i][me].push(&bytes);
-                            }
-                        }
-                        let chunk = inst.drain_tagged();
-                        if !chunk.is_empty() {
-                            epoch_chunks.lock().unwrap().push(chunk);
-                        }
-
-                        barrier.wait();
-
-                        // --- merge (worker 0) + exchange in ---
-                        if me == 0 {
-                            let chunks = std::mem::take(&mut *epoch_chunks.lock().unwrap());
-                            if !chunks.is_empty() {
-                                merged.lock().unwrap().extend(merge_tagged(chunks));
-                            }
-                        }
-                        for (i, decl) in workload.shms.iter().enumerate() {
-                            if let Some((version, bytes)) = shm_cells[i].read() {
-                                if version > shm_seen[i] {
-                                    shm_seen[i] = version;
-                                    inst.kernel.shm_mut().overwrite(&decl.name, &bytes);
-                                }
-                            }
-                        }
-                        for (i, decl) in workload.mailboxes.iter().enumerate() {
-                            if shard_of(decl.home_cpu) != me {
-                                continue;
-                            }
-                            let mut envelopes = mbx_channels[i].drain();
-                            envelopes.sort_by_key(|e| (e.producer, e.seq));
-                            for envelope in envelopes {
-                                let _ = inst.kernel.post(&decl.name, &envelope.bytes);
-                            }
-                        }
-                        for (i, decl) in workload.fifos.iter().enumerate() {
-                            if shard_of(decl.home_cpu) != me {
-                                continue;
-                            }
-                            for ring in fifo_rings[i].iter() {
-                                let bytes = ring.pop_all();
-                                if !bytes.is_empty() {
-                                    let _ = inst.kernel.fifos_mut().put(&decl.name, &bytes);
-                                }
-                            }
-                        }
-
-                        barrier.wait();
-                    }
-
-                    // Post-barrier deliveries may have emitted events
-                    // (mailbox wakes); fold the tail chunk in via the
-                    // shared merge path.
-                    let tail = inst.drain_tagged();
-                    if !tail.is_empty() {
-                        merged.lock().unwrap().extend(merge_tagged(vec![tail]));
-                    }
-
-                    let counters = inst.kernel.counters();
-                    let tasks = inst.task_outcomes(workload);
-                    let mailboxes: Vec<(usize, PortOutcome)> = workload
-                        .mailboxes
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, d)| shard_of(d.home_cpu) == me)
-                        .map(|(i, d)| (i, inst.mailbox_outcome(&d.name)))
-                        .collect();
-                    let fifos: Vec<(usize, PortOutcome)> = workload
-                        .fifos
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, d)| shard_of(d.home_cpu) == me)
-                        .map(|(i, d)| (i, inst.fifo_outcome(&d.name)))
-                        .collect();
-                    let shm = if me == 0 {
-                        inst.shm_outcomes(workload)
-                    } else {
-                        Vec::new()
-                    };
-                    reports.lock().unwrap()[me] = Some((counters, tasks, mailboxes, fifos, shm));
-                });
-            }
+                        Ok(inst.into_shard(workload, homed, me == 0))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
 
-        let errors = setup_errors.into_inner().unwrap();
-        if let Some(e) = errors.into_iter().next() {
-            return Err(ExecError::new(e));
-        }
-
-        // Merge the final-epoch tail chunks deterministically: the tails
-        // were appended in whatever order workers finished, so re-sort the
-        // whole stream (stable; keyed identically to merge_tagged).
-        let mut trace = merged.into_inner().unwrap();
-        trace = merge_tagged(vec![trace]);
-
-        let mut counters = SchedCounters::default();
-        let mut tasks = Vec::new();
-        let mut mailbox_slots: Vec<Option<PortOutcome>> =
-            (0..workload.mailboxes.len()).map(|_| None).collect();
-        let mut fifo_slots: Vec<Option<PortOutcome>> =
-            (0..workload.fifos.len()).map(|_| None).collect();
-        let mut shm = Vec::new();
-        for report in reports.into_inner().unwrap().into_iter().flatten() {
-            let (c, t, mbx, ff, s) = report;
-            counters.dispatches += c.dispatches;
-            counters.preemptions += c.preemptions;
-            counters.timeslices += c.timeslices;
-            counters.overruns += c.overruns;
-            counters.faults += c.faults;
-            counters.deadline_misses += c.deadline_misses;
-            tasks.extend(t);
-            for (i, outcome) in mbx {
-                mailbox_slots[i] = Some(outcome);
-            }
-            for (i, outcome) in ff {
-                fifo_slots[i] = Some(outcome);
-            }
-            if !s.is_empty() {
-                shm = s;
-            }
-        }
-        let (tasks, total_cycles) = finalize_tasks(tasks);
-        let mailboxes = mailbox_slots.into_iter().flatten().collect();
-        let fifos = fifo_slots.into_iter().flatten().collect();
-        Ok(ExecOutcome {
-            mode: "parallel",
-            workers,
-            cpus: workload.cpus,
-            counters,
-            tasks,
-            shm,
-            mailboxes,
-            fifos,
-            trace,
-            total_cycles,
-        })
+        Ok(assemble("parallel", workers, workload, shards?))
     }
 }
 
@@ -1375,6 +1281,179 @@ mod tests {
         assert!(det.task("cons").unwrap().cycles > 0);
     }
 
+    /// Epoch of the exchange tests' parallel runs.
+    const EXCHANGE_EPOCH: SimDuration = SimDuration::from_millis(5);
+
+    /// Three CPUs, one worker each. `src0`/`src1` on CPUs 0 and 1 write the
+    /// SHM segment `state` in their first cycle only, and every cycle send
+    /// `[cpu, cycle]` to the mailbox `evtq` and the FIFO `strm`, both homed
+    /// on CPU 2. A reader on every CPU logs its replica of `state`; `mbx`
+    /// and `ff` on CPU 2 log each message and byte pair they receive.
+    fn exchange_workload() -> Workload {
+        let mut w = Workload::new(3, 11)
+            .shm("state", DataType::Byte, 4)
+            .mailbox("evtq", 64, 2)
+            .fifo("strm", 256, 2);
+        let every_ms = |name: &str, cpu: u32, prio: u8| {
+            TaskConfig::periodic(name, Priority(prio), SimDuration::from_millis(1))
+                .unwrap()
+                .on_cpu(cpu)
+                .with_base_cost(SimDuration::from_micros(50))
+        };
+        for cpu in 0..2u8 {
+            w = w.task(every_ms(&format!("src{cpu}"), cpu as u32, 2), move || {
+                Box::new(FnBody(move |ctx: &mut crate::kernel::TaskCtx<'_>| {
+                    let cycle = ctx.cycle() as u8;
+                    if cycle == 0 {
+                        ctx.shm_write("state", &[0xA0 + cpu; 4]).unwrap();
+                    }
+                    let _ = ctx.mailbox_send("evtq", &[cpu, cycle]);
+                    let _ = ctx.fifo_put("strm", &[cpu, cycle]);
+                }))
+            });
+        }
+        for cpu in 0..3u32 {
+            w = w.task(every_ms(&format!("rd{cpu}"), cpu, 3), || {
+                Box::new(FnBody(|ctx: &mut crate::kernel::TaskCtx<'_>| {
+                    let image = ctx.shm_read("state").unwrap();
+                    ctx.log(format!("{image:?}"));
+                }))
+            });
+        }
+        w.task_spec(TaskSpec {
+            config: TaskConfig::aperiodic("mbx", Priority(2))
+                .unwrap()
+                .on_cpu(2)
+                .with_base_cost(SimDuration::from_micros(50)),
+            factory: Arc::new(|| {
+                Box::new(FnBody(|ctx: &mut crate::kernel::TaskCtx<'_>| {
+                    while let Ok(Some(msg)) = ctx.mailbox_recv("evtq") {
+                        ctx.log(format!("{} {}", msg[0], msg[1]));
+                    }
+                }))
+            }),
+            autostart: true,
+            wake_on: Some("evtq".to_string()),
+            triggers: Vec::new(),
+        })
+        .task(every_ms("ff", 2, 2), || {
+            Box::new(FnBody(|ctx: &mut crate::kernel::TaskCtx<'_>| {
+                let bytes = ctx.fifo_get("strm", usize::MAX).unwrap();
+                for pair in bytes.chunks(2) {
+                    ctx.log(format!("{} {}", pair[0], pair[1]));
+                }
+            }))
+        })
+    }
+
+    fn run_exchange() -> ExecOutcome {
+        ParallelExecutor::new(3)
+            .with_epoch(EXCHANGE_EPOCH)
+            .run(&exchange_workload(), SimDuration::from_millis(30))
+            .unwrap()
+    }
+
+    /// `(time, message)` of every line `task` logged, in trace order.
+    fn logs<'a>(outcome: &'a ExecOutcome, task: &str) -> Vec<(SimTime, &'a str)> {
+        outcome
+            .trace
+            .iter()
+            .filter_map(|e| match &e.entry.event {
+                KernelEvent::UserLog { task: t, message } if t.as_str() == task => {
+                    Some((e.entry.time, message.as_str()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A consumer's `[cpu, cycle]` receipts grouped by the instant it read
+    /// them; each group is one barrier's delivery.
+    fn deliveries(outcome: &ExecOutcome, task: &str) -> Vec<Vec<(u8, u8)>> {
+        let mut groups: Vec<(SimTime, Vec<(u8, u8)>)> = Vec::new();
+        for (at, line) in logs(outcome, task) {
+            let (cpu, cycle) = line.split_once(' ').unwrap();
+            let item = (cpu.parse().unwrap(), cycle.parse().unwrap());
+            match groups.last_mut() {
+                Some((t, group)) if *t == at => group.push(item),
+                _ => groups.push((at, vec![item])),
+            }
+        }
+        groups.into_iter().map(|(_, group)| group).collect()
+    }
+
+    /// Every delivery, and what the port still holds (`pending`), carries
+    /// worker 0's items, then worker 1's, each in send order; no item is
+    /// lost.
+    fn assert_rank_ordered(outcome: &ExecOutcome, task: &str, pending: &[u8]) {
+        let mut groups = deliveries(outcome, task);
+        groups.push(pending.chunks(2).map(|p| (p[0], p[1])).collect());
+        for group in &groups {
+            let mut sorted = group.clone();
+            sorted.sort();
+            assert_eq!(group, &sorted, "{task}: delivery not in rank order");
+        }
+        assert!(
+            groups.iter().any(|g| {
+                let from0 = g.iter().filter(|(cpu, _)| *cpu == 0).count();
+                from0 >= 2 && g.len() - from0 >= 2
+            }),
+            "{task}: no delivery carried several items from both producers: {groups:?}"
+        );
+        for cpu in 0..2u8 {
+            let cycles: Vec<u8> = groups
+                .iter()
+                .flatten()
+                .filter(|(from, _)| *from == cpu)
+                .map(|(_, cycle)| *cycle)
+                .collect();
+            assert_eq!(cycles, (0..cycles.len() as u8).collect::<Vec<_>>());
+            let completed = outcome.task(&format!("src{cpu}")).unwrap().cycles;
+            assert!(cycles.len() as u64 >= completed, "{task}: items lost");
+        }
+    }
+
+    #[test]
+    fn exchange_shm_highest_rank_writer_wins_on_every_replica() {
+        let outcome = run_exchange();
+        let winner = format!("{:?}", [0xA1u8; 4]);
+        let first_barrier = SimTime::ZERO + EXCHANGE_EPOCH;
+        // Within the first epoch each writer sees its own write.
+        assert_eq!(logs(&outcome, "rd0")[0].1, format!("{:?}", [0xA0u8; 4]));
+        assert_eq!(logs(&outcome, "rd1")[0].1, winner);
+        for cpu in 0..3 {
+            let after: Vec<_> = logs(&outcome, &format!("rd{cpu}"))
+                .into_iter()
+                .filter(|(at, _)| *at > first_barrier)
+                .collect();
+            assert!(after.len() >= 20, "rd{cpu} logged {}", after.len());
+            // Later epochs are quiet: the converged image never changes.
+            for (at, image) in after {
+                assert_eq!(image, winner, "rd{cpu} at {at:?}");
+            }
+        }
+        assert_eq!(outcome.shm[0].bytes, vec![0xA1u8; 4]);
+    }
+
+    #[test]
+    fn exchange_mailbox_appends_worker_outboxes_in_rank_order() {
+        let outcome = run_exchange();
+        assert_rank_ordered(&outcome, "mbx", &outcome.mailboxes[0].bytes);
+    }
+
+    #[test]
+    fn exchange_fifo_appends_worker_bytes_in_rank_order() {
+        let outcome = run_exchange();
+        assert_rank_ordered(&outcome, "ff", &outcome.fifos[0].bytes);
+    }
+
+    #[test]
+    fn exchange_replays_identically() {
+        let runs: Vec<String> = (0..3).map(|_| format!("{:?}", run_exchange())).collect();
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[1], runs[2]);
+    }
+
     #[test]
     fn workload_validation_rejects_bad_bindings() {
         let cfg = TaskConfig::aperiodic("a", Priority(2)).unwrap().on_cpu(1);
@@ -1390,16 +1469,6 @@ mod tests {
         assert!(ParallelExecutor::new(2)
             .run(&w, SimDuration::from_millis(1))
             .is_err());
-    }
-
-    #[test]
-    fn executor_from_env_defaults_to_deterministic() {
-        // Only checks the unset path (mutating the environment would race
-        // with other tests); the parallel path is covered by parsing in CI
-        // via the RTOS_EXECUTOR job step.
-        if std::env::var("RTOS_EXECUTOR").is_err() {
-            assert_eq!(executor_from_env().name(), "deterministic");
-        }
     }
 
     fn ticking_kernel(seed: u64) -> Kernel {

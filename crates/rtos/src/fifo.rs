@@ -198,83 +198,6 @@ impl FifoRegistry {
     }
 }
 
-/// A lock-free single-producer single-consumer byte ring.
-///
-/// The parallel executor allocates one ring per (producer worker,
-/// cross-CPU FIFO) pair: the producing worker appends the bytes its tasks
-/// wrote during the epoch, and at the barrier the FIFO's home worker
-/// drains each producer's ring *in worker-rank order*, so the merged byte
-/// stream is deterministic even though the rings fill concurrently.
-///
-/// `head`/`tail` are monotonically increasing byte counts (never wrapped),
-/// indexed modulo the buffer length; the payload is `AtomicU8` so the ring
-/// is entirely safe code — no torn reads are possible byte-wise, and the
-/// acquire/release pair on `tail`/`head` orders payload access.
-#[derive(Debug)]
-pub struct SpscRing {
-    buf: Box<[std::sync::atomic::AtomicU8]>,
-    /// Total bytes consumed (advanced only by the consumer).
-    head: std::sync::atomic::AtomicUsize,
-    /// Total bytes produced (advanced only by the producer).
-    tail: std::sync::atomic::AtomicUsize,
-}
-
-impl SpscRing {
-    /// Creates a ring holding up to `capacity` in-flight bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero capacity.
-    pub fn new(capacity: usize) -> Self {
-        use std::sync::atomic::{AtomicU8, AtomicUsize};
-        assert!(capacity > 0, "SpscRing capacity must be non-zero");
-        SpscRing {
-            buf: (0..capacity).map(|_| AtomicU8::new(0)).collect(),
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-        }
-    }
-
-    /// Bytes currently in flight.
-    pub fn len(&self) -> usize {
-        use std::sync::atomic::Ordering::Acquire;
-        self.tail.load(Acquire) - self.head.load(Acquire)
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Appends as much of `data` as fits; returns the accepted byte count.
-    /// Producer-side only.
-    pub fn push(&self, data: &[u8]) -> usize {
-        use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-        let head = self.head.load(Acquire);
-        let tail = self.tail.load(Relaxed); // own counter
-        let room = self.buf.len() - (tail - head);
-        let take = room.min(data.len());
-        for (i, byte) in data[..take].iter().enumerate() {
-            self.buf[(tail + i) % self.buf.len()].store(*byte, Relaxed);
-        }
-        self.tail.store(tail + take, Release);
-        take
-    }
-
-    /// Drains every buffered byte in FIFO order. Consumer-side only.
-    pub fn pop_all(&self) -> Vec<u8> {
-        use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-        let tail = self.tail.load(Acquire);
-        let head = self.head.load(Relaxed); // own counter
-        let mut out = Vec::with_capacity(tail - head);
-        for pos in head..tail {
-            out.push(self.buf[pos % self.buf.len()].load(Relaxed));
-        }
-        self.head.store(tail, Release);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,45 +252,5 @@ mod tests {
         assert_eq!(f.written_bytes(), 30);
         assert_eq!(f.read_bytes(), 10);
         assert_eq!(f.len(), 20);
-    }
-
-    #[test]
-    fn spsc_roundtrip_and_backpressure() {
-        let ring = SpscRing::new(8);
-        assert!(ring.is_empty());
-        assert_eq!(ring.push(b"hello"), 5);
-        assert_eq!(ring.push(b"world"), 3); // only 3 fit
-        assert_eq!(ring.len(), 8);
-        assert_eq!(ring.pop_all(), b"hellowor");
-        assert!(ring.is_empty());
-        // Wrap-around after drain.
-        assert_eq!(ring.push(b"again"), 5);
-        assert_eq!(ring.pop_all(), b"again");
-    }
-
-    #[test]
-    fn spsc_concurrent_stream_arrives_in_order() {
-        use std::sync::Arc;
-        let ring = Arc::new(SpscRing::new(64));
-        let mut received = Vec::new();
-        std::thread::scope(|scope| {
-            let producer = Arc::clone(&ring);
-            scope.spawn(move || {
-                let mut sent = 0u32;
-                while sent < 1000 {
-                    let byte = (sent % 251) as u8;
-                    if producer.push(&[byte]) == 1 {
-                        sent += 1;
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-            });
-            while received.len() < 1000 {
-                received.extend(ring.pop_all());
-            }
-        });
-        let expected: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        assert_eq!(received, expected);
     }
 }

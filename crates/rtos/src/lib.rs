@@ -19,6 +19,8 @@
 //!   latency capture.
 //! * [`exec`] — the executor layer: thread-shippable [`exec::Workload`]
 //!   specs, the two executors, and the linearization-equivalence check.
+//!   The parallel executor exchanges cross-CPU IPC through one outbox per
+//!   worker at its epoch barriers.
 //! * [`task`] — task names (6-character OS limit), priorities (lower is more
 //!   urgent), configuration, and the [`task::TaskBody`] behaviour trait.
 //! * [`shm`] / [`mailbox`] / [`fifo`] — the `RTAI.SHM`, `RTAI.Mailbox` and
@@ -55,6 +57,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod exec;
 pub mod fifo;
@@ -71,8 +75,8 @@ pub mod trace;
 
 pub use error::{IpcError, KernelError, NameError};
 pub use exec::{
-    executor_from_env, linearization_equivalent, DeterministicExecutor, ExecOutcome, Executor,
-    Lockstep, ParallelExecutor, Workload,
+    linearization_equivalent, DeterministicExecutor, ExecOutcome, Executor, Lockstep,
+    ParallelExecutor, Workload,
 };
 pub use kernel::{Kernel, KernelConfig, TaskCtx};
 pub use latency::{LatencyStats, LoadMode, TimerJitterModel, TimerMode};

@@ -203,109 +203,6 @@ impl MailboxRegistry {
     }
 }
 
-/// A lock-free multi-producer single-consumer channel (Treiber stack with
-/// drain-all consumption).
-///
-/// The parallel executor uses one of these per cross-CPU mailbox: every
-/// worker thread pushes message envelopes as its tasks send, and at the
-/// epoch barrier the mailbox's *home* worker drains the channel in one
-/// atomic swap. Because the consumer re-sorts the drained envelopes by a
-/// deterministic key (virtual send time, producer rank, per-producer
-/// sequence number), the LIFO order a Treiber stack yields — and the
-/// arbitrary cross-producer interleaving — never leaks into simulation
-/// results.
-///
-/// This is the one primitive in the crate that needs `unsafe`: nodes are
-/// heap-allocated and linked through raw pointers. The invariants are
-/// small and local — a node is owned by exactly one party at a time
-/// (producer before the CAS publishes it, the draining consumer after the
-/// swap unlinks the whole list), and `drain` turns every node back into a
-/// `Box` exactly once.
-#[derive(Debug)]
-pub struct MpscChannel<T> {
-    head: std::sync::atomic::AtomicPtr<MpscNode<T>>,
-}
-
-#[derive(Debug)]
-struct MpscNode<T> {
-    value: T,
-    next: *mut MpscNode<T>,
-}
-
-// SAFETY: the channel only moves owned `T` values across threads (push on
-// one thread, drain on another); the raw pointers never alias once a node
-// is published, so `T: Send` is the only requirement.
-unsafe impl<T: Send> Send for MpscChannel<T> {}
-unsafe impl<T: Send> Sync for MpscChannel<T> {}
-
-impl<T> Default for MpscChannel<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> MpscChannel<T> {
-    /// Creates an empty channel.
-    pub fn new() -> Self {
-        MpscChannel {
-            head: std::sync::atomic::AtomicPtr::new(std::ptr::null_mut()),
-        }
-    }
-
-    /// Pushes a value; callable from any thread, lock-free.
-    pub fn push(&self, value: T) {
-        use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-        let node = Box::into_raw(Box::new(MpscNode {
-            value,
-            next: std::ptr::null_mut(),
-        }));
-        loop {
-            let head = self.head.load(Acquire);
-            // SAFETY: `node` came from Box::into_raw above and is not yet
-            // published, so we have exclusive access to it.
-            unsafe { (*node).next = head };
-            if self
-                .head
-                .compare_exchange_weak(head, node, Release, Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Unlinks everything in one swap and returns the values in push order
-    /// (oldest first). Intended for the single consumer, but safe from any
-    /// thread — the swap makes drains disjoint.
-    pub fn drain(&self) -> Vec<T> {
-        use std::sync::atomic::Ordering::AcqRel;
-        let mut node = self.head.swap(std::ptr::null_mut(), AcqRel);
-        let mut out = Vec::new();
-        while !node.is_null() {
-            // SAFETY: the swap above transferred ownership of the whole
-            // list to this call; each node is boxed back exactly once.
-            let boxed = unsafe { Box::from_raw(node) };
-            node = boxed.next;
-            out.push(boxed.value);
-        }
-        out.reverse();
-        out
-    }
-
-    /// True when nothing is queued at this instant.
-    pub fn is_empty(&self) -> bool {
-        self.head
-            .load(std::sync::atomic::Ordering::Acquire)
-            .is_null()
-    }
-}
-
-impl<T> Drop for MpscChannel<T> {
-    fn drop(&mut self) {
-        self.drain();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,61 +267,5 @@ mod tests {
             reg.create("way-too-long", 1),
             Err(IpcError::BadName(_))
         ));
-    }
-
-    #[test]
-    fn mpsc_drain_preserves_push_order() {
-        let chan = MpscChannel::new();
-        assert!(chan.is_empty());
-        for i in 0..10 {
-            chan.push(i);
-        }
-        assert!(!chan.is_empty());
-        assert_eq!(chan.drain(), (0..10).collect::<Vec<_>>());
-        assert!(chan.is_empty());
-        assert!(chan.drain().is_empty());
-    }
-
-    #[test]
-    fn mpsc_concurrent_producers_lose_nothing() {
-        use std::sync::Arc;
-        const PER_PRODUCER: u64 = 500;
-        let chan = Arc::new(MpscChannel::new());
-        std::thread::scope(|scope| {
-            for producer in 0..4u64 {
-                let chan = Arc::clone(&chan);
-                scope.spawn(move || {
-                    for seq in 0..PER_PRODUCER {
-                        chan.push((producer, seq));
-                    }
-                });
-            }
-        });
-        let mut drained = chan.drain();
-        assert_eq!(drained.len(), 4 * PER_PRODUCER as usize);
-        // Per-producer order survives the interleaving...
-        for producer in 0..4u64 {
-            let seqs: Vec<u64> = drained
-                .iter()
-                .filter(|(p, _)| *p == producer)
-                .map(|(_, s)| *s)
-                .collect();
-            assert_eq!(seqs, (0..PER_PRODUCER).collect::<Vec<_>>());
-        }
-        // ...and sorting by (producer, seq) makes the batch deterministic,
-        // which is exactly what the executor's barrier exchange does.
-        drained.sort_unstable();
-        assert_eq!(drained[0], (0, 0));
-        assert_eq!(drained[drained.len() - 1], (3, PER_PRODUCER - 1));
-    }
-
-    #[test]
-    fn mpsc_drop_releases_queued_nodes() {
-        // Miri-style sanity: dropping a non-empty channel must not leak.
-        let chan = MpscChannel::new();
-        for i in 0..32 {
-            chan.push(vec![i; 8]);
-        }
-        drop(chan);
     }
 }

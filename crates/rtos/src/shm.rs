@@ -249,10 +249,10 @@ impl ShmRegistry {
     /// Replaces a segment's bytes without counting a write or a read.
     ///
     /// This is a management-plane operation for the parallel executor's
-    /// barrier exchange: when a [`SeqlockCell`] publication from another
-    /// worker wins, the local replica is overwritten with the converged
-    /// image. Task-visible write counters stay untouched so per-shard
-    /// publication detection (`write_count` deltas) keeps working.
+    /// barrier exchange: when another worker's outbox holds the winning
+    /// image of a segment, the local replica is overwritten with it.
+    /// Task-visible write counters stay untouched so per-shard write
+    /// detection (`write_count` deltas) keeps working.
     /// Length mismatches are ignored (the replicas were allocated from the
     /// same declaration, so they cannot differ in a well-formed workload).
     pub fn overwrite(&mut self, name: &str, bytes: &[u8]) {
@@ -293,133 +293,6 @@ impl ShmRegistry {
 /// Exposed for descriptor validation in higher layers.
 pub fn validate_obj_name(name: &str) -> Result<(), NameError> {
     ObjName::new(name).map(|_| ())
-}
-
-/// A lock-free single-slot publication cell for cross-thread SHM exchange.
-///
-/// The parallel executor gives every worker thread its own [`ShmRegistry`]
-/// replica; at each epoch barrier a worker that wrote a shared segment
-/// publishes the segment image through one of these cells, and every other
-/// worker reads the winning image back into its replica (via
-/// [`ShmRegistry::overwrite`]).
-///
-/// The cell is a classic seqlock over a byte payload:
-///
-/// * `seq` is odd while a writer is mid-copy; readers retry until they
-///   observe the same even value before and after copying the payload out.
-/// * `version` orders competing publications deterministically. The
-///   executor packs it as `(epoch << 32) | (writer_rank + 1)` (see
-///   [`SeqlockCell::pack_version`]), so within one epoch the
-///   highest-ranked writer wins no matter which thread reaches the cell
-///   first — the converged value never depends on OS scheduling.
-/// * The payload lives in `Box<[AtomicU8]>` and is copied byte-atomically,
-///   so the whole cell is safe code: a torn read is *detected* (seq
-///   mismatch) rather than being undefined behaviour.
-///
-/// Version `0` means "never published".
-#[derive(Debug)]
-pub struct SeqlockCell {
-    seq: std::sync::atomic::AtomicU64,
-    version: std::sync::atomic::AtomicU64,
-    len: std::sync::atomic::AtomicUsize,
-    data: Box<[std::sync::atomic::AtomicU8]>,
-}
-
-impl SeqlockCell {
-    /// Creates a cell able to hold payloads up to `capacity` bytes.
-    pub fn new(capacity: usize) -> Self {
-        use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize};
-        let data: Box<[AtomicU8]> = (0..capacity).map(|_| AtomicU8::new(0)).collect();
-        SeqlockCell {
-            seq: AtomicU64::new(0),
-            version: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
-            data,
-        }
-    }
-
-    /// Packs a deterministic publication version: epochs dominate, and
-    /// within an epoch the higher writer rank wins. `rank` is offset by 1
-    /// so version `0` stays reserved for "never published".
-    pub fn pack_version(epoch: u64, writer_rank: u32) -> u64 {
-        (epoch << 32) | (u64::from(writer_rank) + 1)
-    }
-
-    /// Maximum payload size in bytes.
-    pub fn capacity(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Publishes `bytes` under `version` if it is newer than what the cell
-    /// holds. Returns `true` if this call's payload became the cell value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` exceeds the cell capacity.
-    pub fn publish(&self, version: u64, bytes: &[u8]) -> bool {
-        use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
-        assert!(
-            bytes.len() <= self.data.len(),
-            "SeqlockCell payload {} exceeds capacity {}",
-            bytes.len(),
-            self.data.len()
-        );
-        loop {
-            if self.version.load(Acquire) >= version {
-                return false;
-            }
-            let seq = self.seq.load(Acquire);
-            if seq & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            if self
-                .seq
-                .compare_exchange(seq, seq + 1, AcqRel, Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            // Write lock held (seq is odd). A competing writer may have
-            // published a higher version before we took the lock.
-            if self.version.load(Acquire) >= version {
-                self.seq.store(seq + 2, Release);
-                return false;
-            }
-            for (slot, byte) in self.data.iter().zip(bytes) {
-                slot.store(*byte, Relaxed);
-            }
-            self.len.store(bytes.len(), Relaxed);
-            self.version.store(version, Release);
-            self.seq.store(seq + 2, Release);
-            return true;
-        }
-    }
-
-    /// Reads the current payload, retrying across concurrent writers.
-    /// Returns `None` if nothing was ever published.
-    pub fn read(&self) -> Option<(u64, Vec<u8>)> {
-        use std::sync::atomic::Ordering::{Acquire, Relaxed};
-        loop {
-            let before = self.seq.load(Acquire);
-            if before & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let version = self.version.load(Acquire);
-            if version == 0 {
-                return None;
-            }
-            let len = self.len.load(Relaxed).min(self.data.len());
-            let mut out = vec![0u8; len];
-            for (byte, slot) in out.iter_mut().zip(self.data.iter()) {
-                *byte = slot.load(Relaxed);
-            }
-            if self.seq.load(Acquire) == before {
-                return Some((version, out));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -515,73 +388,5 @@ mod tests {
         reg.overwrite("seg", &[1]);
         reg.overwrite("nosuch", &[1, 2, 3, 4]);
         assert_eq!(reg.read("seg").unwrap(), vec![9, 9, 9, 9]);
-    }
-
-    #[test]
-    fn seqlock_empty_then_publish_then_read() {
-        let cell = SeqlockCell::new(8);
-        assert_eq!(cell.read(), None);
-        let v1 = SeqlockCell::pack_version(1, 0);
-        assert!(cell.publish(v1, &[1, 2, 3]));
-        assert_eq!(cell.read(), Some((v1, vec![1, 2, 3])));
-    }
-
-    #[test]
-    fn seqlock_highest_version_wins_regardless_of_order() {
-        let cell = SeqlockCell::new(4);
-        let low = SeqlockCell::pack_version(1, 0);
-        let high = SeqlockCell::pack_version(1, 3);
-        assert!(cell.publish(high, &[7]));
-        // A lower version arriving later is rejected.
-        assert!(!cell.publish(low, &[1]));
-        assert_eq!(cell.read(), Some((high, vec![7])));
-        // A later epoch beats any rank from an earlier one.
-        let next = SeqlockCell::pack_version(2, 0);
-        assert!(cell.publish(next, &[2, 2]));
-        assert_eq!(cell.read(), Some((next, vec![2, 2])));
-    }
-
-    #[test]
-    fn seqlock_concurrent_publishers_converge_deterministically() {
-        use std::sync::Arc;
-        let cell = Arc::new(SeqlockCell::new(8));
-        std::thread::scope(|scope| {
-            for rank in 0..4u32 {
-                let cell = Arc::clone(&cell);
-                scope.spawn(move || {
-                    let payload = [rank as u8; 8];
-                    cell.publish(SeqlockCell::pack_version(1, rank), &payload);
-                });
-            }
-        });
-        // Whatever the interleaving, rank 3 holds the cell afterwards.
-        let (version, bytes) = cell.read().unwrap();
-        assert_eq!(version, SeqlockCell::pack_version(1, 3));
-        assert_eq!(bytes, vec![3u8; 8]);
-    }
-
-    #[test]
-    fn seqlock_reader_never_observes_torn_payloads() {
-        use std::sync::Arc;
-        let cell = Arc::new(SeqlockCell::new(16));
-        std::thread::scope(|scope| {
-            let writer = Arc::clone(&cell);
-            scope.spawn(move || {
-                for epoch in 1..200u64 {
-                    let byte = (epoch % 251) as u8;
-                    writer.publish(SeqlockCell::pack_version(epoch, 0), &[byte; 16]);
-                }
-            });
-            let reader = Arc::clone(&cell);
-            scope.spawn(move || {
-                for _ in 0..2000 {
-                    if let Some((_, bytes)) = reader.read() {
-                        // Every published payload is uniform; a torn read
-                        // would mix bytes from two epochs.
-                        assert!(bytes.iter().all(|b| *b == bytes[0]));
-                    }
-                }
-            });
-        });
     }
 }

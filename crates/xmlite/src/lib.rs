@@ -13,6 +13,8 @@
 //! documents are configuration, and a typo should fail loudly at
 //! deployment time.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// An XML parse failure with line/column location.

@@ -1,10 +1,9 @@
 //! Contract enforcement end to end: the deterministic monitor's boundary
 //! behaviour, the stochastic monitor's learn/refine/convict loop, and
-//! kernel budget clamping under every executor (CI re-runs this suite
-//! with `RTOS_EXECUTOR=parallel`).
+//! kernel budget clamping under both executors.
 
 use drt::prelude::*;
-use drt::rtos::exec::{executor_from_env, DeterministicExecutor, Executor, ParallelExecutor};
+use drt::rtos::exec::{DeterministicExecutor, Executor, ParallelExecutor};
 use drt::rtos::kernel::TaskCtx;
 use drt::rtos::task::FnBody;
 
@@ -62,9 +61,7 @@ fn monitor_judges_the_ceiling_inclusively_end_to_end() {
 }
 
 // ---------------------------------------------------------------------
-// Stochastic monitor: the refinement loop holds in the integration tier
-// (and, because this suite also runs with RTOS_EXECUTOR=parallel in CI,
-// under both executor configurations of the surrounding test process).
+// Stochastic monitor: the refinement loop holds in the integration tier.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -134,8 +131,8 @@ fn stochastic_refinement_reclaims_capacity_and_convicts_liars() {
 
 // ---------------------------------------------------------------------
 // Kernel budget clamping, executor-parameterized: the same lying fleet
-// runs under the serial executor, the threaded executor, and whatever
-// RTOS_EXECUTOR selects; budgets must clamp identically everywhere.
+// runs under the serial and the threaded executor; budgets must clamp
+// identically on both.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -180,23 +177,13 @@ fn budget_clamping_is_identical_under_every_executor() {
         let liar = reference.task(&format!("liar{cpu}")).unwrap();
         assert!(liar.cycles >= 49, "clamping should not stall the liar");
     }
-    let executors: Vec<Box<dyn Executor>> =
-        vec![Box::new(ParallelExecutor::new(2)), executor_from_env()];
-    for executor in executors {
-        let outcome = executor.run(&build(), horizon).unwrap();
-        // The fleet is quiescent (no cross-CPU IPC), so every executor
-        // must reproduce the reference schedule exactly: same per-task
-        // cycles/overruns/misses, same global counters.
-        let mut expected = reference.tasks.clone();
-        let mut got = outcome.tasks.clone();
-        expected.sort_by(|a, b| a.name.cmp(&b.name));
-        got.sort_by(|a, b| a.name.cmp(&b.name));
-        assert_eq!(expected, got, "{} diverged", executor.name());
-        assert_eq!(
-            reference.counters,
-            outcome.counters,
-            "{} counters diverged",
-            executor.name()
-        );
-    }
+    let outcome = ParallelExecutor::new(2).run(&build(), horizon).unwrap();
+    // The fleet is quiescent (no cross-CPU IPC), so the threaded executor
+    // must reproduce the reference schedule exactly: same per-task
+    // cycles/overruns/misses, same global counters.
+    assert_eq!(reference.tasks, outcome.tasks, "parallel diverged");
+    assert_eq!(
+        reference.counters, outcome.counters,
+        "parallel counters diverged"
+    );
 }

@@ -643,13 +643,11 @@ fn fault_storm_exhausts_restart_budget_into_quarantine() {
 
 // ---------------------------------------------------------------------
 // Executor-parameterized fault containment: the same fleet runs under
-// the serial executor, the threaded executor, and whatever
-// `RTOS_EXECUTOR` selects (CI runs this suite both ways), so panic
-// containment and undo-journal rollback are exercised on the parallel
-// path too.
+// the serial and the threaded executor, so panic containment and
+// undo-journal rollback are exercised on the parallel path too.
 // ---------------------------------------------------------------------
 
-use drt::rtos::exec::{executor_from_env, DeterministicExecutor, Executor, ParallelExecutor};
+use drt::rtos::exec::{DeterministicExecutor, Executor, ParallelExecutor};
 use drt::rtos::kernel::TaskCtx;
 use drt::rtos::task::{FnBody, TaskState};
 
@@ -687,7 +685,6 @@ fn panic_containment_holds_under_every_executor() {
     let executors: Vec<Box<dyn Executor>> = vec![
         Box::new(DeterministicExecutor),
         Box::new(ParallelExecutor::new(2)),
-        executor_from_env(),
     ];
     for executor in executors {
         let outcome = executor
@@ -767,7 +764,6 @@ fn undo_journal_rolls_back_partial_writes_under_every_executor() {
     let executors: Vec<Box<dyn Executor>> = vec![
         Box::new(DeterministicExecutor),
         Box::new(ParallelExecutor::new(1)),
-        executor_from_env(),
     ];
     for executor in executors {
         let outcome = executor

@@ -146,8 +146,7 @@ fn rm_bound_applies_per_cpu() {
 
 use drt::drcom::parallel::FleetBridge;
 use drt::rtos::exec::{
-    executor_from_env, linearization_equivalent, DeterministicExecutor, Executor, ParallelExecutor,
-    Workload,
+    linearization_equivalent, DeterministicExecutor, Executor, ParallelExecutor, Workload,
 };
 use drt::rtos::kernel::TaskCtx;
 use drt::rtos::task::{FnBody, TaskConfig};
@@ -353,8 +352,7 @@ fn fifo_handoff_crosses_the_cpu_boundary_in_every_mode() {
 
 #[test]
 fn env_selected_executor_runs_the_fleet() {
-    // CI runs this test twice: once with `RTOS_EXECUTOR` unset (serial) and
-    // once with `RTOS_EXECUTOR=parallel`, driving the threaded path through
+    // The serial and the threaded executor drive the same fleet through
     // the same assertions.
     let workload = Workload::new(2, 5)
         .task(
@@ -377,10 +375,17 @@ fn env_selected_executor_runs_the_fleet() {
             .on_cpu(1),
             || Box::new(drt::rtos::task::IdleBody),
         );
-    let executor = executor_from_env();
-    let outcome = executor
-        .run(&workload, SimDuration::from_millis(20))
-        .unwrap();
-    assert!(outcome.task("beat0").unwrap().cycles >= 19);
-    assert!(outcome.task("beat1").unwrap().cycles >= 19);
+    let executors: Vec<Box<dyn Executor>> = vec![
+        Box::new(DeterministicExecutor),
+        Box::new(ParallelExecutor::new(2)),
+    ];
+    for executor in executors {
+        let outcome = executor
+            .run(&workload, SimDuration::from_millis(20))
+            .unwrap();
+        for beat in ["beat0", "beat1"] {
+            let cycles = outcome.task(beat).unwrap().cycles;
+            assert!(cycles >= 19, "{}: {beat} ran {cycles}", executor.name());
+        }
+    }
 }
