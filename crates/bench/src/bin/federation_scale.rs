@@ -18,7 +18,10 @@
 //! * zero deadline misses on surviving nodes;
 //! * the partitioned minority degrades to local-only admission (a probe
 //!   component is admitted locally mid-partition) and reconciles on heal;
-//! * the whole run replays byte-identically from its seed.
+//! * the whole run replays byte-identically from its seed;
+//! * on quiet ticks (rosters landed, no kill yet) the hub reconciles at
+//!   most [`MAX_QUIET_RECONCILES_PER_TICK`] rosters per tick, whatever
+//!   the node count: unchanged heartbeats skip the adoption loop.
 //!
 //! Usage:
 //!   cargo run --release -p bench --bin federation_scale            # full, writes BENCH_federation.json
@@ -33,6 +36,14 @@ use drcom::federation::{FailoverAccounting, Federation, FederationConfig, LogicF
 use drcom::hybrid::{FnLogic, RtIo, RtLogic};
 use drcom::obs::{FedEvent, MetricsReport};
 use std::rc::Rc;
+
+/// First tick of the quiet window: every node's first heartbeat has
+/// landed (links delay by at most one extra tick).
+const QUIET_FROM: u64 = 5;
+
+/// Roster reconciles allowed per quiet tick. Without the hub's skip it
+/// would be one per live node.
+const MAX_QUIET_RECONCILES_PER_TICK: f64 = 1.0;
 
 struct Params {
     nodes: u32,
@@ -119,6 +130,7 @@ struct RunStats {
     leaked_reservations: u64,
     survivor_deadline_misses: u64,
     total_dispatches: u64,
+    quiet_reconciles_per_tick: f64,
     events: String,
     report: MetricsReport,
 }
@@ -191,9 +203,17 @@ fn run(params: &Params) -> RunStats {
         );
     }
 
+    // Quiet window: from the first landed rosters up to the first kill.
+    fed.run_ticks(QUIET_FROM);
+    let reconciles = |fed: &Federation| counter(&fed.metrics_report(), "fed.hub.roster_reconciles");
+    let quiet_start = reconciles(&fed);
+    fed.run_ticks(params.kill_tick - QUIET_FROM);
+    let quiet_reconciles_per_tick =
+        (reconciles(&fed) - quiet_start) as f64 / (params.kill_tick - QUIET_FROM) as f64;
+
     // Run into the partition until the minority has noticed it lost the
     // hub, then probe local-only admission with a fresh component.
-    fed.run_ticks(params.probe_tick);
+    fed.run_ticks(params.probe_tick - params.kill_tick);
     let isolated = params.isolated();
     let minority_degraded = isolated.iter().all(|&n| fed.is_degraded(n));
     let probe_node = isolated[0];
@@ -237,6 +257,7 @@ fn run(params: &Params) -> RunStats {
         leaked_reservations: fed.leaked_reservations(),
         survivor_deadline_misses: fed.deadline_misses_on_survivors(),
         total_dispatches,
+        quiet_reconciles_per_tick,
         events: fed.render_events(),
         report: fed.metrics_report(),
     }
@@ -304,6 +325,11 @@ fn main() {
         stats.rejoined,
     );
     println!(
+        "  hub: {} roster reconciles, {:.2} per quiet tick",
+        counter(&stats.report, "fed.hub.roster_reconciles"),
+        stats.quiet_reconciles_per_tick,
+    );
+    println!(
         "  hygiene: {} leaked reservations, {} deadline misses on survivors",
         stats.leaked_reservations, stats.survivor_deadline_misses,
     );
@@ -348,6 +374,13 @@ fn main() {
             stats.probe_adopted
         );
         assert!(stats.rejoined, "partitioned minority never rejoined");
+        assert!(
+            stats.quiet_reconciles_per_tick <= MAX_QUIET_RECONCILES_PER_TICK,
+            "{:.2} roster reconciles per quiet tick over {} nodes (ceiling {})",
+            stats.quiet_reconciles_per_tick,
+            params.nodes,
+            MAX_QUIET_RECONCILES_PER_TICK
+        );
         // Same seed, same federation, same story — byte for byte.
         let again = run(&params);
         assert_eq!(
@@ -386,6 +419,7 @@ fn main() {
                 "  \"minority_degraded\": {},\n",
                 "  \"probe_adopted\": {},\n",
                 "  \"rejoined\": {},\n",
+                "  \"roster_reconciles\": {{\"total\": {}, \"per_quiet_tick\": {}}},\n",
                 "  \"leaked_reservations\": {},\n",
                 "  \"survivor_deadline_misses\": {},\n",
                 "  {}\n",
@@ -415,6 +449,8 @@ fn main() {
             stats.minority_degraded,
             stats.probe_adopted,
             stats.rejoined,
+            counter(&stats.report, "fed.hub.roster_reconciles"),
+            stats.quiet_reconciles_per_tick,
             stats.leaked_reservations,
             stats.survivor_deadline_misses,
             wall.json_fields(),

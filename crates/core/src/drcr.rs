@@ -400,6 +400,15 @@ impl Drcr {
         self.components.keys().map(|k| k.to_string()).collect()
     }
 
+    /// Names of the Active components, sorted, borrowed from the registry
+    /// (no allocation).
+    pub fn active_names(&self) -> impl Iterator<Item = &Rc<str>> + '_ {
+        self.components
+            .iter()
+            .filter(|(_, r)| r.state == ComponentState::Active)
+            .map(|(name, _)| name)
+    }
+
     /// The providers chosen for a component's inports at activation.
     pub fn providers_of(&self, name: &str) -> Option<&[(String, String)]> {
         self.components.get(name).map(|r| r.providers.as_slice())

@@ -19,6 +19,16 @@
 //!   *Suspected* after [`FederationConfig::suspect_after`] silent ticks
 //!   and *Failed* after [`FederationConfig::fail_after`]; failure
 //!   displaces the node's last-reported roster.
+//! * **Heartbeats by reference** — a roster is an immutable, name-ordered
+//!   `Roster` snapshot shared by the node's cache, every heartbeat in
+//!   flight and the hub's view. A node builds a new snapshot only when
+//!   its active set changed; otherwise it re-sends the cached one. The
+//!   hub adopts a roster's names into its placement only when the
+//!   roster is not the one it last reconciled (`Rc::ptr_eq`) or a
+//!   placement was removed since (the hub's removal counter moved):
+//!   after a reconcile every roster name is a placement key, and only a
+//!   removal can break that, so skipping is exact and a quiet tick costs
+//!   O(1) per node instead of O(roster).
 //! * **Cross-node migration on failure** — displaced components are
 //!   re-placed on the least-utilized surviving nodes and installed there
 //!   as a *wave*, so the target shard admits them through
@@ -124,11 +134,15 @@ impl FederationConfig {
 // Bridge network
 // ---------------------------------------------------------------------
 
+/// A node's Active component names in name order: an immutable snapshot
+/// shared by reference between the node, heartbeats and the hub.
+type Roster = Rc<[Rc<str>]>;
+
 /// A typed bridge message between a node and the hub.
 #[derive(Debug, Clone, PartialEq)]
 enum Payload {
     /// node -> hub, every tick: liveness plus the active roster.
-    Heartbeat { node: u32, roster: Vec<String> },
+    Heartbeat { node: u32, roster: Roster },
     /// hub -> node: install this failover wave (batched admission).
     Place { components: Vec<String>, epoch: u64 },
     /// node -> hub: per-component verdicts for one placement wave.
@@ -154,8 +168,30 @@ struct InFlight {
 struct Link {
     next_seq: u64,
     inflight: BTreeMap<u64, InFlight>,
-    /// Receiver-side dedup for this directed link.
+    /// Transmissions of each seq still queued for delivery.
+    queued: BTreeMap<u64, u32>,
+    /// Receiver-side dedup watermark for this directed link: every seq
+    /// below it was delivered or can no longer arrive.
+    settled: u64,
+    /// Receiver-side dedup above the watermark: seqs already delivered.
     seen: BTreeSet<u64>,
+}
+
+impl Link {
+    /// Moves the dedup watermark up to the lowest seq that can still
+    /// arrive (awaiting a resend, queued for delivery, or not yet sent),
+    /// so the dedup state spans one resend window rather than the whole
+    /// history of the link.
+    fn settle(&mut self) {
+        let low = [self.inflight.keys().next(), self.queued.keys().next()]
+            .into_iter()
+            .flatten()
+            .fold(self.next_seq, |low, &seq| low.min(seq));
+        self.settled = self.settled.max(low);
+        while self.seen.first().is_some_and(|&seq| seq < self.settled) {
+            self.seen.pop_first();
+        }
+    }
 }
 
 struct Delivery {
@@ -240,6 +276,8 @@ impl BridgeNet {
                 .rng
                 .uniform_u64(self.delay_ticks.0.max(1), self.delay_ticks.1.max(2));
         }
+        let link = self.links.entry((from, to)).or_default();
+        *link.queued.entry(seq).or_insert(0) += 1;
         self.due.entry(arrive).or_default().push(Delivery {
             from,
             to,
@@ -248,13 +286,25 @@ impl BridgeNet {
         });
     }
 
-    /// Messages arriving this tick, in deterministic order.
+    /// Messages arriving this tick, in deterministic order. They leave
+    /// the wire whether or not the receiver can take them; the dedup
+    /// watermark moves only after the whole batch, in `retry_due`.
     fn due_now(&mut self, tick: u64) -> Vec<Delivery> {
-        self.due.remove(&tick).unwrap_or_default()
+        let deliveries = self.due.remove(&tick).unwrap_or_default();
+        for d in &deliveries {
+            let link = self.links.get_mut(&(d.from, d.to)).expect("sent on a link");
+            let copies = link.queued.get_mut(&d.seq).expect("counted on transmit");
+            *copies -= 1;
+            if *copies == 0 {
+                link.queued.remove(&d.seq);
+            }
+        }
+        deliveries
     }
 
     /// Retransmits unacked messages whose resend deadline passed; expired
-    /// budgets surface as [`FedEvent::MessageExpired`].
+    /// budgets surface as [`FedEvent::MessageExpired`]. Runs after the
+    /// tick's deliveries, so it also settles every link's dedup window.
     fn retry_due(&mut self, tick: u64, sink: &mut Sink<'_>) {
         let mut resend: Vec<(FedEndpoint, FedEndpoint, u64, Payload, u32)> = Vec::new();
         for ((from, to), link) in &mut self.links {
@@ -286,6 +336,7 @@ impl BridgeNet {
                 );
                 sink.metrics.count("fed.messages.expired", 1);
             }
+            link.settle();
         }
         for (from, to, seq, payload, attempt) in resend {
             sink.event(
@@ -305,7 +356,8 @@ impl BridgeNet {
     /// Marks `seq` on the directed link as delivered at the receiver.
     /// Returns false for a duplicate (already seen).
     fn mark_seen(&mut self, from: FedEndpoint, to: FedEndpoint, seq: u64) -> bool {
-        self.links.entry((from, to)).or_default().seen.insert(seq)
+        let link = self.links.entry((from, to)).or_default();
+        seq >= link.settled && link.seen.insert(seq)
     }
 
     /// Handles an incoming link-level ack: the acked message stops being
@@ -344,7 +396,9 @@ enum Health {
 struct NodeView {
     last_heard: u64,
     health: Health,
-    roster: Vec<String>,
+    roster: Roster,
+    /// [`Hub::removals`] when `roster` was last adopted into placement.
+    reconciled_at: u64,
 }
 
 struct PendingPlacement {
@@ -356,6 +410,9 @@ struct Hub {
     views: BTreeMap<u32, NodeView>,
     /// Authoritative component -> node placement.
     placement: BTreeMap<String, u32>,
+    /// Placement removals so far. Keys only leave `placement` here, so a
+    /// roster reconciled at the current count still names only keys.
+    removals: u64,
     epoch: u64,
     pending: BTreeMap<String, PendingPlacement>,
     retry_at: BTreeMap<u64, Vec<String>>,
@@ -377,12 +434,14 @@ impl Hub {
                         NodeView {
                             last_heard: 0,
                             health: Health::Alive,
-                            roster: Vec::new(),
+                            roster: Roster::default(),
+                            reconciled_at: 0,
                         },
                     )
                 })
                 .collect(),
             placement: BTreeMap::new(),
+            removals: 0,
             epoch: 0,
             pending: BTreeMap::new(),
             retry_at: BTreeMap::new(),
@@ -393,9 +452,36 @@ impl Hub {
         }
     }
 
-    /// Estimated reserved fraction per CPU on a node, from the hub's
-    /// placement map plus in-flight placements (so one failover wave does
-    /// not overcommit a target before acks return).
+    /// Estimated reserved fraction per CPU of every candidate node, from
+    /// the hub's placement map plus in-flight placements (so one failover
+    /// wave does not overcommit a target before acks return). One pass
+    /// over each map; per node the claims add up in the same order as a
+    /// per-node scan would add them, so the loads are bit-identical to it.
+    fn estimated_loads(
+        &self,
+        candidates: impl IntoIterator<Item = u32>,
+        catalog: &Catalog,
+        cpus: u32,
+    ) -> BTreeMap<u32, f64> {
+        let mut totals: BTreeMap<u32, f64> = candidates.into_iter().map(|n| (n, 0.0)).collect();
+        let placed = self.placement.iter().map(|(c, &on)| (c, on));
+        let inbound = self.pending.iter().map(|(c, p)| (c, p.target));
+        for (component, node) in placed.chain(inbound) {
+            if let Some(total) = totals.get_mut(&node) {
+                if let Some(entry) = catalog.get(component) {
+                    *total += entry.descriptor.cpu_usage.fraction();
+                }
+            }
+        }
+        for total in totals.values_mut() {
+            *total /= cpus.max(1) as f64;
+        }
+        totals
+    }
+
+    /// One node's estimated load by a full scan per node: the reference
+    /// [`Hub::estimated_loads`] is tested against.
+    #[cfg(test)]
     fn estimated_load(&self, node: u32, catalog: &Catalog, cpus: u32) -> f64 {
         let mut total = 0.0;
         for (component, &on) in &self.placement {
@@ -438,6 +524,9 @@ struct NodeSlot {
     degraded: bool,
     last_hub_contact: u64,
     bundles: BTreeMap<String, BundleId>,
+    /// The roster last heartbeated; re-sent by reference while the
+    /// active set is unchanged.
+    roster: Roster,
 }
 
 // ---------------------------------------------------------------------
@@ -495,6 +584,7 @@ impl Federation {
                     degraded: false,
                     last_hub_contact: 0,
                     bundles: BTreeMap::new(),
+                    roster: Roster::default(),
                 }
             })
             .collect();
@@ -786,7 +876,7 @@ impl Federation {
 
     fn send_heartbeats(&mut self, t: u64) {
         // Roster snapshots first (immutable pass), then sends.
-        let mut beats: Vec<(u32, Vec<String>)> = Vec::new();
+        let mut beats: Vec<(u32, Roster)> = Vec::new();
         for slot in &mut self.nodes {
             if !slot.alive {
                 continue;
@@ -807,13 +897,11 @@ impl Federation {
                 self.metrics.count("fed.nodes.degraded", 1);
             }
             let drcr = slot.rt.drcr();
-            let roster: Vec<String> = drcr
-                .component_names()
-                .into_iter()
-                .filter(|name| drcr.state_of(name) == Some(ComponentState::Active))
-                .collect();
+            if !drcr.active_names().eq(slot.roster.iter()) {
+                slot.roster = drcr.active_names().cloned().collect();
+            }
             drop(drcr);
-            beats.push((slot.id, roster));
+            beats.push((slot.id, slot.roster.clone()));
         }
         for (node, roster) in beats {
             self.metrics.count("fed.heartbeats.sent", 1);
@@ -835,7 +923,7 @@ impl Federation {
         }
     }
 
-    fn hub_heartbeat(&mut self, t: u64, node: u32, roster: Vec<String>) {
+    fn hub_heartbeat(&mut self, t: u64, node: u32, roster: Roster) {
         self.metrics.count("fed.heartbeats.received", 1);
         let Some(view) = self.hub.views.get_mut(&node) else {
             return;
@@ -843,24 +931,36 @@ impl Federation {
         view.last_heard = t;
         let was = view.health;
         view.health = Health::Alive;
+        let unchanged =
+            Rc::ptr_eq(&view.roster, &roster) && view.reconciled_at == self.hub.removals;
+        if was != Health::Failed && unchanged {
+            // Reconciled already, and no key has left placement since.
+            debug_assert!(
+                roster.iter().all(|c| self.hub.placement.contains_key(&**c)),
+                "node {node}: skipped a roster naming an unplaced component"
+            );
+            return;
+        }
+        self.metrics.count("fed.hub.roster_reconciles", 1);
         view.roster = roster.clone();
+        view.reconciled_at = self.hub.removals;
         if was == Health::Failed {
             // A falsely-failed node (partitioned, not dead) came back:
             // reconcile its roster against the authoritative placement.
             self.events.push((t, FedEvent::NodeRejoined { node }));
             self.metrics.count("fed.nodes.rejoined", 1);
             let mut retire = Vec::new();
-            for component in &roster {
-                match self.hub.placement.get(component) {
+            for component in roster.iter() {
+                match self.hub.placement.get(&**component) {
                     Some(&on) if on != node => {
                         // The hub re-placed it elsewhere meanwhile: the
                         // hub wins, the stale copy retires.
-                        retire.push(component.clone());
+                        retire.push(component.to_string());
                     }
                     Some(_) => {}
                     None => {
                         // Locally admitted while degraded: adopt it.
-                        self.hub.placement.insert(component.clone(), node);
+                        self.hub.placement.insert(component.to_string(), node);
                     }
                 }
             }
@@ -881,8 +981,10 @@ impl Federation {
         } else {
             // Steady state: adopt locally-admitted components (degraded
             // spells shorter than the failure threshold still reconcile).
-            for component in &roster {
-                self.hub.placement.entry(component.clone()).or_insert(node);
+            for component in roster.iter() {
+                if !self.hub.placement.contains_key(&**component) {
+                    self.hub.placement.insert(component.to_string(), node);
+                }
             }
         }
     }
@@ -931,12 +1033,14 @@ impl Federation {
             .map(|v| v.roster.clone())
             .unwrap_or_default();
         let mut displaced: Vec<String> = Vec::new();
-        for component in roster {
-            if self.hub.placement.get(&component) == Some(&node) {
-                self.hub.placement.remove(&component);
-                self.hub.displaced_from.insert(component.clone(), node);
-                self.hub.admitted_failovers.remove(&component);
-                displaced.push(component);
+        for component in roster.iter() {
+            let component: &str = component;
+            if self.hub.placement.get(component) == Some(&node) {
+                self.hub.placement.remove(component);
+                self.hub.removals += 1;
+                self.hub.displaced_from.insert(component.to_string(), node);
+                self.hub.admitted_failovers.remove(component);
+                displaced.push(component.to_string());
             }
         }
         // Placements already in flight *toward* the failed node also need
@@ -969,19 +1073,15 @@ impl Federation {
         // computed once and updated greedily as the wave fills, so a
         // 10k-component federation plans failover in O(placements +
         // displaced × nodes).
-        let mut loads: BTreeMap<u32, f64> = self
+        let candidates = self
             .hub
             .views
             .iter()
             .filter(|(_, view)| view.health != Health::Failed)
-            .map(|(&candidate, _)| {
-                (
-                    candidate,
-                    self.hub
-                        .estimated_load(candidate, &self.catalog, self.config.cpus_per_node),
-                )
-            })
-            .collect();
+            .map(|(&candidate, _)| candidate);
+        let mut loads =
+            self.hub
+                .estimated_loads(candidates, &self.catalog, self.config.cpus_per_node);
         let mut waves: BTreeMap<u32, Vec<String>> = BTreeMap::new();
         for component in components {
             let Some(entry) = self.catalog.get(&component) else {
@@ -1432,11 +1532,7 @@ impl Federation {
         let Some(slot) = self.nodes.get(node as usize) else {
             return 0;
         };
-        let drcr = slot.rt.drcr();
-        drcr.component_names()
-            .iter()
-            .filter(|n| drcr.state_of(n) == Some(ComponentState::Active))
-            .count()
+        slot.rt.drcr().active_names().count()
     }
 
     /// The federation's typed event log, keyed on tick.
@@ -1457,5 +1553,133 @@ impl Federation {
     /// A deterministic snapshot of the `fed.*` metrics.
     pub fn metrics_report(&self) -> MetricsReport {
         self.metrics.snapshot()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::LinkRates;
+    use crate::hybrid::{FnLogic, RtIo};
+
+    fn descriptor(name: &str, usage: f64) -> ComponentDescriptor {
+        ComponentDescriptor::builder(name)
+            .periodic(100, 0, 3)
+            .cpu_usage(usage)
+            .build()
+            .expect("descriptor")
+    }
+
+    fn quiet() -> LogicFactory {
+        Rc::new(|| -> Box<dyn RtLogic> { Box::new(FnLogic(|_io: &mut RtIo<'_, '_>| {})) })
+    }
+
+    /// Ticks after a message's first transmission by which every copy has
+    /// been delivered or dropped and its resend budget has run out.
+    fn resend_window(net: &BridgeNet) -> u64 {
+        let mut last_send = 0;
+        let mut gap = net.resend_after;
+        for attempt in 2..=net.max_attempts {
+            last_send += gap;
+            gap = (net.resend_after << (attempt - 1).min(8)).min(MAX_RESEND_BACKOFF_TICKS);
+        }
+        last_send + gap.max(net.delay_ticks.1.max(2))
+    }
+
+    #[test]
+    fn lossy_run_keeps_dedup_state_within_the_resend_window() {
+        let config = FederationConfig::new(6, 1, 77);
+        let plan = NodeFaultPlan::new(77)
+            .with_link_rates(LinkRates {
+                drop: 0.1,
+                delay: 0.2,
+                delay_ticks: (1, 3),
+            })
+            .at(100, NodeFaultKind::Crash { node: 5 })
+            .at(300, NodeFaultKind::Partition { isolated: vec![0] })
+            .at(400, NodeFaultKind::Heal);
+        let mut fed = Federation::new(config, plan);
+        for node in 0..6u32 {
+            let wave = (0..4)
+                .map(|i| (descriptor(&format!("d{node}x{i}"), 0.05), quiet()))
+                .collect();
+            fed.install_wave(node, wave).expect("install");
+        }
+        let window = resend_window(&fed.net);
+        // Per link, `next_seq` at the end of every tick so far.
+        let mut sent: BTreeMap<(FedEndpoint, FedEndpoint), Vec<u64>> = BTreeMap::new();
+        let ticks: u64 = 2_000;
+        for t in 0..ticks {
+            fed.step();
+            for (&key, link) in &fed.net.links {
+                let history = sent.entry(key).or_default();
+                history.resize(t as usize, 0);
+                history.push(link.next_seq);
+                // Every seq sent `window` or more ticks ago is settled, so
+                // the dedup set holds at most one window of seqs.
+                if let Some(old) = t.checked_sub(window) {
+                    assert!(
+                        link.settled >= history[old as usize],
+                        "{key:?} at tick {t}: watermark {} lags seq {} sent at tick {old}",
+                        link.settled,
+                        history[old as usize],
+                    );
+                }
+                assert!(link.seen.iter().all(|&seq| seq >= link.settled));
+                assert!(link.seen.len() as u64 <= link.next_seq - link.settled);
+            }
+        }
+        let heartbeats = &fed.net.links[&(FedEndpoint::Node(1), FedEndpoint::Hub)];
+        assert!(heartbeats.next_seq >= ticks, "node 1 sent too little");
+        let dups = fed
+            .metrics_report()
+            .counters()
+            .iter()
+            .find(|(k, _)| k == "fed.messages.duplicates")
+            .map_or(0, |(_, v)| *v);
+        assert!(dups > 0, "the lossy run never exercised dedup");
+    }
+
+    #[test]
+    fn one_pass_loads_match_the_per_node_sums_bit_for_bit() {
+        let config = FederationConfig::new(16, 2, 5);
+        let mut hub = Hub::new(&config);
+        let mut catalog = Catalog::new();
+        let mut rng = SimRng::from_seed(5);
+        for i in 0..2_000 {
+            let name = format!("c{i:04}");
+            let usage = rng.uniform_range(0.001, 0.05);
+            // One in ten names has no catalog entry and must not count.
+            if rng.uniform_u64(0, 10) > 0 {
+                catalog.insert(
+                    name.clone(),
+                    CatalogEntry {
+                        descriptor: descriptor(&name, usage),
+                        factory: quiet(),
+                    },
+                );
+            }
+            let node = rng.uniform_u64(0, 16) as u32;
+            if rng.chance(0.8) {
+                hub.placement.insert(name, node);
+            } else {
+                hub.pending.insert(
+                    name,
+                    PendingPlacement {
+                        target: node,
+                        epoch: 1,
+                    },
+                );
+            }
+        }
+        // Odd nodes are not candidates (failed): their claims are skipped.
+        let candidates: Vec<u32> = (0..16).filter(|n| n % 2 == 0).collect();
+        let loads = hub.estimated_loads(candidates.iter().copied(), &catalog, 2);
+        assert_eq!(loads.keys().copied().collect::<Vec<_>>(), candidates);
+        for (&node, &load) in &loads {
+            let reference = hub.estimated_load(node, &catalog, 2);
+            assert!(load > 0.0);
+            assert_eq!(load.to_bits(), reference.to_bits(), "node {node}");
+        }
     }
 }

@@ -284,3 +284,77 @@ fn federation_runs_replay_byte_identically() {
     assert_eq!(a.1, b.1, "metrics diverged between identical runs");
     assert_eq!(a.2, b.2, "kernel counters diverged between identical runs");
 }
+
+fn counter(fed: &Federation, key: &str) -> u64 {
+    fed.metrics_report()
+        .counters()
+        .iter()
+        .find(|(k, _)| k == key)
+        .map_or(0, |(_, v)| *v)
+}
+
+#[test]
+fn placement_removal_between_identical_heartbeats_forces_a_reconcile() {
+    // Node 2 is partitioned away and its component re-placed on node 1
+    // (node 0 is busier); after the heal, node 1 is killed. The removal
+    // of node 1's placements lands between two heartbeats whose rosters
+    // are the same shared snapshot, so the hub must reconcile them again.
+    let config = FederationConfig::new(3, 1, 21);
+    let plan = NodeFaultPlan::new(21)
+        .at(5, NodeFaultKind::Partition { isolated: vec![2] })
+        .at(30, NodeFaultKind::Heal)
+        .at(50, NodeFaultKind::Crash { node: 1 });
+    let mut fed = Federation::new(config, plan);
+    assert!(fed.install(0, comp("heavy", 0.5), quiet).unwrap());
+    for node in 0..3u32 {
+        assert!(fed
+            .install(node, comp(&format!("base{node}"), 0.1), quiet)
+            .unwrap());
+    }
+    fed.run_ticks(40);
+    assert_eq!(fed.placement_of("base2"), Some(1), "node 1 took over base2");
+    assert_eq!(
+        fed.component_state_on(2, "base2"),
+        None,
+        "stale copy retired"
+    );
+
+    // Quiet ticks: every roster is the one already reconciled.
+    let before = counter(&fed, "fed.hub.roster_reconciles");
+    fed.run_ticks(10);
+    assert_eq!(counter(&fed, "fed.hub.roster_reconciles"), before);
+
+    // Step to the tick whose failure detection removes node 1's
+    // placements, then deliver the next (unchanged) heartbeats.
+    let failed = |fed: &Federation| {
+        fed.events()
+            .iter()
+            .any(|(_, e)| matches!(e, FedEvent::NodeFailed { node: 1, .. }))
+    };
+    while !failed(&fed) {
+        assert!(fed.current_tick() < 70, "node 1 never failed");
+        fed.step();
+    }
+    let at_removal = counter(&fed, "fed.hub.roster_reconciles");
+    fed.step();
+    assert_eq!(
+        counter(&fed, "fed.hub.roster_reconciles") - at_removal,
+        2,
+        "both survivors' unchanged rosters reconcile after the removal"
+    );
+
+    fed.run_ticks(40);
+    let acct = fed.accounting();
+    let lost = acct.displaced - acct.admitted - acct.quarantined - acct.pending;
+    assert_eq!((lost, acct.pending), (0, 0), "{acct:?}");
+    assert!(acct.displaced >= 2, "{acct:?}");
+    for name in ["base1", "base2"] {
+        let home = fed.placement_of(name).expect("placed");
+        assert_ne!(home, 1);
+        assert_eq!(
+            fed.component_state_on(home, name),
+            Some(ComponentState::Active)
+        );
+    }
+    assert_eq!(fed.leaked_reservations(), 0);
+}
