@@ -163,11 +163,14 @@ fn run(params: &Params, monitored: bool) -> RunStats {
         )
         .expect("install hog");
     }
-    // Honest components: claim 5%, use ~4%.
+    // Honest components: claim 5%, use ~4.5%. That is 0.9 of the claim,
+    // above the refinement threshold (refine_ratio / margin = 0.818), so
+    // a conservative estimate never refines them whatever its bucket
+    // edges; at 4% (0.80 of the claim) they would be over-declarers.
     for i in 0..params.honest {
         rt.install_component(
             &format!("bundle.o{i:02}"),
-            steady(&format!("o{i:02}"), 0.05, 3, 400),
+            steady(&format!("o{i:02}"), 0.05, 3, 450),
         )
         .expect("install honest");
     }
@@ -331,6 +334,14 @@ fn main() {
         "  monitor: {} refinements, {} convictions, {} estimator samples",
         refined.refinements, refined.convictions, refined.estimator_samples,
     );
+    for (t, e) in &refined.events {
+        if matches!(
+            e,
+            DrcrEvent::ClaimRefined { .. } | DrcrEvent::StochasticViolation { .. }
+        ) {
+            println!("  at {} ms: {e}", t.as_nanos() / 1_000_000);
+        }
+    }
     if let Some(reason) = &refined.sneak_evidence {
         println!("  evidence: {reason}");
     }

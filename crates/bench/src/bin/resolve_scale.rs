@@ -237,7 +237,7 @@ fn histogram_sum(report: &MetricsReport, name: &str) -> u64 {
         .histograms()
         .iter()
         .find(|(k, _)| k == name)
-        .map_or(0, |(_, h)| h.sum())
+        .map_or(0, |(_, h)| u64::try_from(h.sum()).expect("sum fits in u64"))
 }
 
 fn run(engine: Box<dyn Resolver>, params: &Params) -> RunStats {

@@ -1,32 +1,46 @@
-//! Stochastic contract monitoring with learned admission claims.
+//! Contract monitoring: making declared CPU claims binding, and learning
+//! the real ones.
 //!
-//! The deterministic [`crate::enforce::ContractMonitor`] judges a single
-//! utilization window against `claimed × tolerance` — a point verdict that
-//! is both noisy (one bad window convicts) and blind (a component that
-//! over-declared its `cpuusage` is never corrected, so the capacity it
-//! reserved but does not use stays stranded in the admission ledger).
-//! This module closes both gaps with an *online estimator* per component:
+//! The paper argues that "the resource budget should be 'enforced' by a
+//! central scheme rather than by each single bundle" (§2.1). Admission
+//! alone only checks claims at activation; two central mechanisms act on
+//! a component whose real demand disagrees with its declared `cpuusage`:
 //!
-//! * **Estimation** — [`UsageEstimator`] folds the kernel's per-task
-//!   `(cycles, cpu_time)` accounting into a fixed-bucket histogram of
-//!   per-cycle cost fractions. Every input is virtual-time/counter
-//!   derived, so two seeded runs advance the estimator identically and
-//!   replay stays byte-identical.
-//! * **Probabilistic verdicts** — instead of one window ratio, the monitor
-//!   tracks the *rate* of over-claim cycles and convicts only when a
-//!   one-sided Hoeffding bound puts the true rate above `p_max` with
-//!   confidence `1 − delta`:
-//!   `p̂ − sqrt(ln(1/δ) / 2n) > p_max`. A pure function of counts — no
-//!   clock, no randomness.
-//! * **Claim refinement** — once enough cycles are observed and the
-//!   component is *not* in violation, a conservative quantile of the
-//!   measured cost (upper bucket edge × safety margin) is published as a
-//!   refined claim through [`crate::runtime::DrtRuntime::refine_claim`],
-//!   which re-runs admission via [`crate::resolve::Resolver::on_contract_changed`].
-//!   Over-declarers hand back their stranded capacity; peers that were
-//!   rejected against the inflated claim re-admit.
+//! * **Kernel budgets** — [`crate::drcr::Drcr::set_budget_enforcement`]
+//!   gives every periodic task a per-cycle execution budget of
+//!   `cpuusage × period`; the kernel clamps overruns.
+//! * **The contract monitor** — [`StochasticMonitor`] keeps one
+//!   [`UsageEstimator`] per component, fed from the kernel's per-task
+//!   `(cycles, cpu_time)` accounting:
+//!   * **Estimation** — each poll folds the window's mean per-cycle cost,
+//!     as a fixed-point fraction of the period, into a log-linear
+//!     [`Histogram`] weighted by the window's cycles. Every input is
+//!     virtual-time/counter derived, so replay stays byte-identical.
+//!   * **Verdicts** — the monitor tracks the *rate* of over-claim cycles
+//!     and convicts only when a one-sided Hoeffding bound puts the true
+//!     rate above `p_max` with confidence `1 − delta`:
+//!     `p̂ − sqrt(ln(1/δ) / 2n) > p_max`. A pure function of counts — no
+//!     clock, no randomness.
+//!   * **Claim refinement** — once enough cycles are observed and the
+//!     component is *not* in violation, a conservative quantile of the
+//!     measured cost (upper bucket edge × safety margin) is published as a
+//!     refined claim through [`crate::runtime::DrtRuntime::refine_claim`],
+//!     which re-runs admission via [`crate::resolve::Resolver::on_contract_changed`].
+//!     Over-declarers hand back their stranded capacity; peers that were
+//!     rejected against the inflated claim re-admit.
 //!
-//! Under-declarers take the other exit: a stochastic violation routes
+//! The point verdict — judge one polled window against the claim — is the
+//! degenerate stochastic contract, not a second monitor:
+//! [`LearningConfig::point`] sets `p_max = 0` and `delta = 1` (so the
+//! Hoeffding slack is 0) and `refine_ratio = 0`, which convicts on the
+//! first polled window whose mean per-cycle cost exceeds the claim.
+//!
+//! Admission charges the container's per-cycle work
+//! ([`CONTAINER_OVERHEAD_NS`]) on top of the claim, so verdicts judge the
+//! cost net of it: a component whose logic burns exactly its claim is
+//! legal.
+//!
+//! Under-declarers are convicted: with `quarantine` on, a violation routes
 //! through the supervise policy path ([`crate::drcr::Drcr::quarantine_reason`]
 //! keeps the typed evidence) exactly like a fault-storm quarantine, so
 //! enforcement and supervision stay one vocabulary.
@@ -34,28 +48,34 @@
 use crate::error::DrcrError;
 use crate::lifecycle::ComponentState;
 use crate::obs::DrcrEvent;
+use crate::rta::CONTAINER_OVERHEAD_NS;
 use crate::runtime::DrtRuntime;
+use rtos::hist::Histogram;
 use rtos::time::SimDuration;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+
+/// Fixed-point scale of a recorded per-cycle cost: `1 << FRACTION_BITS`
+/// is the whole period.
+const FRACTION_BITS: u32 = 12;
 
 /// Tuning for the estimator and the refinement loop.
 #[derive(Debug, Clone)]
 pub struct LearningConfig {
-    /// Histogram resolution over the fraction domain `[0, 1]`.
-    pub buckets: usize,
-    /// Cost quantile published as the refined claim (upper bucket edge).
+    /// Cost quantile published as the refined claim (upper bucket edge),
+    /// in `(0, 1]`.
     pub quantile: f64,
-    /// Safety multiplier applied on top of the quantile.
+    /// Safety multiplier applied on top of the quantile; finite and `> 0`.
     pub margin: f64,
     /// Cycles observed before a refinement may be published.
     pub min_samples: u64,
     /// Publish only when `refined < declared × refine_ratio` — hysteresis
-    /// against churn from marginal improvements.
+    /// against churn from marginal improvements. In `[0, 1]`; 0 never
+    /// refines.
     pub refine_ratio: f64,
-    /// Tolerated true rate of over-claim cycles.
+    /// Tolerated true rate of over-claim cycles, in `[0, 1)`.
     pub p_max: f64,
-    /// One-sided confidence parameter: convict only when the bound holds
-    /// with probability ≥ `1 − delta`.
+    /// One-sided confidence parameter, in `(0, 1]`: convict only when the
+    /// bound holds with probability ≥ `1 − delta`.
     pub delta: f64,
     /// Quarantine violators through the supervise path (else verdicts are
     /// only recorded and reported).
@@ -65,7 +85,6 @@ pub struct LearningConfig {
 impl Default for LearningConfig {
     fn default() -> Self {
         LearningConfig {
-            buckets: 64,
             quantile: 0.99,
             margin: 1.10,
             min_samples: 256,
@@ -77,18 +96,80 @@ impl Default for LearningConfig {
     }
 }
 
-/// Online per-component execution-cost estimator: a fixed-bucket histogram
-/// over per-cycle cost fractions plus over-claim rate counters. All state
-/// advances on kernel counters (virtual time), never the host clock.
+impl LearningConfig {
+    /// The point verdict: convict on the first polled window whose mean
+    /// per-cycle cost exceeds the claim (a cost exactly at the claim is
+    /// legal), never refine.
+    pub fn point(quarantine: bool) -> Self {
+        LearningConfig {
+            p_max: 0.0,
+            delta: 1.0,
+            refine_ratio: 0.0,
+            quarantine,
+            ..LearningConfig::default()
+        }
+    }
+
+    /// Checks every field against its domain. Outside it a verdict would be
+    /// silently disabled (a `delta` above 1 makes the Hoeffding slack NaN,
+    /// which never convicts) or a quantile silently clamped.
+    ///
+    /// # Errors
+    ///
+    /// [`DrcrError::BadLearningConfig`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), DrcrError> {
+        let checks: [(&'static str, f64, bool, &'static str); 5] = [
+            (
+                "delta",
+                self.delta,
+                self.delta > 0.0 && self.delta <= 1.0,
+                "(0, 1]",
+            ),
+            (
+                "p_max",
+                self.p_max,
+                (0.0..1.0).contains(&self.p_max),
+                "[0, 1)",
+            ),
+            (
+                "quantile",
+                self.quantile,
+                self.quantile > 0.0 && self.quantile <= 1.0,
+                "(0, 1]",
+            ),
+            (
+                "margin",
+                self.margin,
+                self.margin.is_finite() && self.margin > 0.0,
+                "(0, ∞)",
+            ),
+            (
+                "refine_ratio",
+                self.refine_ratio,
+                (0.0..=1.0).contains(&self.refine_ratio),
+                "[0, 1]",
+            ),
+        ];
+        match checks.into_iter().find(|&(_, _, ok, _)| !ok) {
+            Some((field, value, _, domain)) => Err(DrcrError::BadLearningConfig {
+                field,
+                value,
+                domain,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Online per-component execution-cost estimator: a histogram of per-cycle
+/// cost fractions plus over-claim rate counters. All state advances on
+/// kernel counters (virtual time), never the host clock.
 #[derive(Debug, Clone)]
 pub struct UsageEstimator {
-    /// Cycle counts per fraction bucket; bucket `i` covers
-    /// `[i/n, (i+1)/n)` of the component's period.
-    counts: Vec<u64>,
-    /// Cycles whose cost fraction reached or exceeded 1.0.
-    overflow: u64,
-    /// Total cycles folded into the histogram.
-    total: u64,
+    /// Mean per-cycle cost of each polled window as a fixed-point fraction
+    /// of the period (`1 << FRACTION_BITS` = the whole period), rounded up
+    /// and weighted by the window's cycles.
+    costs: Histogram,
     /// Cycles judged against the current claim (rebased on claim change).
     checked: u64,
     /// Of those, cycles whose cost exceeded the claim.
@@ -101,11 +182,9 @@ pub struct UsageEstimator {
 }
 
 impl UsageEstimator {
-    fn new(buckets: usize, claimed: f64) -> Self {
+    fn new(claimed: f64) -> Self {
         UsageEstimator {
-            counts: vec![0; buckets.max(1)],
-            overflow: 0,
-            total: 0,
+            costs: Histogram::new(),
             checked: 0,
             over: 0,
             baseline: None,
@@ -113,29 +192,35 @@ impl UsageEstimator {
         }
     }
 
-    /// Folds `weight` cycles of mean per-cycle cost `fraction` into the
-    /// histogram and the over-claim counters.
-    pub fn observe(&mut self, fraction: f64, weight: u64) {
-        if !fraction.is_finite() || fraction < 0.0 || weight == 0 {
+    /// Folds a window of `cycles` cycles that together used `cpu` of CPU
+    /// time, each cycle `period_ns` long, into the histogram and the
+    /// over-claim counters.
+    ///
+    /// The histogram records the whole cost, container included, so a
+    /// refined claim also covers the container. The verdict judges the
+    /// cost net of [`CONTAINER_OVERHEAD_NS`] per cycle, which admission
+    /// charges outside the claim: the window's cycles count as over the
+    /// claim when their mean net cost strictly exceeds it.
+    pub fn observe(&mut self, cpu: SimDuration, cycles: u64, period_ns: u64) {
+        if cycles == 0 || period_ns == 0 {
             return;
         }
-        let n = self.counts.len();
-        if fraction >= 1.0 {
-            self.overflow += weight;
-        } else {
-            let idx = ((fraction * n as f64) as usize).min(n - 1);
-            self.counts[idx] += weight;
-        }
-        self.total += weight;
-        self.checked += weight;
-        if fraction > self.claimed {
-            self.over += weight;
+        let cpu_ns = cpu.as_nanos();
+        let fixed = cpu_ns
+            .div_ceil(cycles)
+            .saturating_mul(1 << FRACTION_BITS)
+            .div_ceil(period_ns);
+        self.costs.record_n(fixed, cycles);
+        self.checked += cycles;
+        let net_ns = cpu_ns.saturating_sub(cycles.saturating_mul(CONTAINER_OVERHEAD_NS));
+        if net_ns as f64 / cycles as f64 / period_ns as f64 > self.claimed {
+            self.over += cycles;
         }
     }
 
     /// Total cycles observed.
     pub fn samples(&self) -> u64 {
-        self.total
+        self.costs.count()
     }
 
     /// Observed over-claim cycle rate `p̂` (0 when nothing was checked).
@@ -149,7 +234,7 @@ impl UsageEstimator {
 
     /// One-sided Hoeffding lower confidence bound on the true over-claim
     /// rate: `max(0, p̂ − sqrt(ln(1/δ) / 2n))`. Deterministic in the
-    /// counts.
+    /// counts; `delta` must lie in `(0, 1]` ([`LearningConfig::validate`]).
     pub fn rate_lower_bound(&self, delta: f64) -> f64 {
         if self.checked == 0 {
             return 0.0;
@@ -158,24 +243,18 @@ impl UsageEstimator {
         (self.over_rate() - slack).max(0.0)
     }
 
-    /// Conservative cost quantile: the *upper* edge of the bucket where
-    /// the cumulative count reaches `q × total` (1.0 if it lands in the
-    /// overflow bucket). Never under-reports the true quantile by more
-    /// than zero and over-reports by at most one bucket width.
+    /// Conservative cost quantile as a fraction of the period: the upper
+    /// edge of the histogram bucket holding rank `⌈q·n⌉` (1.0 when nothing
+    /// was observed). Never below the observed quantile, and at most one
+    /// bucket (`2^-S` relative, or one fixed-point step) above it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 1.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil().max(1.0) as u64;
-        let n = self.counts.len();
-        let mut cum = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return (i + 1) as f64 / n as f64;
-            }
-        }
-        1.0
+        self.costs
+            .quantile(q)
+            .map_or(1.0, |v| v as f64 / (1u64 << FRACTION_BITS) as f64)
     }
 
     /// Restarts over-claim accounting against a new claim (after a
@@ -226,7 +305,7 @@ pub struct StochasticMonitor {
     config: LearningConfig,
     estimators: HashMap<String, UsageEstimator>,
     /// Components already convicted (no double conviction until rebased).
-    flagged: HashMap<String, bool>,
+    flagged: HashSet<String>,
     /// Transition-log entries already scanned for baseline resets.
     transitions_seen: usize,
     outcomes: Vec<ContractOutcome>,
@@ -238,7 +317,7 @@ impl StochasticMonitor {
         StochasticMonitor {
             config,
             estimators: HashMap::new(),
-            flagged: HashMap::new(),
+            flagged: HashSet::new(),
             transitions_seen: 0,
             outcomes: Vec::new(),
         }
@@ -261,24 +340,35 @@ impl StochasticMonitor {
 
     /// Samples every active periodic component's kernel accounting,
     /// advances its estimator, and applies verdicts: quarantine for
-    /// high-confidence under-declarers, claim refinement for measured
+    /// convicted under-declarers, claim refinement for measured
     /// over-declarers. Returns the outcomes produced this sweep.
     ///
     /// # Errors
     ///
-    /// Propagates [`DrcrError`] from applied actions.
+    /// [`DrcrError::BadLearningConfig`] when the tuning lies outside its
+    /// domain (nothing is sampled); otherwise propagates [`DrcrError`] from
+    /// applied actions.
     pub fn poll(&mut self, rt: &mut DrtRuntime) -> Result<Vec<ContractOutcome>, DrcrError> {
+        self.config.validate()?;
         // Any transition into Active means a fresh task instance with
         // fresh CPU accounting: drop the counter baseline (the learned
         // histogram survives — it describes the component, not the task).
+        // A destroyed component takes its estimator and verdict with it.
         {
             let drcr = rt.drcr();
             let transitions = drcr.transitions();
             for t in &transitions[self.transitions_seen.min(transitions.len())..] {
-                if t.to == ComponentState::Active {
-                    if let Some(est) = self.estimators.get_mut(&t.component) {
-                        est.baseline = None;
+                match t.to {
+                    ComponentState::Active => {
+                        if let Some(est) = self.estimators.get_mut(&t.component) {
+                            est.baseline = None;
+                        }
                     }
+                    ComponentState::Destroyed => {
+                        self.estimators.remove(&t.component);
+                        self.flagged.remove(&t.component);
+                    }
+                    _ => {}
                 }
             }
             self.transitions_seen = transitions.len();
@@ -314,7 +404,7 @@ impl StochasticMonitor {
             let est = self
                 .estimators
                 .entry(name.clone())
-                .or_insert_with(|| UsageEstimator::new(self.config.buckets, claimed));
+                .or_insert_with(|| UsageEstimator::new(claimed));
             if est.claimed != claimed {
                 // The yardstick moved (refinement round-trip or operator
                 // change): restart rate accounting and allow reconviction.
@@ -325,22 +415,21 @@ impl StochasticMonitor {
                 est.baseline = Some((cycles, cpu_time));
                 continue;
             };
+            // A zero-width window (no cycle completed since the baseline)
+            // is skipped, and the baseline kept.
             let dc = cycles.saturating_sub(c0);
             if dc == 0 {
                 continue;
             }
-            let dt = cpu_time.saturating_sub(t0);
             est.baseline = Some((cycles, cpu_time));
-            let fraction = dt.as_nanos() as f64 / dc as f64 / period_ns as f64;
-            est.observe(fraction, dc);
+            est.observe(cpu_time.saturating_sub(t0), dc, period_ns);
 
             // Verdict first: a component convicted of under-declaring must
             // not also publish a refined (inflated) claim.
             let observed_rate = est.over_rate();
             let lower = est.rate_lower_bound(self.config.delta);
             let samples = est.checked;
-            if lower > self.config.p_max && !self.flagged.get(&name).copied().unwrap_or(false) {
-                self.flagged.insert(name.clone(), true);
+            if lower > self.config.p_max && self.flagged.insert(name.clone()) {
                 rt.drcr_mut().note(DrcrEvent::StochasticViolation {
                     component: name.clone(),
                     claimed,
@@ -373,10 +462,10 @@ impl StochasticMonitor {
 
             // Refinement: enough evidence, not in violation, and the
             // measured claim is meaningfully below the declared one.
-            if est.total >= self.config.min_samples {
+            let total = est.samples();
+            if total >= self.config.min_samples {
                 let refined =
                     (est.quantile(self.config.quantile) * self.config.margin).clamp(0.001, 1.0);
-                let total = est.total;
                 if refined < claimed * self.config.refine_ratio {
                     rt.refine_claim(&name, refined, total)?;
                     let outcome = ContractOutcome::Refined {
@@ -430,38 +519,169 @@ mod tests {
         }
     }
 
+    const PERIOD_NS: u64 = 10_000_000;
+
+    /// Folds `cycles` cycles at `fraction` of a 10 ms period.
+    fn fold(est: &mut UsageEstimator, fraction: f64, cycles: u64) {
+        let cpu = (fraction * PERIOD_NS as f64) as u64 * cycles;
+        est.observe(SimDuration::from_nanos(cpu), cycles, PERIOD_NS);
+    }
+
     #[test]
-    fn histogram_quantiles_take_the_conservative_upper_edge() {
-        let mut est = UsageEstimator::new(10, 0.5);
-        // 90 cycles at ~0.25, 10 cycles at ~0.85.
-        est.observe(0.25, 90);
-        est.observe(0.85, 10);
+    fn quantiles_take_the_conservative_upper_edge() {
+        let mut est = UsageEstimator::new(0.5);
+        assert_eq!(est.quantile(0.99), 1.0, "no evidence, no claim below 1");
+        // 90 cycles at 0.25, 10 cycles at 0.85.
+        fold(&mut est, 0.25, 90);
+        fold(&mut est, 0.85, 10);
         assert_eq!(est.samples(), 100);
-        // p50 lands in the 0.25 bucket [0.2, 0.3): upper edge 0.3.
-        assert_eq!(est.quantile(0.5), 0.3);
-        // p99 lands in the 0.85 bucket [0.8, 0.9): upper edge 0.9.
-        assert_eq!(est.quantile(0.99), 0.9);
-        // Saturated costs pin the quantile to 1.0.
-        est.observe(1.7, 1000);
-        assert_eq!(est.quantile(0.99), 1.0);
+        // Each quantile is the upper edge of its log-linear bucket: never
+        // below the cost, at most 2^-S above it.
+        let slack = 1.0 + 1.0 / f64::from(1u32 << rtos::hist::SUB_BUCKET_BITS);
+        let p50 = est.quantile(0.5);
+        assert!((0.25..=0.25 * slack).contains(&p50), "p50 {p50}");
+        let p99 = est.quantile(0.99);
+        assert!((0.85..=0.85 * slack).contains(&p99), "p99 {p99}");
+        // Costs past the whole period are reported as measured, not pinned.
+        fold(&mut est, 1.7, 1000);
+        assert!(est.quantile(0.99) >= 1.7);
     }
 
     #[test]
     fn hoeffding_bound_needs_evidence_before_convicting() {
         let delta = 1e-9;
-        let mut est = UsageEstimator::new(10, 0.1);
+        let mut est = UsageEstimator::new(0.1);
         // One over-claim cycle: p̂ = 1 but the bound stays at 0 — a single
         // sample cannot convict at 1−δ confidence.
-        est.observe(0.5, 1);
+        fold(&mut est, 0.5, 1);
         assert_eq!(est.over_rate(), 1.0);
         assert_eq!(est.rate_lower_bound(delta), 0.0);
         // 1000 consistently-over cycles leave no doubt.
-        est.observe(0.5, 999);
+        fold(&mut est, 0.5, 999);
         assert!(est.rate_lower_bound(delta) > 0.85);
         // The bound is monotone in n for a fixed p̂.
         let at_1000 = est.rate_lower_bound(delta);
-        est.observe(0.5, 9000);
+        fold(&mut est, 0.5, 9000);
         assert!(est.rate_lower_bound(delta) > at_1000);
+    }
+
+    #[test]
+    fn point_setting_judges_the_claim_exactly() {
+        // 1 ms of logic in a 10 ms period is exactly the 0.10 claim; the
+        // container's per-cycle overhead on top of it is admitted outside
+        // the claim, so the cycles are not over.
+        let at_claim = 1_000_000 + CONTAINER_OVERHEAD_NS;
+        let mut est = UsageEstimator::new(0.10);
+        est.observe(SimDuration::from_nanos(10 * at_claim), 10, PERIOD_NS);
+        assert_eq!(est.over_rate(), 0.0);
+        // The histogram keeps the whole cost, container included.
+        assert!(est.quantile(1.0) > 0.10);
+        // With delta = 1 the Hoeffding slack vanishes, so the bound is the
+        // observed rate itself: one window 1 ns per cycle over the claim
+        // convicts against p_max = 0.
+        est.observe(SimDuration::from_nanos(10 * (at_claim + 1)), 10, PERIOD_NS);
+        assert_eq!(est.over_rate(), 0.5);
+        let point = LearningConfig::point(false);
+        assert_eq!(est.rate_lower_bound(point.delta), 0.5);
+        assert!(est.rate_lower_bound(point.delta) > point.p_max);
+        // A cost below the container overhead nets to zero, never negative.
+        let mut idle = UsageEstimator::new(0.10);
+        idle.observe(SimDuration::from_nanos(10), 10, PERIOD_NS);
+        assert_eq!(idle.over_rate(), 0.0);
+    }
+
+    /// Polls a fresh runtime with `config` and returns the rejected field.
+    fn rejected_field(config: LearningConfig) -> &'static str {
+        let mut rt = runtime();
+        rt.install_component("demo.ok", steady("ok", 0.10, 2, 500))
+            .unwrap();
+        let mut mon = StochasticMonitor::new(config);
+        match mon.poll(&mut rt) {
+            Err(DrcrError::BadLearningConfig { field, .. }) => {
+                assert!(mon.estimator("ok").is_none(), "nothing is sampled");
+                field
+            }
+            other => panic!("expected a typed config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn delta_outside_its_domain_is_a_typed_error() {
+        // delta > 1 would make ln(1/δ) < 0 and the Hoeffding slack NaN,
+        // which never convicts.
+        for delta in [0.0, -1.0, 1.5, f64::NAN] {
+            let config = LearningConfig {
+                delta,
+                ..LearningConfig::default()
+            };
+            assert_eq!(rejected_field(config), "delta", "delta {delta}");
+        }
+    }
+
+    #[test]
+    fn p_max_outside_its_domain_is_a_typed_error() {
+        for p_max in [-0.1, 1.0, f64::NAN] {
+            let config = LearningConfig {
+                p_max,
+                ..LearningConfig::default()
+            };
+            assert_eq!(rejected_field(config), "p_max", "p_max {p_max}");
+        }
+    }
+
+    #[test]
+    fn quantile_outside_its_domain_is_a_typed_error() {
+        for quantile in [0.0, 1.01, f64::NAN] {
+            let config = LearningConfig {
+                quantile,
+                ..LearningConfig::default()
+            };
+            assert_eq!(rejected_field(config), "quantile", "quantile {quantile}");
+        }
+    }
+
+    #[test]
+    fn margin_outside_its_domain_is_a_typed_error() {
+        for margin in [0.0, -1.1, f64::INFINITY, f64::NAN] {
+            let config = LearningConfig {
+                margin,
+                ..LearningConfig::default()
+            };
+            assert_eq!(rejected_field(config), "margin", "margin {margin}");
+        }
+    }
+
+    #[test]
+    fn refine_ratio_outside_its_domain_is_a_typed_error() {
+        for refine_ratio in [-0.5, 1.5, f64::NAN] {
+            let config = LearningConfig {
+                refine_ratio,
+                ..LearningConfig::default()
+            };
+            assert_eq!(
+                rejected_field(config),
+                "refine_ratio",
+                "refine_ratio {refine_ratio}"
+            );
+        }
+    }
+
+    #[test]
+    fn default_and_point_settings_are_accepted() {
+        for config in [
+            LearningConfig::default(),
+            LearningConfig::point(false),
+            LearningConfig::point(true),
+        ] {
+            assert_eq!(config.validate(), Ok(()), "{config:?}");
+        }
+        // The domain edges the point setting sits on are legal.
+        let edges = LearningConfig {
+            quantile: 1.0,
+            refine_ratio: 1.0,
+            ..LearningConfig::point(true)
+        };
+        assert_eq!(edges.validate(), Ok(()));
     }
 
     #[test]

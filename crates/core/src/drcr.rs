@@ -31,8 +31,8 @@ use crate::manage::{
 };
 use crate::model::{CpuUsage, PortDirection, PortInterface, PropertyValue};
 use crate::obs::{
-    BridgeEvent, DrcrEvent, EventSink, Histogram, MetricsRegistry, MetricsReport, Timestamped,
-    TraceRing, TraceSubscriber,
+    BridgeEvent, DrcrEvent, EventSink, MetricsRegistry, MetricsReport, Timestamped, TraceRing,
+    TraceSubscriber,
 };
 use crate::reactive::ReactiveResolver;
 use crate::resolve::{
@@ -257,7 +257,7 @@ impl Drcr {
 
     /// When enabled, future activations of periodic components get a
     /// kernel-enforced per-cycle execution budget of `cpuusage x period`,
-    /// making the declared claim binding (see [`crate::enforce`]).
+    /// making the declared claim binding (see [`crate::contracts`]).
     pub fn set_budget_enforcement(&mut self, on: bool) {
         self.enforce_budgets = on;
     }
@@ -856,11 +856,8 @@ impl Drcr {
                             attempt,
                         });
                     } else {
-                        self.metrics.observe(
-                            "drcr.supervision.backoff_ns",
-                            delay.as_nanos(),
-                            Histogram::latency_ns,
-                        );
+                        self.metrics
+                            .observe("drcr.supervision.backoff_ns", delay.as_nanos());
                         self.supervisor.hold(name.clone(), now + delay, attempt);
                     }
                 }
@@ -968,14 +965,10 @@ impl Drcr {
             deactivations,
         });
         self.metrics.count("drcr.resolve.rounds", 1);
-        self.metrics
-            .observe("drcr.resolve.sweeps", sweeps, Histogram::small_counts);
+        self.metrics.observe("drcr.resolve.sweeps", sweeps);
         if deactivations > 0 {
-            self.metrics.observe(
-                "drcr.cascade.width",
-                deactivations as u64,
-                Histogram::small_counts,
-            );
+            self.metrics
+                .observe("drcr.cascade.width", deactivations as u64);
         }
         self.update_admission_gauges();
     }
@@ -1034,8 +1027,7 @@ impl Drcr {
     /// [`DrcrEvent::AdmissionAnalysis`] evidence event.
     fn note_analysis(&mut self, component: &str, analysis: &RtaAnalysis) {
         if let Some(wcrt) = analysis.wcrt_of(component) {
-            self.metrics
-                .observe("drcr.admission.wcrt_ns", wcrt, Histogram::latency_ns);
+            self.metrics.observe("drcr.admission.wcrt_ns", wcrt);
         }
         self.note(DrcrEvent::AdmissionAnalysis {
             component: component.to_string(),
@@ -1920,11 +1912,7 @@ impl Drcr {
             },
         );
         self.metrics.count("bridge.commands", 1);
-        self.metrics.observe(
-            "bridge.cmd_mbx.depth",
-            depth as u64,
-            Histogram::small_counts,
-        );
+        self.metrics.observe("bridge.cmd_mbx.depth", depth as u64);
         Ok(())
     }
 
@@ -1970,8 +1958,7 @@ impl Drcr {
                         latency_ns,
                     },
                 );
-                self.metrics
-                    .observe("bridge.reply_latency_ns", latency_ns, Histogram::latency_ns);
+                self.metrics.observe("bridge.reply_latency_ns", latency_ns);
             }
             self.components
                 .get_mut(name)

@@ -114,6 +114,16 @@ pub enum DrcrError {
     Descriptor(DescriptorError),
     /// The management channel to the real-time side failed.
     Management(String),
+    /// A contract-monitor setting ([`crate::contracts::LearningConfig`])
+    /// lies outside its domain, where it would silently disable a verdict.
+    BadLearningConfig {
+        /// The offending field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// The domain it must lie in.
+        domain: &'static str,
+    },
 }
 
 impl fmt::Display for DrcrError {
@@ -140,6 +150,14 @@ impl fmt::Display for DrcrError {
             DrcrError::Kernel(msg) => write!(f, "kernel error: {msg}"),
             DrcrError::Descriptor(e) => write!(f, "{e}"),
             DrcrError::Management(msg) => write!(f, "management channel error: {msg}"),
+            DrcrError::BadLearningConfig {
+                field,
+                value,
+                domain,
+            } => write!(
+                f,
+                "learning config `{field}` = {value} lies outside {domain}"
+            ),
         }
     }
 }

@@ -32,8 +32,7 @@
 //! | [`hybrid`] | §3.1/§3.2 (Fig. 3) | the hybrid RT/non-RT component + async bridge |
 //! | [`manage`] | §2.4 | the component management interface |
 //! | [`drcr`] | §2.2 | the executive: event-driven resolution, cascades |
-//! | [`enforce`] | §2.1/§5 | binding contracts: kernel budgets + violation monitor |
-//! | [`contracts`] | §2.1/§5 | stochastic contract monitors + learned claim refinement |
+//! | [`contracts`] | §2.1/§5 | the contract monitor: point and stochastic verdicts, learned claim refinement |
 //! | [`adapt`] | §2.4 | adaptation managers (load shedding, retuning) |
 //! | [`adl`] | §6 (future work) | validated assemblies with explicit connections |
 //! | [`parallel`] | §3/§6 | descriptor fleets on the parallel executor |
@@ -74,7 +73,6 @@ pub mod admission;
 pub mod contracts;
 pub mod descriptor;
 pub mod drcr;
-pub mod enforce;
 pub mod error;
 pub mod faults;
 pub mod federation;
@@ -101,7 +99,6 @@ pub use adl::{AdlError, Assembly, DeployedAssembly};
 pub use contracts::{ContractOutcome, LearningConfig, StochasticMonitor, UsageEstimator};
 pub use descriptor::{ComponentDescriptor, DescriptorBuilder};
 pub use drcr::{ComponentProvider, Drcr, COMPONENT_SERVICE, PROP_COMPONENT_NAME};
-pub use enforce::{ContractMonitor, EnforcementAction, EnforcementPolicy, Violation};
 pub use error::{DescriptorError, DrcrError};
 pub use faults::{
     FaultInjector, FaultKind, FaultPlan, InjectionLog, LinkRates, NodeFaultKind, NodeFaultPlan,

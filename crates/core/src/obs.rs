@@ -9,7 +9,7 @@
 //! so one `TraceSubscriber` implementation can tap any layer.
 //!
 //! Alongside the event streams sits a [`MetricsRegistry`]: named counters,
-//! gauges and fixed-bucket histograms, snapshotable as a deterministic
+//! gauges and log-linear [`Histogram`]s, snapshotable as a deterministic
 //! [`MetricsReport`]. Everything is keyed on virtual time and event counts
 //! only — two runs with the same seed produce byte-identical reports.
 
@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
+pub use rtos::hist::Histogram;
 pub use rtos::trace::{EventSink, Timestamped, TraceRing, TraceSubscriber};
 
 /// A decision or state change inside the DRCR executive.
@@ -196,15 +197,6 @@ pub enum DrcrEvent {
         /// Why (fail-stop, budget exhausted, flap window, enforcement).
         reason: String,
     },
-    /// The contract monitor could not judge a component this round and
-    /// skipped it rather than silently exempting it (e.g. the component is
-    /// missing from the system view, so no claim is known).
-    EnforcementSkipped {
-        /// The component.
-        component: String,
-        /// Why the check could not run.
-        reason: String,
-    },
     /// The stochastic contract estimator published a measured claim: the
     /// component's contract was re-written from its declared `cpuusage` to
     /// a quantile of its observed per-cycle demand, and the component is
@@ -366,9 +358,6 @@ impl fmt::Display for DrcrEvent {
             DrcrEvent::Quarantined { component, reason } => {
                 write!(f, "quarantined `{component}`: {reason}")
             }
-            DrcrEvent::EnforcementSkipped { component, reason } => {
-                write!(f, "enforcement skipped `{component}`: {reason}")
-            }
             DrcrEvent::ClaimRefined {
                 component,
                 declared,
@@ -411,7 +400,6 @@ impl DrcrEvent {
             | DrcrEvent::RestartScheduled { component, .. }
             | DrcrEvent::RestartAttempt { component, .. }
             | DrcrEvent::Quarantined { component, .. }
-            | DrcrEvent::EnforcementSkipped { component, .. }
             | DrcrEvent::ClaimRefined { component, .. }
             | DrcrEvent::StochasticViolation { component, .. } => Some(component),
             _ => None,
@@ -735,107 +723,6 @@ impl fmt::Display for FedEvent {
 // Metrics
 // ---------------------------------------------------------------------
 
-/// A fixed-bucket histogram over `u64` samples (typically nanoseconds).
-///
-/// Bucket bounds are upper-inclusive; samples above the last bound land in
-/// an implicit overflow bucket.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// A histogram with the given ascending upper bounds.
-    pub fn new(bounds: &[u64]) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Exponential nanosecond bounds from 1 µs to 1 s — the default shape
-    /// for latency histograms.
-    pub fn latency_ns() -> Self {
-        Histogram::new(&[
-            1_000,
-            10_000,
-            100_000,
-            1_000_000,
-            10_000_000,
-            100_000_000,
-            1_000_000_000,
-        ])
-    }
-
-    /// Small-count bounds (1..64) for width/depth style histograms.
-    pub fn small_counts() -> Self {
-        Histogram::new(&[1, 2, 4, 8, 16, 32, 64])
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|b| value <= *b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Mean of samples, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// `(upper_bound, count)` pairs; the final pair is the overflow bucket
-    /// with bound `u64::MAX`.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.bounds
-            .iter()
-            .copied()
-            .chain(std::iter::once(u64::MAX))
-            .zip(self.counts.iter().copied())
-    }
-}
-
 /// Named counters, gauges and histograms. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
@@ -850,23 +737,37 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `delta` to a counter, creating it at zero.
+    /// Adds `delta` to a counter, creating it at zero. The name is copied
+    /// only on a counter's first use.
     pub fn count(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(v) => *v += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Sets a gauge to the latest value.
     pub fn gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        match self.gauges.get_mut(name) {
+            Some(v) => *v = value,
+            None => {
+                self.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
-    /// Records a sample into a histogram, creating it with `make` on first
-    /// use.
-    pub fn observe(&mut self, name: &str, value: u64, make: impl FnOnce() -> Histogram) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(make)
-            .record(value);
+    /// Records a sample into a histogram, creating it on first use.
+    pub fn observe(&mut self, name: &str, value: u64) {
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(value),
+            None => {
+                let mut h = Histogram::new();
+                h.record(value);
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// Current value of a counter (0 when absent).
@@ -980,13 +881,7 @@ impl MetricsReport {
         for (name, h) in &self.histograms {
             let buckets: Vec<String> = h
                 .buckets()
-                .map(|(le, count)| {
-                    if le == u64::MAX {
-                        format!("{{\"le\":\"inf\",\"count\":{count}}}")
-                    } else {
-                        format!("{{\"le\":{le},\"count\":{count}}}")
-                    }
-                })
+                .map(|(le, count)| format!("{{\"le\":{le},\"count\":{count}}}"))
                 .collect();
             out.push_str(&format!(
                 "{{\"kind\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}\n",
@@ -1007,28 +902,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_and_stats() {
-        let mut h = Histogram::new(&[10, 100, 1000]);
-        for v in [5, 10, 11, 99, 5000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), Some(5));
-        assert_eq!(h.max(), Some(5000));
-        let buckets: Vec<(u64, u64)> = h.buckets().collect();
-        // 5 and 10 land in <=10; 11 and 99 in <=100; 5000 overflows.
-        assert_eq!(buckets, vec![(10, 2), (100, 2), (1000, 0), (u64::MAX, 1)]);
-    }
-
-    #[test]
     fn registry_snapshot_is_deterministic() {
         let build = || {
             let mut m = MetricsRegistry::new();
             m.count("b.second", 2);
             m.count("a.first", 1);
             m.gauge("util", 0.25);
-            m.observe("lat", 500, Histogram::latency_ns);
-            m.observe("lat", 2_000_000, Histogram::latency_ns);
+            m.observe("lat", 500);
+            m.observe("lat", 2_000_000);
             m
         };
         let (r1, r2) = (build().snapshot(), build().snapshot());
@@ -1044,7 +925,9 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.count("x", 3);
         m.gauge("g", 1.5);
-        m.observe("h", 7, || Histogram::new(&[10]));
+        m.observe("h", 7);
+        m.observe("h", 7);
+        m.observe("h", 1_000);
         let json = m.snapshot().to_json_lines();
         let lines: Vec<&str> = json.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -1056,8 +939,11 @@ mod tests {
             lines[1],
             "{\"kind\":\"gauge\",\"name\":\"g\",\"value\":1.500000}"
         );
-        assert!(
-            lines[2].contains("\"buckets\":[{\"le\":10,\"count\":1},{\"le\":\"inf\",\"count\":0}]")
+        // Only non-empty buckets, each by its inclusive upper edge: 7 is
+        // exact, 1 000 lands in the sub-bucket [992, 1007].
+        assert_eq!(
+            lines[2],
+            "{\"kind\":\"histogram\",\"name\":\"h\",\"count\":3,\"sum\":1014,\"min\":7,\"max\":1000,\"buckets\":[{\"le\":7,\"count\":2},{\"le\":1007,\"count\":1}]}"
         );
     }
 

@@ -71,6 +71,12 @@ mod cost {
     pub const CMD_MBX_DEPTH: u64 = 16;
 }
 
+/// Per-cycle container overhead of a bridged task in the default cost
+/// model: base cost + worst-case indirection + one empty poll. Admission
+/// charges it on top of the declared claim, and the contract monitor judges
+/// a component's cost net of it (see [`crate::contracts`]).
+pub const CONTAINER_OVERHEAD_NS: u64 = cost::BASE_NS + cost::INDIRECTION_NS + cost::MBX_OP_NS;
+
 /// Tuning constants of the analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RtaParams {
@@ -87,12 +93,12 @@ pub struct RtaParams {
 
 impl Default for RtaParams {
     /// Conservative defaults derived from the simulator's cost model:
-    /// overhead = base cost + worst-case indirection + one empty poll;
+    /// overhead = [`CONTAINER_OVERHEAD_NS`];
     /// blocking = one full pump of a 16-deep command mailbox, each command
     /// costing a receive, its handling, and a reply send.
     fn default() -> Self {
         RtaParams {
-            overhead_ns: cost::BASE_NS + cost::INDIRECTION_NS + cost::MBX_OP_NS,
+            overhead_ns: CONTAINER_OVERHEAD_NS,
             blocking_ns: cost::CMD_MBX_DEPTH
                 * (cost::MBX_OP_NS + cost::CMD_HANDLE_NS + cost::MBX_OP_NS),
         }

@@ -30,8 +30,8 @@ use crate::time::LatencyNs;
 ///
 /// Every recorder keeps an exact count, sum, minimum and maximum in
 /// constant space, which is all AVERAGE, MIN and MAX need. AVEDEV (the
-/// paper's two-pass mean absolute deviation), percentiles and histograms
-/// need the raw samples, so a recorder keeps them only when created with
+/// paper's two-pass mean absolute deviation) and percentiles need the raw
+/// samples, so a recorder keeps them only when created with
 /// [`LatencyStats::with_samples`]; the sample-based queries report `None`
 /// on a streaming recorder instead of answering from nothing.
 ///
@@ -155,28 +155,6 @@ impl LatencyStats {
     /// The raw samples in arrival order, or `None` when not retained.
     pub fn samples(&self) -> Option<&[LatencyNs]> {
         self.samples.as_deref()
-    }
-
-    /// Fixed-width histogram over `[lo, hi)` with `bins` buckets, or
-    /// `None` when raw samples are not retained.
-    ///
-    /// Out-of-range samples are clamped into the first/last bucket. Returns
-    /// the bucket counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn histogram(&self, lo: LatencyNs, hi: LatencyNs, bins: usize) -> Option<Vec<usize>> {
-        assert!(bins > 0, "need at least one bin");
-        assert!(lo < hi, "empty range");
-        let samples = self.samples()?;
-        let mut counts = vec![0usize; bins];
-        let width = (hi - lo) as f64 / bins as f64;
-        for &s in samples {
-            let idx = (((s - lo) as f64 / width).floor() as i64).clamp(0, bins as i64 - 1);
-            counts[idx as usize] += 1;
-        }
-        Some(counts)
     }
 
     /// Merges another recorder into this one. The result retains samples
@@ -363,7 +341,6 @@ mod tests {
         assert_eq!((s.min(), s.max()), (Some(-10), Some(20)));
         assert_eq!(s.avedev(), None);
         assert_eq!(s.percentile(50.0), None);
-        assert_eq!(s.histogram(0, 10, 2), None);
         assert_eq!(s.samples(), None);
     }
 
@@ -398,14 +375,6 @@ mod tests {
         assert_eq!(s.percentile(0.0), Some(1));
         assert_eq!(s.percentile(50.0), Some(3));
         assert_eq!(s.percentile(100.0), Some(5));
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let s = stats_of(&[-100, 0, 5, 9, 100]);
-        let h = s.histogram(0, 10, 2).unwrap();
-        assert_eq!(h, vec![2, 3]); // −100 clamps low, 100 clamps high
-        assert_eq!(h.iter().sum::<usize>(), s.count());
     }
 
     #[test]

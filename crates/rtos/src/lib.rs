@@ -29,6 +29,8 @@
 //!   `rt_task_make_periodic`, `rt_mbx_send_if`, ...).
 //! * [`latency`] — Table-1 statistics (AVERAGE/AVEDEV/MIN/MAX) and the
 //!   calibrated hardware-timer error model.
+//! * [`hist`] — the one log-linear histogram every layer summarises a
+//!   distribution with.
 //! * [`load`] — the light/stress background-load regimes of the evaluation.
 //!
 //! ## Quick start
@@ -62,6 +64,7 @@
 pub mod error;
 pub mod exec;
 pub mod fifo;
+pub mod hist;
 pub mod kernel;
 pub mod latency;
 pub mod load;

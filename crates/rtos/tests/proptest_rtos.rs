@@ -5,6 +5,7 @@
 //! property-testing crate), so every run explores the same corpus and a
 //! failure reproduces from the case index alone.
 
+use rtos::hist::{Histogram, SUB_BUCKET_BITS};
 use rtos::kernel::{Kernel, KernelConfig};
 use rtos::latency::{LatencyStats, LoadMode, TimerJitterModel, TimerMode};
 use rtos::rng::SimRng;
@@ -48,9 +49,14 @@ fn stats_laws() {
         // Percentile endpoints are the order statistics.
         assert_eq!(s.percentile(0.0), Some(min), "case {case}");
         assert_eq!(s.percentile(100.0), Some(max), "case {case}");
-        // Histograms conserve mass.
-        let h = s.histogram(min, max + 1, 7).expect("samples retained");
-        assert_eq!(h.iter().sum::<usize>(), samples.len(), "case {case}");
+        // Folded into the histogram (shifted by the minimum), the samples
+        // keep their mass.
+        let mut h = Histogram::new();
+        for &x in &samples {
+            h.record((x - min) as u64);
+        }
+        let mass: u64 = h.buckets().map(|(_, c)| c).sum();
+        assert_eq!(mass, samples.len() as u64, "case {case}");
     }
 }
 
@@ -85,6 +91,70 @@ fn stats_merge_is_concat() {
             assert_eq!(left.max(), all.max(), "case {case}");
             assert!((left.average() - all.average()).abs() < 1e-9, "case {case}");
             assert_eq!(left.samples(), all.samples(), "case {case}");
+        }
+    }
+}
+
+/// The log-linear histogram against an exact fold, over weighted values up
+/// to `u64::MAX >> 1`: count, sum, min and max are exact, the buckets hold
+/// all the mass, and every quantile is the exact weighted order statistic
+/// rounded up by at most `2^-S` (exactly, below `2^S`).
+#[test]
+fn histogram_quantiles_bound_the_order_statistics() {
+    let mut rng = SimRng::from_seed(0x4157);
+    for case in 0..CASES {
+        let len = rng.uniform_u64(1, 120) as usize;
+        // Magnitudes spread over every power of two, small values included.
+        let mut values: Vec<(u64, u64)> = (0..len)
+            .map(|_| {
+                let bits = rng.uniform_u64(0, 64) as u32;
+                let value = (rng.next_u64() >> (64 - bits.max(1))) & (u64::MAX >> 1);
+                (value, rng.uniform_u64(1, 1_000))
+            })
+            .collect();
+        let mut h = Histogram::new();
+        for &(v, n) in &values {
+            if n == 1 {
+                h.record(v);
+            } else {
+                h.record_n(v, n);
+            }
+        }
+        values.sort_unstable();
+        let count: u64 = values.iter().map(|&(_, n)| n).sum();
+        let sum: u128 = values
+            .iter()
+            .map(|&(v, n)| u128::from(v) * u128::from(n))
+            .sum();
+        assert_eq!(h.count(), count, "case {case}");
+        assert_eq!(h.sum(), sum, "case {case}");
+        assert_eq!(h.min(), values.first().map(|&(v, _)| v), "case {case}");
+        assert_eq!(h.max(), values.last().map(|&(v, _)| v), "case {case}");
+        let mass: u64 = h.buckets().map(|(_, c)| c).sum();
+        assert_eq!(mass, count, "case {case}");
+        let mut qs = vec![0.0, 0.5, 0.9, 0.99, 1.0];
+        qs.extend((0..8).map(|_| rng.uniform()));
+        for q in qs {
+            let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+            let mut seen = 0;
+            let exact = values
+                .iter()
+                .find(|&&(_, n)| {
+                    seen += n;
+                    seen >= rank
+                })
+                .map(|&(v, _)| v)
+                .unwrap();
+            let got = h.quantile(q).unwrap();
+            let at = format!("case {case} q {q}: exact {exact}, got {got}");
+            assert!(got >= exact, "{at}");
+            assert!(
+                u128::from(got) <= u128::from(exact) + (u128::from(exact) >> SUB_BUCKET_BITS),
+                "{at}"
+            );
+            if exact < 1 << SUB_BUCKET_BITS {
+                assert_eq!(got, exact, "{at}");
+            }
         }
     }
 }

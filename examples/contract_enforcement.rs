@@ -4,11 +4,11 @@
 //! Three lines of defense, layered exactly as DESIGN.md describes:
 //! 1. admission control keeps the *declared* budget feasible,
 //! 2. kernel execution budgets make the declaration *binding*,
-//! 3. the contract monitor + adaptation manager handle policy.
+//! 3. the contract monitor delivers a verdict, and the operator (here,
+//!    this program) decides what to do with it.
 //!
 //! Run with: `cargo run --example contract_enforcement`
 
-use drcom::enforce::{ContractMonitor, EnforcementAction, EnforcementPolicy};
 use drt::prelude::*;
 
 /// Claims 10% of the CPU, actually burns ~60%.
@@ -77,19 +77,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rt = DrtRuntime::new(KernelConfig::new(8).with_timer(TimerJitterModel::ideal()));
     rt.install_component("demo.liar", liar())?;
     rt.install_component("demo.victim", victim())?;
-    let mut monitor = ContractMonitor::new(EnforcementPolicy {
-        tolerance: 1.5,
-        action: EnforcementAction::Suspend,
-        min_window: SimDuration::from_millis(200),
-    });
-    monitor.check(&mut rt)?; // baseline
+    // The point verdict: convict on the first polled window whose mean
+    // per-cycle cost, net of the container overhead admission charges
+    // outside the claim, exceeds the claim; record only, no quarantine.
+    // The victim burns exactly its claim and is not convicted.
+    let mut monitor = StochasticMonitor::new(LearningConfig::point(false));
+    monitor.poll(&mut rt)?; // baseline
     rt.advance(SimDuration::from_millis(500));
-    for violation in monitor.check(&mut rt)? {
-        println!("detected: {violation}");
+    for outcome in monitor.poll(&mut rt)? {
+        if let ContractOutcome::Violation {
+            component,
+            claimed,
+            samples,
+            ..
+        } = outcome
+        {
+            println!(
+                "detected: `{component}` over its {claimed:.3} claim in every one of {samples} cycles; suspending it"
+            );
+            rt.suspend_component(&component)?;
+        }
     }
     println!(
-        "liar state: {:?}; victim keeps running cleanly",
-        rt.component_state("liar").unwrap()
+        "liar state: {:?}; victim state: {:?}",
+        rt.component_state("liar").unwrap(),
+        rt.component_state("victim").unwrap()
     );
 
     println!("\nDRCR transition log (scenario 3):");

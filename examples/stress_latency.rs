@@ -8,6 +8,7 @@
 //! Defaults: hrc stress 20000 42.
 
 use bench::{run_table1_config, table1_avedev, ImplKind, Table1Config};
+use rtos::hist::Histogram;
 use rtos::latency::LoadMode;
 
 fn main() {
@@ -54,19 +55,20 @@ fn main() {
     println!("  p50     : {:>12}", stats.percentile(50.0).unwrap_or(0));
     println!("  p99     : {:>12}", stats.percentile(99.0).unwrap_or(0));
 
-    // ASCII histogram over the observed range.
-    let lo = stats.min().unwrap_or(-1) - 1;
-    let hi = stats.max().unwrap_or(1) + 1;
-    let bins = 24usize;
-    let counts = stats
-        .histogram(lo, hi, bins)
-        .expect("Table 1 cells retain samples");
-    let peak = counts.iter().copied().max().unwrap_or(1).max(1);
-    let width = (hi - lo) as f64 / bins as f64;
-    println!("\nhistogram ({lo}..{hi} ns, {bins} bins):");
-    for (i, &c) in counts.iter().enumerate() {
-        let left = lo + (i as f64 * width) as i64;
-        let bar = "#".repeat((c * 50).div_ceil(peak));
-        println!("  {left:>9} | {bar:<50} {c}");
+    // ASCII histogram: the samples, shifted by the minimum, folded into the
+    // log-linear histogram; one line per non-empty bucket, by upper edge.
+    let lo = stats.min().unwrap_or(0);
+    let mut hist = Histogram::new();
+    for &s in stats.samples().expect("Table 1 cells retain samples") {
+        hist.record((s - lo) as u64);
+    }
+    let peak = hist.buckets().map(|(_, c)| c).max().unwrap_or(1);
+    println!(
+        "\nhistogram (ns above the minimum {lo}, {} non-empty buckets):",
+        hist.buckets().count()
+    );
+    for (le, c) in hist.buckets() {
+        let bar = "#".repeat((c * 50).div_ceil(peak) as usize);
+        println!("  <= {le:>9} | {bar:<50} {c}");
     }
 }

@@ -35,7 +35,6 @@ pub mod prelude {
     };
     pub use drcom::descriptor::ComponentDescriptor;
     pub use drcom::drcr::{ComponentProvider, Drcr};
-    pub use drcom::enforce::{ContractMonitor, EnforcementAction, EnforcementPolicy, Violation};
     pub use drcom::faults::{
         FaultInjector, FaultKind, FaultPlan, InjectionLog, LinkRates, NodeFaultKind, NodeFaultPlan,
         StormRates,

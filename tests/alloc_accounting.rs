@@ -8,12 +8,15 @@
 //!   stays flat however long simulated time runs.
 //! * Deleted tasks are reaped: creating and deleting 10,000 tasks leaves
 //!   the live heap where one round of churn left it.
+//! * Metrics updates on an existing key allocate nothing: the name is
+//!   copied only when a series is first created.
 //!
 //! The counters are per thread, so tests running in parallel threads of
 //! this binary do not see each other's allocations. Everything measured
 //! runs on the test's own thread.
 
 use drcom::hybrid::{BridgeMode, FnLogic, HybridRtBody, RtIo};
+use drcom::obs::MetricsRegistry;
 use drt::prelude::*;
 use rtos::kernel::{Kernel, KernelConfig, TaskCtx};
 use rtos::task::{FnBody, ObjName, Priority, TaskConfig};
@@ -213,5 +216,28 @@ fn deleted_tasks_are_reaped() {
     assert!(
         growth.abs() <= 1_024,
         "live heap moved {growth} bytes over 9,900 created-and-deleted tasks"
+    );
+}
+
+#[test]
+fn metrics_updates_on_existing_keys_allocate_nothing() {
+    let mut metrics = MetricsRegistry::new();
+    metrics.count("drcr.wiring.evals", 1);
+    metrics.gauge("drcr.admission.util", 0.5);
+    metrics.observe("drcr.admission.wcrt_ns", 1_000_000);
+    let before = allocations();
+    for i in 0..1_000u64 {
+        metrics.count("drcr.wiring.evals", 1);
+        metrics.gauge("drcr.admission.util", i as f64);
+        // At or below the largest value recorded: no bucket to grow.
+        metrics.observe("drcr.admission.wcrt_ns", i * 1_000);
+    }
+    assert_eq!(allocations() - before, 0);
+    assert_eq!(metrics.counter("drcr.wiring.evals"), 1_001);
+    assert_eq!(
+        metrics
+            .histogram("drcr.admission.wcrt_ns")
+            .map(|h| h.count()),
+        Some(1_001)
     );
 }

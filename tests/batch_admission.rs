@@ -65,7 +65,7 @@ struct Outcome {
     ruled: u64,
     declined: u64,
     /// Sum of the `drcr.admission.wcrt_ns` observations.
-    wcrt_sum: u64,
+    wcrt_sum: u128,
     events: Vec<(u64, String)>,
     /// The event stream with each `AdmissionAnalysis` payload dropped: the
     /// order of what happened, which batching must not change.
@@ -359,7 +359,11 @@ fn batched_wcrt_observations_are_final_set_response_times() {
     assert_eq!(bat.batches, 1);
     assert_eq!(bat.active, seq.active);
     assert_eq!(bat.final_analysis, seq.final_analysis);
-    let final_sum: u64 = bat.final_analysis[&0].1.iter().map(|w| w.wcrt_ns).sum();
+    let final_sum: u128 = bat.final_analysis[&0]
+        .1
+        .iter()
+        .map(|w| u128::from(w.wcrt_ns))
+        .sum();
     assert_eq!(
         bat.wcrt_sum, final_sum,
         "batched observations are the final analysis"

@@ -1,6 +1,6 @@
-//! Contract enforcement end to end: the deterministic monitor's boundary
-//! behaviour, the stochastic monitor's learn/refine/convict loop, and
-//! kernel budget clamping under both executors.
+//! Contract enforcement end to end: the contract monitor's point verdict
+//! at its boundaries, its learn/refine/convict loop, and kernel budget
+//! clamping under both executors.
 
 use drt::prelude::*;
 use drt::rtos::exec::{DeterministicExecutor, Executor, ParallelExecutor};
@@ -11,8 +11,8 @@ fn runtime() -> DrtRuntime {
     DrtRuntime::new(KernelConfig::new(53).with_timer(TimerJitterModel::ideal()))
 }
 
-/// Claims `claim` of a 10 ms period, burns `burn_us` µs per cycle.
-fn steady(name: &str, claim: f64, priority: u8, burn_us: u64) -> ComponentProvider {
+/// Claims `claim` of a 10 ms period, burns `burn` per cycle.
+fn steady(name: &str, claim: f64, priority: u8, burn: SimDuration) -> ComponentProvider {
     let d = ComponentDescriptor::builder(name)
         .periodic(100, 0, priority)
         .cpu_usage(claim)
@@ -20,44 +20,222 @@ fn steady(name: &str, claim: f64, priority: u8, burn_us: u64) -> ComponentProvid
         .unwrap();
     ComponentProvider::new(d, move || {
         Box::new(FnLogic(move |io: &mut RtIo<'_, '_>| {
-            io.compute(SimDuration::from_micros(burn_us));
+            io.compute(burn);
         }))
     })
 }
 
+/// The components a batch of outcomes convicted.
+fn convicted(outcomes: &[ContractOutcome]) -> Vec<&str> {
+    outcomes
+        .iter()
+        .filter_map(|o| match o {
+            ContractOutcome::Violation { component, .. } => Some(component.as_str()),
+            ContractOutcome::Refined { .. } => None,
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------
-// Deterministic monitor: tolerance boundary, both sides.
+// The point verdict: the one monitor set to p_max = 0, delta = 1 and no
+// refinement judges each polled window's mean per-cycle cost against the
+// claim.
 // ---------------------------------------------------------------------
 
 #[test]
-fn enforcement_tolerance_boundary_is_exact() {
-    // The pure predicate draws the line: at the ceiling is legal, one
-    // epsilon above is not. 0.5 × 1.5 = 0.75 exactly in binary floating
-    // point, so no rounding slop is involved.
-    let policy = EnforcementPolicy {
-        tolerance: 1.5,
-        ..EnforcementPolicy::default()
-    };
-    assert!(!policy.violates(0.75, 0.5));
-    assert!(policy.violates(0.75 + f64::EPSILON, 0.5));
+fn point_verdict_boundary_is_exact() {
+    // Against a 0.10 claim of a 10 ms period. Admission charges the
+    // container's per-cycle work outside the claim, and the monitor judges
+    // the cost net of it: burning exactly 1 ms is legal, burning one
+    // microsecond more convicts on the first judged window.
+    let mut rt = runtime();
+    rt.install_component("b.at", steady("at", 0.10, 2, SimDuration::from_millis(1)))
+        .unwrap();
+    rt.install_component(
+        "b.over",
+        steady("over", 0.10, 3, SimDuration::from_micros(1_001)),
+    )
+    .unwrap();
+    let mut monitor = StochasticMonitor::new(LearningConfig::point(false));
+    assert!(monitor.poll(&mut rt).unwrap().is_empty(), "baselines only");
+    for poll in 0..10 {
+        rt.advance(SimDuration::from_millis(100));
+        let fresh = monitor.poll(&mut rt).unwrap();
+        let expected: &[&str] = if poll == 0 { &["over"] } else { &[] };
+        assert_eq!(convicted(&fresh), expected, "poll {poll}");
+    }
+    let at = monitor.estimator("at").unwrap();
+    assert!(at.samples() >= 90, "samples {}", at.samples());
+    assert_eq!(at.over_rate(), 0.0);
+    assert_eq!(monitor.estimator("over").unwrap().over_rate(), 1.0);
 }
 
 #[test]
 fn monitor_judges_the_ceiling_inclusively_end_to_end() {
-    // Ceiling = 0.10 × 1.2 = 0.12 of the period. A component burning
-    // 1.1 ms of every 10 ms stays under it; one burning 1.35 ms does not.
+    // Both claim 0.12 of the period. A component burning 1.1 ms of every
+    // 10 ms stays under it; one burning 1.35 ms does not. Without
+    // quarantine the verdict is evidence only: the component keeps
+    // running.
     let mut rt = runtime();
-    rt.install_component("b.under", steady("under", 0.10, 2, 1100))
-        .unwrap();
-    rt.install_component("b.above", steady("above", 0.10, 3, 1350))
-        .unwrap();
-    let mut monitor = ContractMonitor::new(EnforcementPolicy::default());
-    monitor.check(&mut rt).unwrap();
+    rt.install_component(
+        "b.under",
+        steady("under", 0.12, 2, SimDuration::from_micros(1100)),
+    )
+    .unwrap();
+    rt.install_component(
+        "b.above",
+        steady("above", 0.12, 3, SimDuration::from_micros(1350)),
+    )
+    .unwrap();
+    let mut monitor = StochasticMonitor::new(LearningConfig::point(false));
+    monitor.poll(&mut rt).unwrap();
     rt.advance(SimDuration::from_millis(505));
-    let violations = monitor.check(&mut rt).unwrap();
-    assert_eq!(violations.len(), 1);
-    assert_eq!(violations[0].component, "above");
-    assert!(violations[0].observed > 0.12 && violations[0].observed.is_finite());
+    let fresh = monitor.poll(&mut rt).unwrap();
+    assert_eq!(convicted(&fresh), ["above"]);
+    let ContractOutcome::Violation {
+        claimed,
+        observed_rate,
+        rate_lower_bound,
+        samples,
+        ..
+    } = fresh[0]
+    else {
+        unreachable!()
+    };
+    assert_eq!((claimed, observed_rate, rate_lower_bound), (0.12, 1.0, 1.0));
+    assert!(samples >= 50, "samples {samples}");
+    assert_eq!(rt.component_state("above"), Some(ComponentState::Active));
+    assert!(rt
+        .drcr()
+        .events_for("above")
+        .any(|e| matches!(e.event, DrcrEvent::StochasticViolation { .. })));
+    // One conviction, not one per poll.
+    rt.advance(SimDuration::from_millis(300));
+    assert!(monitor.poll(&mut rt).unwrap().is_empty());
+}
+
+#[test]
+fn point_verdict_skips_zero_width_polls() {
+    // Claims 0.10 and burns 0.50.
+    let mut rt = runtime();
+    rt.install_component(
+        "b.liar",
+        steady("liar", 0.10, 2, SimDuration::from_millis(5)),
+    )
+    .unwrap();
+    let mut monitor = StochasticMonitor::new(LearningConfig::point(false));
+    monitor.poll(&mut rt).unwrap();
+    rt.advance(SimDuration::from_millis(100));
+    monitor.poll(&mut rt).unwrap();
+    // Same instant again: no cycle completed, so the window is skipped
+    // rather than judged on 0/0, and nothing is folded.
+    let before = monitor.estimator("liar").unwrap().samples();
+    assert!(monitor.poll(&mut rt).unwrap().is_empty());
+    assert_eq!(monitor.estimator("liar").unwrap().samples(), before);
+    // The skip did not poison the baseline: the next window is judged on
+    // exactly its own cycles.
+    rt.advance(SimDuration::from_millis(300));
+    monitor.poll(&mut rt).unwrap();
+    assert_eq!(monitor.estimator("liar").unwrap().samples(), before + 30);
+    assert_eq!(convicted(monitor.outcomes()), ["liar"]);
+}
+
+#[test]
+fn point_verdict_restart_resets_the_baseline() {
+    use std::cell::Cell;
+    use std::rc::Rc;
+    // Claims 0.10. The first instance burns 0.01 and faults at cycle 31;
+    // the restarted one burns an honest 0.09.
+    let mut rt = runtime();
+    let instances = Rc::new(Cell::new(0u32));
+    let d = ComponentDescriptor::builder("flaky")
+        .periodic(100, 0, 2)
+        .cpu_usage(0.10)
+        .build()
+        .unwrap();
+    let provider = ComponentProvider::new(d, {
+        let instances = instances.clone();
+        move || {
+            instances.set(instances.get() + 1);
+            let first = instances.get() == 1;
+            Box::new(FnLogic(move |io: &mut RtIo<'_, '_>| {
+                if first {
+                    io.compute(SimDuration::from_micros(100));
+                    if io.cycle() == 31 {
+                        panic!("transient fault");
+                    }
+                } else {
+                    io.compute(SimDuration::from_micros(900));
+                }
+            }))
+        }
+    });
+    rt.set_supervision("flaky", SupervisionConfig::immediate(3));
+    rt.install_component("b.flaky", provider).unwrap();
+    let mut monitor = StochasticMonitor::new(LearningConfig::point(false));
+    rt.advance(SimDuration::from_millis(300));
+    // Baseline against the first instance: many cycles, little CPU.
+    monitor.poll(&mut rt).unwrap();
+    // The first instance dies at ~310 ms and a fresh task, with fresh
+    // accounting, restarts entirely between two polls.
+    rt.advance(SimDuration::from_millis(50));
+    assert_eq!(rt.component_state("flaky"), Some(ComponentState::Active));
+    assert_eq!(instances.get(), 2);
+    rt.advance(SimDuration::from_millis(450));
+    // A window spanning both instances would divide the second one's CPU
+    // by a cycle count short by the first one's cycles — about 0.25 of the
+    // period, a false conviction. The monitor re-baselines instead.
+    assert!(monitor.poll(&mut rt).unwrap().is_empty());
+    assert_eq!(monitor.estimator("flaky").unwrap().samples(), 0);
+    rt.advance(SimDuration::from_millis(500));
+    // A clean single-instance window, judged undiluted.
+    assert!(monitor.poll(&mut rt).unwrap().is_empty());
+    let est = monitor.estimator("flaky").unwrap();
+    assert_eq!((est.samples(), est.over_rate()), (50, 0.0));
+}
+
+#[test]
+fn point_verdict_quarantine_evicts_and_enable_readmits() {
+    let mut rt = runtime();
+    rt.install_component(
+        "b.liar",
+        steady("liar", 0.10, 2, SimDuration::from_millis(5)),
+    )
+    .unwrap();
+    let mut monitor = StochasticMonitor::new(LearningConfig::point(true));
+    monitor.poll(&mut rt).unwrap();
+    rt.advance(SimDuration::from_millis(300));
+    assert_eq!(convicted(&monitor.poll(&mut rt).unwrap()), ["liar"]);
+    // Evicted through the supervisor: disabled, reservation released.
+    assert_eq!(rt.component_state("liar"), Some(ComponentState::Disabled));
+    assert!(rt.drcr().ledger().is_empty());
+    assert!(rt.drcr().is_quarantined("liar"));
+    // Operator re-enable clears the quarantine and re-admits.
+    rt.enable_component("liar").unwrap();
+    assert!(!rt.drcr().is_quarantined("liar"));
+    assert_eq!(rt.component_state("liar"), Some(ComponentState::Active));
+}
+
+#[test]
+fn kernel_budgets_cap_the_liar_mechanically() {
+    let mut rt = runtime();
+    rt.drcr_mut().set_budget_enforcement(true);
+    rt.install_component(
+        "b.liar",
+        steady("liar", 0.10, 2, SimDuration::from_millis(5)),
+    )
+    .unwrap();
+    let mut monitor = StochasticMonitor::new(LearningConfig::point(true));
+    monitor.poll(&mut rt).unwrap();
+    rt.advance(SimDuration::from_secs(1));
+    // Clamped to 10% of the 10 ms period = 1 ms per cycle, which is
+    // exactly the claim: the monitor sees a clean system.
+    let liar = rt.drcr().task_of("liar").unwrap();
+    assert!(rt.kernel().task_budget_overruns(liar).unwrap() > 90);
+    assert!(monitor.poll(&mut rt).unwrap().is_empty());
+    let est = monitor.estimator("liar").unwrap();
+    assert!(est.samples() >= 90, "samples {}", est.samples());
+    assert_eq!(est.over_rate(), 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -68,7 +246,7 @@ fn monitor_judges_the_ceiling_inclusively_end_to_end() {
 fn stochastic_refinement_reclaims_capacity_and_convicts_liars() {
     let mut rt = runtime();
     // Over-declarer: claims 60%, uses ~10%.
-    rt.install_component("b.hog", steady("hog", 0.60, 2, 1000))
+    rt.install_component("b.hog", steady("hog", 0.60, 2, SimDuration::from_millis(1)))
         .unwrap();
     // Under-declarer: claims 4%, really uses 12–18% via a lying plan.
     let plan = std::rc::Rc::new(FaultPlan::lying(0xD0C, 5_000, (1_200_000, 1_800_000)));
@@ -95,8 +273,11 @@ fn stochastic_refinement_reclaims_capacity_and_convicts_liars() {
     )
     .unwrap();
     // Stranded peer: its 45% cannot sit next to a declared 60% + 4%.
-    rt.install_component("b.wait", steady("wait", 0.45, 4, 4000))
-        .unwrap();
+    rt.install_component(
+        "b.wait",
+        steady("wait", 0.45, 4, SimDuration::from_millis(4)),
+    )
+    .unwrap();
     assert_eq!(
         rt.component_state("wait"),
         Some(ComponentState::Unsatisfied)

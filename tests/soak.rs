@@ -4,8 +4,6 @@
 //! and leak-free throughout.
 
 use drcom::adapt::{AdaptationManager, GracefulDegradation};
-
-use drcom::enforce::{ContractMonitor, EnforcementPolicy};
 use drt::prelude::*;
 use rtos::kernel::Kernel;
 use rtos::latency::LoadMode;
@@ -41,7 +39,9 @@ fn everything_at_once_stays_consistent() {
     rt.drcr_mut().set_budget_enforcement(true);
     apply_load(&mut rt.kernel_mut(), LoadMode::Stress, 2).unwrap();
 
-    let mut monitor = ContractMonitor::new(EnforcementPolicy::default());
+    // The point verdict, recording only: every window is judged against
+    // the claim in force, mode switches included.
+    let mut monitor = StochasticMonitor::new(LearningConfig::point(false));
     let mut manager =
         AdaptationManager::new().with_policy(Box::new(GracefulDegradation::new(0, 0.2, 0.85)));
 
@@ -67,7 +67,7 @@ fn everything_at_once_stays_consistent() {
             rt.switch_mode(&name, "cheap").unwrap();
         }
         rt.advance(SimDuration::from_millis(100));
-        monitor.check(&mut rt).unwrap();
+        monitor.poll(&mut rt).unwrap();
         manager.run_once(&mut rt).unwrap();
 
         // Invariants every round.
@@ -90,6 +90,21 @@ fn everything_at_once_stays_consistent() {
         }
     }
 
+    // Kernel budgets clamp every task to its claim, so the monitor judged
+    // windows but never convicted.
+    assert!(rt
+        .drcr()
+        .component_names()
+        .iter()
+        .any(|n| monitor.estimator(n).is_some_and(|e| e.samples() > 0)));
+    assert!(monitor.outcomes().is_empty(), "{:?}", monitor.outcomes());
+    // The 25 components uninstalled along the way left no estimator
+    // behind.
+    let removed = (0..25u64).map(|r| format!("s{r:03}"));
+    for name in removed {
+        assert!(rt.component_state(&name).is_none(), "{name}");
+        assert!(monitor.estimator(&name).is_none(), "{name}");
+    }
     // Drain everything; nothing leaks.
     for bundle in bundles {
         rt.uninstall_bundle(bundle).unwrap();
