@@ -1,6 +1,6 @@
 //! Replays the paper's §4.3 dynamicity scenario and prints the DRCR's
-//! transition and decision logs — the "figures of the whole process" the
-//! paper could not include for page limits.
+//! typed event log (lifecycle transitions and decisions) — the "figures of
+//! the whole process" the paper could not include for page limits.
 //!
 //! Usage: `cargo run -p bench --bin dynamicity`
 
@@ -87,11 +87,6 @@ fn main() {
     show_states(&rt, "restart Calculation bundle");
 
     rt.advance(SimDuration::from_millis(200));
-
-    println!("\n=== DRCR transition log ===");
-    for t in rt.drcr().transitions() {
-        println!("  {t}");
-    }
 
     println!("\n=== DRCR event log ===");
     for e in rt.drcr().events().iter() {

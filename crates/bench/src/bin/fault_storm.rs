@@ -270,8 +270,8 @@ fn run(params: &Params) -> RunStats {
         rt.advance(SimDuration::from_millis(params.poll_ms));
     }
 
-    // Recovery latency: ComponentFault → next Activated of the same
-    // component, in task cycles.
+    // Recovery latency: ComponentFault → next transition of the same
+    // component into Active, in task cycles.
     let events = log.borrow().clone();
     let mut open_fault: HashMap<String, SimTime> = HashMap::new();
     let mut max_recovery = 0u64;
@@ -282,7 +282,11 @@ fn run(params: &Params) -> RunStats {
             DrcrEvent::ComponentFault { component, .. } => {
                 open_fault.entry(component.clone()).or_insert(*t);
             }
-            DrcrEvent::Activated { component } => {
+            DrcrEvent::Transition {
+                component,
+                to: ComponentState::Active,
+                ..
+            } => {
                 if let Some(t0) = open_fault.remove(component) {
                     let cycles = t.duration_since(t0).as_nanos().div_ceil(PERIOD_NS);
                     max_recovery = max_recovery.max(cycles);

@@ -8,7 +8,8 @@
 //!
 //! * **Kernel budgets** — [`crate::drcr::Drcr::set_budget_enforcement`]
 //!   gives every periodic task a per-cycle execution budget of
-//!   `cpuusage × period`; the kernel clamps overruns.
+//!   `cpuusage × period` plus the container overhead admission charges
+//!   ([`CONTAINER_OVERHEAD_NS`]); the kernel clamps overruns.
 //! * **The contract monitor** — [`StochasticMonitor`] keeps one
 //!   [`UsageEstimator`] per component, fed from the kernel's per-task
 //!   `(cycles, cpu_time)` accounting:
@@ -52,7 +53,8 @@ use crate::rta::CONTAINER_OVERHEAD_NS;
 use crate::runtime::DrtRuntime;
 use rtos::hist::Histogram;
 use rtos::time::SimDuration;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Fixed-point scale of a recorded per-cycle cost: `1 << FRACTION_BITS`
 /// is the whole period.
@@ -303,12 +305,20 @@ pub enum ContractOutcome {
 #[derive(Debug)]
 pub struct StochasticMonitor {
     config: LearningConfig,
-    estimators: HashMap<String, UsageEstimator>,
-    /// Components already convicted (no double conviction until rebased).
-    flagged: HashSet<String>,
-    /// Transition-log entries already scanned for baseline resets.
-    transitions_seen: usize,
+    tracked: HashMap<Rc<str>, Tracked>,
+    /// The executive's lifecycle sequence at the previous poll.
+    scanned: u64,
     outcomes: Vec<ContractOutcome>,
+}
+
+/// One component's estimator and verdict, tied to one registration.
+#[derive(Debug)]
+struct Tracked {
+    est: UsageEstimator,
+    /// The registration stamp the estimator belongs to.
+    registered: u64,
+    /// Already convicted (no double conviction until rebased).
+    flagged: bool,
 }
 
 impl StochasticMonitor {
@@ -316,9 +326,8 @@ impl StochasticMonitor {
     pub fn new(config: LearningConfig) -> Self {
         StochasticMonitor {
             config,
-            estimators: HashMap::new(),
-            flagged: HashSet::new(),
-            transitions_seen: 0,
+            tracked: HashMap::new(),
+            scanned: 0,
             outcomes: Vec::new(),
         }
     }
@@ -335,7 +344,7 @@ impl StochasticMonitor {
 
     /// The estimator for one component, if any cycles were observed.
     pub fn estimator(&self, name: &str) -> Option<&UsageEstimator> {
-        self.estimators.get(name)
+        self.tracked.get(name).map(|t| &t.est)
     }
 
     /// Samples every active periodic component's kernel accounting,
@@ -350,50 +359,51 @@ impl StochasticMonitor {
     /// applied actions.
     pub fn poll(&mut self, rt: &mut DrtRuntime) -> Result<Vec<ContractOutcome>, DrcrError> {
         self.config.validate()?;
-        // Any transition into Active means a fresh task instance with
-        // fresh CPU accounting: drop the counter baseline (the learned
-        // histogram survives — it describes the component, not the task).
-        // A destroyed component takes its estimator and verdict with it.
-        {
+        // Compare each component's lifecycle stamps with the previous
+        // poll. An entry into Active since then means a fresh task
+        // instance (or a resumed one) with fresh CPU accounting: drop the
+        // counter baseline (the learned histogram survives — it describes
+        // the component, not the task). A component removed, or registered
+        // anew, takes its estimator and verdict with it.
+        let names: Vec<Rc<str>> = {
             let drcr = rt.drcr();
-            let transitions = drcr.transitions();
-            for t in &transitions[self.transitions_seen.min(transitions.len())..] {
-                match t.to {
-                    ComponentState::Active => {
-                        if let Some(est) = self.estimators.get_mut(&t.component) {
-                            est.baseline = None;
-                        }
+            let since = self.scanned;
+            self.tracked.retain(|name, t| match drcr.stamps(name) {
+                Some(s) if s.registered == t.registered => {
+                    if s.activated > since {
+                        t.est.baseline = None;
                     }
-                    ComponentState::Destroyed => {
-                        self.estimators.remove(&t.component);
-                        self.flagged.remove(&t.component);
-                    }
-                    _ => {}
+                    true
                 }
-            }
-            self.transitions_seen = transitions.len();
-        }
-        let names = rt.drcr().component_names();
-        let view = rt.drcr().system_view();
+                _ => false,
+            });
+            self.scanned = drcr.lifecycle_seq();
+            drcr.names().cloned().collect()
+        };
         let mut fresh = Vec::new();
-        for name in names {
-            if rt.component_state(&name) != Some(ComponentState::Active) {
-                if let Some(est) = self.estimators.get_mut(&name) {
-                    est.baseline = None;
+        for name in &names {
+            let (task, period_ns, claimed, registered) = {
+                let drcr = rt.drcr();
+                if drcr.state_of(name) != Some(ComponentState::Active) {
+                    if let Some(t) = self.tracked.get_mut(name) {
+                        t.est.baseline = None;
+                    }
+                    continue;
                 }
-                continue;
-            }
-            let Some(task) = rt.drcr().task_of(&name) else {
-                continue;
+                let (Some(task), Some(d), Some(stamps)) = (
+                    drcr.task_of(name),
+                    drcr.descriptor_ref(name),
+                    drcr.stamps(name),
+                ) else {
+                    continue;
+                };
+                // Aperiodic components have no per-cycle cost model to learn.
+                let Some(period_ns) = d.task.period().map(|p| p.as_nanos()).filter(|&p| p > 0)
+                else {
+                    continue;
+                };
+                (task, period_ns, d.cpu_usage.fraction(), stamps.registered)
             };
-            let Some(info) = view.component(&name) else {
-                continue;
-            };
-            // Aperiodic components have no per-cycle cost model to learn.
-            let Some(period_ns) = info.period_ns.filter(|&p| p > 0) else {
-                continue;
-            };
-            let claimed = info.cpu_usage;
             let (cycles, cpu_time) = {
                 let kernel = rt.kernel();
                 match (kernel.task_cycles(task), kernel.task_cpu_time(task)) {
@@ -401,15 +411,17 @@ impl StochasticMonitor {
                     _ => continue,
                 }
             };
-            let est = self
-                .estimators
-                .entry(name.clone())
-                .or_insert_with(|| UsageEstimator::new(claimed));
+            let t = self.tracked.entry(name.clone()).or_insert_with(|| Tracked {
+                est: UsageEstimator::new(claimed),
+                registered,
+                flagged: false,
+            });
+            let est = &mut t.est;
             if est.claimed != claimed {
                 // The yardstick moved (refinement round-trip or operator
                 // change): restart rate accounting and allow reconviction.
                 est.rebase(claimed);
-                self.flagged.remove(&name);
+                t.flagged = false;
             }
             let Some((c0, t0)) = est.baseline else {
                 est.baseline = Some((cycles, cpu_time));
@@ -429,16 +441,17 @@ impl StochasticMonitor {
             let observed_rate = est.over_rate();
             let lower = est.rate_lower_bound(self.config.delta);
             let samples = est.checked;
-            if lower > self.config.p_max && self.flagged.insert(name.clone()) {
+            if lower > self.config.p_max && !t.flagged {
+                t.flagged = true;
                 rt.drcr_mut().note(DrcrEvent::StochasticViolation {
-                    component: name.clone(),
+                    component: name.to_string(),
                     claimed,
                     observed_rate,
                     rate_lower_bound: lower,
                     samples,
                 });
                 let outcome = ContractOutcome::Violation {
-                    component: name.clone(),
+                    component: name.to_string(),
                     claimed,
                     observed_rate,
                     rate_lower_bound: lower,
@@ -446,7 +459,7 @@ impl StochasticMonitor {
                 };
                 if self.config.quarantine {
                     rt.quarantine_component(
-                        &name,
+                        name,
                         &format!(
                             "stochastic contract violation: over-budget cycle rate \
                              {observed_rate:.3} (lower bound {lower:.3} > tolerated \
@@ -467,9 +480,9 @@ impl StochasticMonitor {
                 let refined =
                     (est.quantile(self.config.quantile) * self.config.margin).clamp(0.001, 1.0);
                 if refined < claimed * self.config.refine_ratio {
-                    rt.refine_claim(&name, refined, total)?;
+                    rt.refine_claim(name, refined, total)?;
                     let outcome = ContractOutcome::Refined {
-                        component: name.clone(),
+                        component: name.to_string(),
                         declared: claimed,
                         refined,
                         samples: total,

@@ -17,15 +17,16 @@
 //! On departure the DRCR cascades: consumers left without an active
 //! provider are deactivated back to `Unsatisfied` (releasing their
 //! admission), and re-activated automatically when a provider returns.
-//! Every decision is recorded in a transition log for audit and for the
-//! paper's dynamicity scenario.
+//! Every state change goes through one checked transition that emits a
+//! typed [`DrcrEvent::Transition`], so the event stream is the audit log
+//! (and the paper's dynamicity scenario).
 
 use crate::admission::AdmissionLedger;
 use crate::descriptor::ComponentDescriptor;
 use crate::error::DrcrError;
 use crate::hybrid::{BridgeMode, Command, HybridRtBody, PortBinding, Reply, RtLogic};
-use crate::lifecycle::{ComponentState, Transition};
-use crate::lower::{lower, Channel};
+use crate::lifecycle::{ComponentState, Stamps};
+use crate::lower::{lower, Channel, Lowering};
 use crate::manage::{
     ManagementHandle, ManagementReply, RequestToken, RtComponentManagement, MANAGEMENT_SERVICE,
 };
@@ -38,7 +39,7 @@ use crate::reactive::ReactiveResolver;
 use crate::resolve::{
     Decision, Resolver, ResolverHandle, ResolvingService, UtilizationResolver, RESOLVER_SERVICE,
 };
-use crate::rta::RtaAnalysis;
+use crate::rta::{RtaAnalysis, CONTAINER_OVERHEAD_NS};
 use crate::supervise::{FaultDecision, SupervisionConfig, Supervisor};
 use crate::view::{ComponentInfo, SystemView};
 use crate::wiring::{MissingPort, WiringResult};
@@ -119,6 +120,38 @@ impl ComponentProvider {
     }
 }
 
+/// A kernel object an activation created. The record keeps them in
+/// creation order and teardown releases them in reverse (see [`release`]).
+#[derive(Debug, Clone, Copy)]
+enum KernelObject {
+    Shm(ObjName),
+    Mailbox(ObjName),
+    Fifo(ObjName),
+    Task(TaskId),
+}
+
+/// Releases kernel objects newest first: the task goes before the
+/// channels its stop hook may still touch. A failed activation and a
+/// deactivation both release through here.
+fn release(kernel: &mut Kernel, objects: Vec<KernelObject>) {
+    for object in objects.into_iter().rev() {
+        match object {
+            KernelObject::Shm(n) => {
+                let _ = kernel.shm_mut().free(n.as_str());
+            }
+            KernelObject::Mailbox(n) => {
+                let _ = kernel.mailboxes_mut().delete(n.as_str());
+            }
+            KernelObject::Fifo(n) => {
+                let _ = kernel.fifos_mut().destroy(n.as_str());
+            }
+            KernelObject::Task(t) => {
+                let _ = kernel.delete_task(t);
+            }
+        }
+    }
+}
+
 struct ComponentRecord {
     /// The contract currently in force (mode-substituted).
     descriptor: ComponentDescriptor,
@@ -126,7 +159,10 @@ struct ComponentRecord {
     base_descriptor: ComponentDescriptor,
     factory: Rc<dyn Fn() -> Box<dyn RtLogic>>,
     state: ComponentState,
+    stamps: Stamps,
     bundle: Option<BundleId>,
+    /// What the current activation created, in creation order.
+    objects: Vec<KernelObject>,
     task: Option<TaskId>,
     mgmt: Option<ServiceId>,
     cmd_mbx: Option<ObjName>,
@@ -159,7 +195,8 @@ pub struct Drcr {
     ledger: AdmissionLedger,
     bridge: BridgeMode,
     enforce_budgets: bool,
-    transitions: Vec<Transition>,
+    /// Bumped by every lifecycle transition; records are stamped from it.
+    lifecycle_seq: u64,
     events: EventSink<DrcrEvent>,
     bridge_events: EventSink<BridgeEvent>,
     metrics: MetricsRegistry,
@@ -229,7 +266,7 @@ impl Drcr {
             ledger: AdmissionLedger::new(cpu_count),
             bridge: BridgeMode::AsyncPoll,
             enforce_budgets: false,
-            transitions: Vec::new(),
+            lifecycle_seq: 0,
             events: EventSink::new(EVENT_RING_CAPACITY),
             bridge_events: EventSink::new(EVENT_RING_CAPACITY),
             metrics: MetricsRegistry::new(),
@@ -256,8 +293,10 @@ impl Drcr {
     }
 
     /// When enabled, future activations of periodic components get a
-    /// kernel-enforced per-cycle execution budget of `cpuusage x period`,
-    /// making the declared claim binding (see [`crate::contracts`]).
+    /// kernel-enforced per-cycle execution budget of `cpuusage x period`
+    /// plus the container overhead admission charges on top of the claim
+    /// ([`CONTAINER_OVERHEAD_NS`]), making the declared claim binding (see
+    /// [`crate::contracts`]).
     pub fn set_budget_enforcement(&mut self, on: bool) {
         self.enforce_budgets = on;
     }
@@ -314,32 +353,19 @@ impl Drcr {
         } else {
             ComponentState::Disabled
         };
-        self.record_transition(
-            &id,
-            ComponentState::Installed,
-            initial,
-            "descriptor registered",
-        );
         // A fresh registration starts inactive in the engine; it cannot
         // break any running consumer (it only *adds* a provider), so no
         // dirty-set seeding happens — the engine just refreshes the stale
         // wiring memos of the new provider's consumers.
         self.resolver.on_registered(&id, &descriptor);
-        self.resolver.on_state_changed(
-            &id,
-            descriptor.task.cpu(),
-            ComponentState::Installed,
-            initial,
-        );
-        if initial == ComponentState::Unsatisfied {
-            self.unsatisfied.insert(id.clone());
-        }
         let record = ComponentRecord {
             base_descriptor: descriptor.clone(),
             descriptor,
             factory,
-            state: initial,
+            state: ComponentState::Installed,
+            stamps: Stamps::default(),
             bundle,
+            objects: Vec::new(),
             task: None,
             mgmt: None,
             cmd_mbx: None,
@@ -348,12 +374,8 @@ impl Drcr {
             current_mode: crate::model::BASE_MODE.to_string(),
             reply_buffer: HashMap::new(),
         };
-        self.view.insert(record.info(id.clone()));
-        self.metrics.count("drcr.view.updates", 1);
         self.components.insert(id.clone(), record);
-        self.note(DrcrEvent::Registered {
-            component: id.to_string(),
-        });
+        self.transition(&id, None, initial, "descriptor registered", |_| Ok(()))?;
         self.dirty = true;
         Ok(())
     }
@@ -364,21 +386,12 @@ impl Drcr {
     ///
     /// [`DrcrError::NoSuchComponent`].
     pub fn remove_component(&mut self, name: &str, fw: &mut Framework) -> Result<(), DrcrError> {
-        if !self.components.contains_key(name) {
-            return Err(DrcrError::NoSuchComponent(name.to_string()));
-        }
-        let state = self.components[name].state;
-        if state.holds_admission() {
-            self.deactivate(name, fw, ComponentState::Destroyed, "component removed")?;
-        } else {
-            self.record_transition(name, state, ComponentState::Destroyed, "component removed");
-        }
+        self.deactivate(name, fw, ComponentState::Destroyed, "component removed")?;
         if let Some(rec) = self.components.remove(name) {
             // Mode switches preserve ports, so either descriptor describes
             // the indexed entries.
             self.resolver.on_removed(name, &rec.descriptor);
         }
-        self.unsatisfied.remove(name);
         self.supervisor.clear(name);
         self.view.remove(name);
         self.metrics.count("drcr.view.updates", 1);
@@ -400,6 +413,12 @@ impl Drcr {
         self.components.keys().map(|k| k.to_string()).collect()
     }
 
+    /// Names of all registered components, sorted, borrowed from the
+    /// registry (no allocation).
+    pub fn names(&self) -> impl Iterator<Item = &Rc<str>> + '_ {
+        self.components.keys()
+    }
+
     /// Names of the Active components, sorted, borrowed from the registry
     /// (no allocation).
     pub fn active_names(&self) -> impl Iterator<Item = &Rc<str>> + '_ {
@@ -414,13 +433,20 @@ impl Drcr {
         self.components.get(name).map(|r| r.providers.as_slice())
     }
 
-    /// The full transition log, oldest first.
-    pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
+    /// The lifecycle sequence: bumped by every state transition, so an
+    /// unchanged value means no component changed state in between.
+    pub fn lifecycle_seq(&self) -> u64 {
+        self.lifecycle_seq
     }
 
-    /// The typed executive event log (resolve rounds, admission verdicts,
-    /// wiring diagnoses, cascades, mode switches, rollbacks), newest-bounded.
+    /// A component's registration and latest-activation stamps.
+    pub fn stamps(&self, name: &str) -> Option<Stamps> {
+        self.components.get(name).map(|r| r.stamps)
+    }
+
+    /// The typed executive event log (lifecycle transitions, resolve
+    /// rounds, admission verdicts, wiring diagnoses, cascades, mode
+    /// switches, rollbacks), newest-bounded.
     pub fn events(&self) -> &TraceRing<DrcrEvent> {
         self.events.ring()
     }
@@ -490,16 +516,6 @@ impl Drcr {
         self.view.clone()
     }
 
-    /// Applies one lifecycle flip to the view in place.
-    fn view_set_state(&mut self, name: &str, state: ComponentState) {
-        let idx = self
-            .view
-            .position(name)
-            .expect("registered components are in the view");
-        self.view.set_state_at(idx, state);
-        self.metrics.count("drcr.view.updates", 1);
-    }
-
     /// Re-writes one component's view record from its (changed) contract.
     fn view_replace(&mut self, name: &str) {
         let (key, rec) = self.components.get_key_value(name).expect("present");
@@ -512,24 +528,77 @@ impl Drcr {
         self.metrics.count("drcr.view.updates", 1);
     }
 
-    /// The single state-transition bottleneck: updates the record, the
-    /// activation work-list, the engine's constraint nodes and the cached
-    /// view. Callers record the transition log entry and events themselves.
-    fn apply_state(&mut self, name: &Rc<str>, to: ComponentState) {
-        let rec = self.components.get_mut(&**name).expect("present");
-        let from = rec.state;
-        if from == to {
-            return;
+    /// The one place a component's lifecycle state changes. Checks the
+    /// step to `to` against Figure 1 — and, for a management step that
+    /// names its edge (resume, enable), against that edge's `source` — and
+    /// returns [`DrcrError::IllegalTransition`] with nothing changed when
+    /// it is not allowed. Otherwise runs `effect` (the kernel side of the
+    /// step), and when that succeeds commits: the record and its stamps,
+    /// the activation work-list, the engine's constraint nodes, the view,
+    /// the lifecycle sequence, and one [`DrcrEvent::Transition`]. An
+    /// `effect` that fails must leave nothing behind; its error is
+    /// returned.
+    fn transition(
+        &mut self,
+        name: &str,
+        source: Option<ComponentState>,
+        to: ComponentState,
+        reason: &str,
+        effect: impl FnOnce(&mut Self) -> Result<(), DrcrError>,
+    ) -> Result<(), DrcrError> {
+        let from = self
+            .components
+            .get(name)
+            .ok_or_else(|| DrcrError::NoSuchComponent(name.to_string()))?
+            .state;
+        if !(from.can_transition(to) && source.is_none_or(|s| s == from)) {
+            return Err(DrcrError::IllegalTransition {
+                component: name.to_string(),
+                from,
+                to,
+            });
         }
+        effect(self)?;
+        self.lifecycle_seq += 1;
+        let key = self
+            .components
+            .get_key_value(name)
+            .expect("checked above")
+            .0
+            .clone();
+        let rec = self.components.get_mut(name).expect("checked above");
         rec.state = to;
+        if from == ComponentState::Installed {
+            rec.stamps.registered = self.lifecycle_seq;
+        }
+        if to == ComponentState::Active {
+            rec.stamps.activated = self.lifecycle_seq;
+        }
         let cpu = rec.descriptor.task.cpu();
         if to == ComponentState::Unsatisfied {
-            self.unsatisfied.insert(name.clone());
+            self.unsatisfied.insert(key.clone());
         } else {
-            self.unsatisfied.remove(&**name);
+            self.unsatisfied.remove(name);
         }
-        self.resolver.on_state_changed(name, cpu, from, to);
-        self.view_set_state(name, to);
+        self.resolver.on_state_changed(&key, cpu, from, to);
+        if from == ComponentState::Installed {
+            let info = self.components[name].info(key);
+            self.view.insert(info);
+        } else {
+            let idx = self
+                .view
+                .position(name)
+                .expect("registered components are in the view");
+            self.view.set_state_at(idx, to);
+        }
+        self.metrics.count("drcr.view.updates", 1);
+        self.note(DrcrEvent::Transition {
+            component: name.to_string(),
+            from,
+            to,
+            reason: reason.to_string(),
+        });
+        Ok(())
     }
 
     /// The kernel task id behind an active component.
@@ -824,16 +893,10 @@ impl Drcr {
             self.metrics.count("drcr.supervision.faults", 1);
             match self.supervisor.on_fault(&name, now) {
                 FaultDecision::Quarantine { reason } => {
+                    // The recorded evidence includes the fault cause
+                    // (on_fault stored only the policy verdict).
                     let reason = format!("fault ({cause}); {reason}");
-                    let _ = self.deactivate(&name, fw, ComponentState::Disabled, &reason);
-                    // Upgrade the recorded evidence to include the fault
-                    // cause (on_fault stored only the policy verdict).
-                    self.supervisor.quarantine(&name, &reason);
-                    self.note(DrcrEvent::Quarantined {
-                        component: name.to_string(),
-                        reason,
-                    });
-                    self.metrics.count("drcr.supervision.quarantines", 1);
+                    let _ = self.quarantine_component(&name, fw, &reason);
                 }
                 FaultDecision::Restart { attempt, delay } => {
                     let _ = self.deactivate(
@@ -1354,81 +1417,126 @@ impl Drcr {
         fw: &mut Framework,
         providers: Vec<(String, String)>,
     ) -> Result<(), DrcrError> {
-        let (descriptor, factory, from_state) = {
+        self.transition(
+            name,
+            Some(ComponentState::Unsatisfied),
+            ComponentState::Active,
+            "constraints satisfied; admitted",
+            |drcr| drcr.build(name, fw, providers),
+        )?;
+        self.metrics.count("drcr.activations", 1);
+        Ok(())
+    }
+
+    /// The kernel side of an activation: kernel objects, reservation and
+    /// management service. The objects are listed as they are created and
+    /// the list kept on the record for teardown, so a failure part-way
+    /// (e.g. a channel-shape conflict with an unrelated kernel object)
+    /// releases them all and leaves nothing behind, with a
+    /// [`DrcrEvent::Rollback`].
+    fn build(
+        &mut self,
+        name: &str,
+        fw: &mut Framework,
+        providers: Vec<(String, String)>,
+    ) -> Result<(), DrcrError> {
+        let (descriptor, factory) = {
             let rec = &self.components[name];
-            (rec.descriptor.clone(), rec.factory.clone(), rec.state)
+            (rec.descriptor.clone(), rec.factory.clone())
         };
-        debug_assert!(from_state.can_transition(ComponentState::Active));
-        let lowered = lower(&descriptor, self.enforce_budgets)?;
-
-        let mut kernel = self.kernel.borrow_mut();
-
-        // Everything allocated below is recorded so a mid-activation
-        // failure (e.g. a channel-shape conflict with an unrelated kernel
-        // object) rolls back cleanly instead of leaking.
-        enum Created {
-            Shm(String),
-            Mbx(String),
-            Fifo(String),
-        }
-        let mut created: Vec<Created> = Vec::new();
-        macro_rules! rollback {
-            ($kernel:expr, $err:expr) => {{
-                let err: DrcrError = $err.into();
-                for c in created.into_iter().rev() {
-                    match c {
-                        Created::Shm(n) => {
-                            let _ = $kernel.shm_mut().free(&n);
-                        }
-                        Created::Mbx(n) => {
-                            let _ = $kernel.mailboxes_mut().delete(&n);
-                        }
-                        Created::Fifo(n) => {
-                            let _ = $kernel.fifos_mut().destroy(&n);
-                        }
-                    }
-                }
-                let now = $kernel.now();
-                self.events.emit(
-                    now,
-                    DrcrEvent::Rollback {
-                        component: name.to_string(),
-                        reason: err.to_string(),
-                    },
-                );
+        let lowered = lower(
+            &descriptor,
+            self.enforce_budgets.then_some(CONTAINER_OVERHEAD_NS),
+        )?;
+        let mut objects = Vec::new();
+        let built = self
+            .create_objects(&descriptor, lowered, factory, &mut objects)
+            .and_then(|bridge| {
+                self.ledger
+                    .reserve(name, descriptor.task.cpu(), descriptor.cpu_usage.fraction())
+                    .map_err(|e| DrcrError::Kernel(e.to_string()))?;
+                Ok(bridge)
+            });
+        let (task, cmd_mbx, reply_mbx) = match built {
+            Ok(bridge) => bridge,
+            Err(err) => {
+                release(&mut self.kernel.borrow_mut(), objects);
+                self.note(DrcrEvent::Rollback {
+                    component: name.to_string(),
+                    reason: err.to_string(),
+                });
                 self.metrics.count("drcr.rollbacks", 1);
                 return Err(err);
-            }};
-        }
+            }
+        };
+
+        let mgmt = self.self_ref.upgrade().map(|drcr| {
+            let service: Rc<dyn RtComponentManagement> = Rc::new(DrcrManagement {
+                drcr,
+                component: name.to_string(),
+            });
+            fw.registry_mut().register(
+                &[MANAGEMENT_SERVICE],
+                Rc::new(ManagementHandle(service)),
+                Properties::new()
+                    .with(PROP_COMPONENT_NAME, name)
+                    .with("drt.cpu", descriptor.task.cpu() as i64)
+                    .with("drt.cpuusage", descriptor.cpu_usage.fraction()),
+            )
+        });
+        let key = self
+            .components
+            .get_key_value(name)
+            .expect("present")
+            .0
+            .clone();
+        let rec = self.components.get_mut(name).expect("present");
+        rec.objects = objects;
+        rec.task = Some(task);
+        rec.mgmt = mgmt;
+        rec.cmd_mbx = cmd_mbx;
+        rec.reply_mbx = reply_mbx;
+        rec.providers = providers;
+        self.task_names.insert(task, key);
+        Ok(())
+    }
+
+    /// Creates an activation's kernel objects in order — port channels,
+    /// the §3.2 bridge mailboxes, the RT task — pushing each onto
+    /// `objects` as it is made. Returns the task and bridge mailboxes.
+    fn create_objects(
+        &mut self,
+        descriptor: &ComponentDescriptor,
+        lowered: Lowering<'_>,
+        factory: Rc<dyn Fn() -> Box<dyn RtLogic>>,
+        objects: &mut Vec<KernelObject>,
+    ) -> Result<(TaskId, Option<ObjName>, Option<ObjName>), DrcrError> {
+        let mut kernel = self.kernel.borrow_mut();
 
         // 1. Port channels: providers own their outport channels; consumers
         //    attach to SHM (refcounted) and share mailboxes.
         for (direction, port, channel) in lowered.channels() {
-            let name = port.name.as_str();
-            let result = match (direction, channel) {
+            let name = port.name;
+            match (direction, channel) {
                 (
                     _,
                     Channel::Shm {
                         data_type,
                         elements,
                     },
-                ) => kernel
-                    .shm_mut()
-                    .alloc(name, data_type, elements)
-                    .map(|()| Created::Shm(name.to_string())),
-                (PortDirection::In, _) => continue,
-                (PortDirection::Out, Channel::Mailbox { capacity }) => kernel
-                    .mailboxes_mut()
-                    .create(name, capacity)
-                    .map(|()| Created::Mbx(name.to_string())),
-                (PortDirection::Out, Channel::Fifo { capacity }) => kernel
-                    .fifos_mut()
-                    .create(name, capacity)
-                    .map(|()| Created::Fifo(name.to_string())),
-            };
-            match result {
-                Ok(c) => created.push(c),
-                Err(e) => rollback!(kernel, e),
+                ) => {
+                    kernel.shm_mut().alloc(name.as_str(), data_type, elements)?;
+                    objects.push(KernelObject::Shm(name));
+                }
+                (PortDirection::In, _) => {}
+                (PortDirection::Out, Channel::Mailbox { capacity }) => {
+                    kernel.mailboxes_mut().create(name.as_str(), capacity)?;
+                    objects.push(KernelObject::Mailbox(name));
+                }
+                (PortDirection::Out, Channel::Fifo { capacity }) => {
+                    kernel.fifos_mut().create(name.as_str(), capacity)?;
+                    objects.push(KernelObject::Fifo(name));
+                }
             }
         }
 
@@ -1468,20 +1576,12 @@ impl Drcr {
                         break;
                     }
                 }
-                let Some((c, r)) = chosen else {
-                    rollback!(
-                        kernel,
-                        DrcrError::Kernel("no free bridge channel names".into())
-                    );
-                };
-                if let Err(e) = kernel.mailboxes_mut().create(c.as_str(), 16) {
-                    rollback!(kernel, e);
+                let (c, r) = chosen
+                    .ok_or_else(|| DrcrError::Kernel("no free bridge channel names".into()))?;
+                for mbx in [c, r] {
+                    kernel.mailboxes_mut().create(mbx.as_str(), 16)?;
+                    objects.push(KernelObject::Mailbox(mbx));
                 }
-                created.push(Created::Mbx(c.to_string()));
-                if let Err(e) = kernel.mailboxes_mut().create(r.as_str(), 16) {
-                    rollback!(kernel, e);
-                }
-                created.push(Created::Mbx(r.to_string()));
                 (Some(c), Some(r))
             }
         };
@@ -1502,14 +1602,9 @@ impl Drcr {
             reply_mbx,
             self.bridge,
         );
-        let task = match kernel.create_task(lowered.task, Box::new(body)) {
-            Ok(t) => t,
-            Err(e) => rollback!(kernel, e),
-        };
-        if let Err(e) = kernel.start_task(task) {
-            let _ = kernel.delete_task(task);
-            rollback!(kernel, e);
-        }
+        let task = kernel.create_task(lowered.task, Box::new(body))?;
+        objects.push(KernelObject::Task(task));
+        kernel.start_task(task)?;
         // Event-driven components: aperiodic tasks wake on arrivals at
         // their mailbox inports.
         if !descriptor.task.is_periodic() {
@@ -1519,61 +1614,12 @@ impl Drcr {
                 }
             }
         }
-        drop(kernel);
-
-        // 4. Admission reservation.
-        self.ledger
-            .reserve(name, descriptor.task.cpu(), descriptor.cpu_usage.fraction())
-            .map_err(|e| DrcrError::Kernel(e.to_string()))?;
-
-        // 5. Management service.
-        let mgmt = self.self_ref.upgrade().map(|drcr| {
-            let service: Rc<dyn RtComponentManagement> = Rc::new(DrcrManagement {
-                drcr,
-                component: name.to_string(),
-            });
-            fw.registry_mut().register(
-                &[MANAGEMENT_SERVICE],
-                Rc::new(ManagementHandle(service)),
-                Properties::new()
-                    .with(PROP_COMPONENT_NAME, name)
-                    .with("drt.cpu", descriptor.task.cpu() as i64)
-                    .with("drt.cpuusage", descriptor.cpu_usage.fraction()),
-            )
-        });
-
-        // 6. Book-keeping + transition.
-        let key = self
-            .components
-            .get_key_value(name)
-            .map(|(k, _)| k.clone())
-            .expect("checked above");
-        let rec = self.components.get_mut(name).expect("checked above");
-        rec.task = Some(task);
-        rec.mgmt = mgmt;
-        rec.cmd_mbx = cmd_mbx;
-        rec.reply_mbx = reply_mbx;
-        rec.providers = providers;
-        self.task_names.insert(task, key.clone());
-        // A newly active provider can only *satisfy* consumers, never break
-        // one, so the engine refreshes its memos without seeding the dirty
-        // scope; the view takes the flip in place.
-        self.apply_state(&key, ComponentState::Active);
-        self.record_transition(
-            name,
-            from_state,
-            ComponentState::Active,
-            "constraints satisfied; admitted",
-        );
-        self.note(DrcrEvent::Activated {
-            component: name.to_string(),
-        });
-        self.metrics.count("drcr.activations", 1);
-        Ok(())
+        Ok((task, cmd_mbx, reply_mbx))
     }
 
-    /// Tears an active/suspended component down to `to` (Unsatisfied,
-    /// Disabled or Destroyed).
+    /// Moves a component to `to` (Unsatisfied, Disabled or Destroyed),
+    /// first releasing whatever its activation holds: kernel objects,
+    /// reservation and management service.
     fn deactivate(
         &mut self,
         name: &str,
@@ -1581,94 +1627,50 @@ impl Drcr {
         to: ComponentState,
         reason: &str,
     ) -> Result<(), DrcrError> {
-        let (descriptor, task, mgmt, cmd_mbx, reply_mbx, from_state) = {
-            let rec = self
-                .components
-                .get(name)
-                .ok_or_else(|| DrcrError::NoSuchComponent(name.to_string()))?;
-            (
-                rec.descriptor.clone(),
-                rec.task,
-                rec.mgmt,
-                rec.cmd_mbx,
-                rec.reply_mbx,
-                rec.state,
-            )
-        };
-        if !from_state.can_transition(to) {
-            return Err(DrcrError::IllegalTransition {
-                component: name.to_string(),
-                from: from_state,
-                to,
-            });
-        }
-        let mut kernel = self.kernel.borrow_mut();
-        if let Some(task) = task {
-            let _ = kernel.delete_task(task);
-        }
-        for port in &descriptor.outports {
-            match port.interface {
-                PortInterface::Shm => {
-                    let _ = kernel.shm_mut().free(port.name.as_str());
-                }
-                PortInterface::Mailbox => {
-                    let _ = kernel.mailboxes_mut().delete(port.name.as_str());
-                }
-                PortInterface::Fifo => {
-                    let _ = kernel.fifos_mut().destroy(port.name.as_str());
-                }
+        // The engine seeds this component's consumers into its dirty scope
+        // (a departed provider is the only way a satisfied check breaks)
+        // and drops their memoized wiring results.
+        let held = self
+            .state_of(name)
+            .is_some_and(ComponentState::holds_admission);
+        self.transition(name, None, to, reason, |drcr| {
+            if held {
+                drcr.teardown(name, fw);
             }
+            Ok(())
+        })?;
+        if held {
+            self.metrics.count("drcr.deactivations", 1);
         }
-        for port in &descriptor.inports {
-            if port.interface == PortInterface::Shm {
-                let _ = kernel.shm_mut().free(port.name.as_str());
-            }
-        }
-        for mbx in [cmd_mbx, reply_mbx].into_iter().flatten() {
-            let _ = kernel.mailboxes_mut().delete(mbx.as_str());
-        }
-        drop(kernel);
-        // Non-holding states legitimately carry no reservation (an
-        // Unsatisfied component being uninstalled, say); holding states
-        // must release exactly once — the ledger's NotReserved guard makes
-        // a double release loud instead of silently skewing totals.
-        if self.ledger.release(name).is_err() {
-            debug_assert!(
-                !from_state.holds_admission(),
-                "`{name}` held admission but no ledger reservation"
-            );
-        }
-        if let Some(svc) = mgmt {
-            fw.registry_mut().unregister(svc);
-        }
-        let key = self
-            .components
-            .get_key_value(name)
-            .map(|(k, _)| k.clone())
-            .expect("checked above");
-        let rec = self.components.get_mut(name).expect("checked above");
-        rec.task = None;
-        rec.mgmt = None;
+        self.dirty = true;
+        Ok(())
+    }
+
+    /// Releases everything an admission-holding component's activation
+    /// holds.
+    fn teardown(&mut self, name: &str, fw: &mut Framework) {
+        let rec = self.components.get_mut(name).expect("transition checked");
+        let objects = std::mem::take(&mut rec.objects);
+        let task = rec.task.take();
+        let mgmt = rec.mgmt.take();
         rec.cmd_mbx = None;
         rec.reply_mbx = None;
         rec.providers.clear();
         rec.reply_buffer.clear();
+        release(&mut self.kernel.borrow_mut(), objects);
         if let Some(task) = task {
             self.task_names.remove(&task);
         }
-        // The engine seeds this component's consumers into its dirty scope
-        // (a departed provider is the only way a satisfied check breaks)
-        // and drops their memoized wiring results.
-        self.apply_state(&key, to);
-        self.record_transition(name, from_state, to, reason);
-        self.note(DrcrEvent::Deactivated {
-            component: name.to_string(),
-            to,
-            reason: reason.to_string(),
-        });
-        self.metrics.count("drcr.deactivations", 1);
-        self.dirty = true;
-        Ok(())
+        // The ledger's NotReserved guard makes a double release loud
+        // instead of silently skewing totals.
+        let released = self.ledger.release(name);
+        debug_assert!(
+            released.is_ok(),
+            "`{name}` held admission but no ledger reservation"
+        );
+        if let Some(svc) = mgmt {
+            fw.registry_mut().unregister(svc);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1681,35 +1683,22 @@ impl Drcr {
     ///
     /// [`DrcrError::IllegalTransition`] unless the component is active.
     pub fn suspend_component(&mut self, name: &str) -> Result<(), DrcrError> {
-        let rec = self
-            .components
-            .get(name)
-            .ok_or_else(|| DrcrError::NoSuchComponent(name.to_string()))?;
-        if rec.state != ComponentState::Active {
-            return Err(DrcrError::IllegalTransition {
-                component: name.to_string(),
-                from: rec.state,
-                to: ComponentState::Suspended,
-            });
-        }
-        let task = rec.task.expect("active component has a task");
-        self.kernel.borrow_mut().suspend_task(task)?;
-        let key = self
-            .components
-            .get_key_value(name)
-            .map(|(k, _)| k.clone())
-            .expect("present");
         // A suspended provider stops feeding its consumers: the engine
         // seeds them into its dirty scope and the next pass re-resolves. A
         // component consuming its own outport seeds itself here, which is
         // required — it no longer provides its own input.
-        self.apply_state(&key, ComponentState::Suspended);
-        self.record_transition(
+        self.transition(
             name,
-            ComponentState::Active,
+            None,
             ComponentState::Suspended,
             "management suspend",
-        );
+            |drcr| {
+                let task = drcr.components[name]
+                    .task
+                    .expect("active component has a task");
+                Ok(drcr.kernel.borrow_mut().suspend_task(task)?)
+            },
+        )?;
         self.dirty = true;
         Ok(())
     }
@@ -1720,31 +1709,19 @@ impl Drcr {
     ///
     /// [`DrcrError::IllegalTransition`] unless the component is suspended.
     pub fn resume_component(&mut self, name: &str) -> Result<(), DrcrError> {
-        let rec = self
-            .components
-            .get(name)
-            .ok_or_else(|| DrcrError::NoSuchComponent(name.to_string()))?;
-        if rec.state != ComponentState::Suspended {
-            return Err(DrcrError::IllegalTransition {
-                component: name.to_string(),
-                from: rec.state,
-                to: ComponentState::Active,
-            });
-        }
-        let task = rec.task.expect("suspended component keeps its task");
-        self.kernel.borrow_mut().resume_task(task)?;
-        let key = self
-            .components
-            .get_key_value(name)
-            .map(|(k, _)| k.clone())
-            .expect("present");
-        self.apply_state(&key, ComponentState::Active);
-        self.record_transition(
+        let source = Some(ComponentState::Suspended);
+        self.transition(
             name,
-            ComponentState::Suspended,
+            source,
             ComponentState::Active,
             "management resume",
-        );
+            |drcr| {
+                let task = drcr.components[name]
+                    .task
+                    .expect("suspended component keeps its task");
+                Ok(drcr.kernel.borrow_mut().resume_task(task)?)
+            },
+        )?;
         self.dirty = true;
         Ok(())
     }
@@ -1756,36 +1733,15 @@ impl Drcr {
     ///
     /// [`DrcrError::NoSuchComponent`] / illegal transitions.
     pub fn disable_component(&mut self, name: &str, fw: &mut Framework) -> Result<(), DrcrError> {
-        let state = self
-            .state_of(name)
-            .ok_or_else(|| DrcrError::NoSuchComponent(name.to_string()))?;
-        if state.holds_admission() {
-            self.deactivate(name, fw, ComponentState::Disabled, "management disable")?;
-        } else if state.can_transition(ComponentState::Disabled) {
-            let key = self
-                .components
-                .get_key_value(name)
-                .map(|(k, _)| k.clone())
-                .expect("present");
-            self.apply_state(&key, ComponentState::Disabled);
-            self.record_transition(name, state, ComponentState::Disabled, "management disable");
-        } else {
-            return Err(DrcrError::IllegalTransition {
-                component: name.to_string(),
-                from: state,
-                to: ComponentState::Disabled,
-            });
-        }
-        self.dirty = true;
-        Ok(())
+        self.deactivate(name, fw, ComponentState::Disabled, "management disable")
     }
 
-    /// Quarantines a component through the supervisor: it falls to
-    /// `Disabled` (reservation released, consumers cascaded) and is marked
-    /// so [`Drcr::is_quarantined`] reports it, with a [`DrcrEvent::Quarantined`]
-    /// event and the `supervision.quarantines` counter. This is the single
-    /// reaction path shared by fault supervision and contract enforcement
-    /// (a quarantine is a disable with a recorded cause).
+    /// Quarantines a component: a disable with a recorded cause. It falls
+    /// to `Disabled` (reservation released, consumers cascaded) and is
+    /// marked so [`Drcr::is_quarantined`] reports it, with a
+    /// [`DrcrEvent::Quarantined`] event and the `supervision.quarantines`
+    /// counter. Fault supervision and contract enforcement both quarantine
+    /// through here.
     ///
     /// # Errors
     ///
@@ -1796,33 +1752,13 @@ impl Drcr {
         fw: &mut Framework,
         reason: &str,
     ) -> Result<(), DrcrError> {
-        let state = self
-            .state_of(name)
-            .ok_or_else(|| DrcrError::NoSuchComponent(name.to_string()))?;
-        if state.holds_admission() {
-            self.deactivate(name, fw, ComponentState::Disabled, reason)?;
-        } else if state.can_transition(ComponentState::Disabled) {
-            let key = self
-                .components
-                .get_key_value(name)
-                .map(|(k, _)| k.clone())
-                .expect("present");
-            self.apply_state(&key, ComponentState::Disabled);
-            self.record_transition(name, state, ComponentState::Disabled, reason);
-        } else {
-            return Err(DrcrError::IllegalTransition {
-                component: name.to_string(),
-                from: state,
-                to: ComponentState::Disabled,
-            });
-        }
+        self.deactivate(name, fw, ComponentState::Disabled, reason)?;
         self.supervisor.quarantine(name, reason);
         self.note(DrcrEvent::Quarantined {
             component: name.to_string(),
             reason: reason.to_string(),
         });
         self.metrics.count("drcr.supervision.quarantines", 1);
-        self.dirty = true;
         Ok(())
     }
 
@@ -1833,31 +1769,14 @@ impl Drcr {
     ///
     /// [`DrcrError::IllegalTransition`] unless the component is disabled.
     pub fn enable_component(&mut self, name: &str) -> Result<(), DrcrError> {
-        let state = self
-            .state_of(name)
-            .ok_or_else(|| DrcrError::NoSuchComponent(name.to_string()))?;
-        if state != ComponentState::Disabled {
-            return Err(DrcrError::IllegalTransition {
-                component: name.to_string(),
-                from: state,
-                to: ComponentState::Unsatisfied,
-            });
-        }
-        let key = self
-            .components
-            .get_key_value(name)
-            .map(|(k, _)| k.clone())
-            .expect("present");
-        self.apply_state(&key, ComponentState::Unsatisfied);
-        // Operator re-enable grants a fresh slate: quarantine flag, restart
-        // budget and fault window all reset.
-        self.supervisor.reset(name);
-        self.record_transition(
-            name,
-            state,
-            ComponentState::Unsatisfied,
-            "management enable",
-        );
+        let source = Some(ComponentState::Disabled);
+        let to = ComponentState::Unsatisfied;
+        self.transition(name, source, to, "management enable", |drcr| {
+            // Operator re-enable grants a fresh slate: quarantine flag,
+            // restart budget and fault window all reset.
+            drcr.supervisor.reset(name);
+            Ok(())
+        })?;
         self.dirty = true;
         Ok(())
     }
@@ -2001,21 +1920,6 @@ impl Drcr {
             );
         }
     }
-
-    fn record_transition(
-        &mut self,
-        component: &str,
-        from: ComponentState,
-        to: ComponentState,
-        reason: &str,
-    ) {
-        self.transitions.push(Transition {
-            component: component.to_string(),
-            from,
-            to,
-            reason: reason.to_string(),
-        });
-    }
 }
 
 /// The management service the DRCR registers per active component.
@@ -2090,5 +1994,170 @@ impl RtComponentManagement for DrcrManagement {
             .components
             .get_mut(self.component.as_str())
             .and_then(|r| r.reply_buffer.remove(&token.0)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hybrid::{FnLogic, RtIo};
+    use crate::manage::ComponentControl;
+    use crate::runtime::DrtRuntime;
+    use rtos::kernel::KernelConfig;
+    use rtos::latency::TimerJitterModel;
+    use rtos::shm::DataType;
+    use ComponentState::*;
+
+    fn component(name: &str, enabled: bool, inport: bool) -> ComponentProvider {
+        let mut builder = ComponentDescriptor::builder(name)
+            .periodic(100, 0, 2)
+            .cpu_usage(0.1)
+            .enabled(enabled);
+        if inport {
+            builder = builder.inport("nochan", PortInterface::Shm, DataType::Integer, 1);
+        }
+        ComponentProvider::new(builder.build().unwrap(), || {
+            Box::new(FnLogic(|_io: &mut RtIo<'_, '_>| {}))
+        })
+    }
+
+    /// One component in each reachable resting state: `act` Active, `sus`
+    /// Suspended, `wait` Unsatisfied (its inport has no provider) and `off`
+    /// Disabled.
+    fn runtime() -> DrtRuntime {
+        let mut rt = DrtRuntime::new(KernelConfig::new(5).with_timer(TimerJitterModel::ideal()));
+        rt.install_component("b.act", component("act", true, false))
+            .unwrap();
+        rt.install_component("b.sus", component("sus", true, false))
+            .unwrap();
+        rt.install_component("b.wait", component("wait", true, true))
+            .unwrap();
+        rt.install_component("b.off", component("off", false, false))
+            .unwrap();
+        rt.suspend_component("sus").unwrap();
+        rt.advance(SimDuration::from_millis(30));
+        for (name, state) in [("act", Active), ("sus", Suspended), ("wait", Unsatisfied)] {
+            assert_eq!(rt.component_state(name), Some(state), "{name}");
+        }
+        assert_eq!(rt.component_state("off"), Some(Disabled));
+        rt
+    }
+
+    /// Everything a refused step must leave untouched: each component's
+    /// state, task and stamps, the lifecycle sequence and the ledger.
+    fn snapshot(rt: &DrtRuntime) -> String {
+        let drcr = rt.drcr();
+        let per_component: Vec<_> = ["act", "sus", "wait", "off"]
+            .iter()
+            .map(|n| (drcr.state_of(n), drcr.task_of(n), drcr.stamps(n)))
+            .collect();
+        format!(
+            "{per_component:?} seq {} ledger {:?}",
+            drcr.lifecycle_seq(),
+            (0..drcr.ledger().cpu_count())
+                .map(|cpu| drcr.ledger().utilization(cpu))
+                .collect::<Vec<_>>()
+        )
+    }
+
+    /// Runs `op` on `name` and checks it is refused as `from → to`, with
+    /// no event, no state change and no kernel or ledger change.
+    fn assert_refused(
+        rt: &mut DrtRuntime,
+        name: &str,
+        (from, to): (ComponentState, ComponentState),
+        op: impl FnOnce(&mut DrtRuntime, &str) -> Result<(), DrcrError>,
+    ) {
+        let before = snapshot(rt);
+        let events = rt.drcr().events().len();
+        let err = op(rt, name).expect_err("the step is illegal");
+        assert_eq!(
+            err,
+            DrcrError::IllegalTransition {
+                component: name.to_string(),
+                from,
+                to,
+            }
+        );
+        assert_eq!(
+            rt.drcr().events().len(),
+            events,
+            "`{name}` emitted an event"
+        );
+        assert_eq!(snapshot(rt), before, "`{name}` changed the executive");
+    }
+
+    #[test]
+    fn suspend_from_an_illegal_state_changes_nothing() {
+        let mut rt = runtime();
+        let suspend = |rt: &mut DrtRuntime, n: &str| rt.suspend_component(n);
+        assert_refused(&mut rt, "wait", (Unsatisfied, Suspended), suspend);
+        assert_refused(&mut rt, "sus", (Suspended, Suspended), suspend);
+        assert_refused(&mut rt, "off", (Disabled, Suspended), suspend);
+    }
+
+    #[test]
+    fn resume_from_an_illegal_state_changes_nothing() {
+        let mut rt = runtime();
+        let resume = |rt: &mut DrtRuntime, n: &str| rt.resume_component(n);
+        assert_refused(&mut rt, "act", (Active, Active), resume);
+        // Unsatisfied → Active is resolution's step, not resume's.
+        assert_refused(&mut rt, "wait", (Unsatisfied, Active), resume);
+        assert_refused(&mut rt, "off", (Disabled, Active), resume);
+    }
+
+    #[test]
+    fn enable_from_an_illegal_state_changes_nothing() {
+        let mut rt = runtime();
+        let enable = |rt: &mut DrtRuntime, n: &str| rt.enable_component(n);
+        // Active → Unsatisfied is a deactivation, not an enable.
+        assert_refused(&mut rt, "act", (Active, Unsatisfied), enable);
+        assert_refused(&mut rt, "sus", (Suspended, Unsatisfied), enable);
+        assert_refused(&mut rt, "wait", (Unsatisfied, Unsatisfied), enable);
+    }
+
+    #[test]
+    fn disable_from_an_illegal_state_changes_nothing() {
+        let mut rt = runtime();
+        let disable = |rt: &mut DrtRuntime, n: &str| rt.disable_component(n);
+        assert_refused(&mut rt, "off", (Disabled, Disabled), disable);
+    }
+
+    #[test]
+    fn quarantine_from_an_illegal_state_changes_nothing() {
+        let mut rt = runtime();
+        let quarantine = |rt: &mut DrtRuntime, n: &str| rt.quarantine_component(n, "test");
+        assert_refused(&mut rt, "off", (Disabled, Disabled), quarantine);
+        assert!(!rt.drcr().is_quarantined("off"));
+    }
+
+    #[test]
+    fn legal_management_steps_each_emit_one_transition() {
+        let mut rt = runtime();
+        let seq = rt.drcr().lifecycle_seq();
+        rt.resume_component("sus").unwrap();
+        rt.enable_component("off").unwrap();
+        rt.disable_component("wait").unwrap();
+        let drcr = rt.drcr();
+        let steps: Vec<String> = drcr
+            .events()
+            .iter()
+            .filter(|e| matches!(e.event, DrcrEvent::Transition { .. }))
+            .map(|e| e.event.to_string())
+            .collect();
+        let tail = &steps[steps.len() - 4..];
+        assert_eq!(
+            tail,
+            [
+                "sus: SUSPENDED -> ACTIVE (management resume)",
+                "off: DISABLED -> UNSATISFIED (management enable)",
+                "off: UNSATISFIED -> ACTIVE (constraints satisfied; admitted)",
+                "wait: UNSATISFIED -> DISABLED (management disable)",
+            ]
+        );
+        assert_eq!(drcr.lifecycle_seq(), seq + 4);
+        let off = drcr.stamps("off").unwrap();
+        assert_eq!(off.activated, seq + 3);
+        assert!(off.registered < off.activated);
     }
 }

@@ -22,7 +22,10 @@
 //! * **Heartbeats by reference** — a roster is an immutable, name-ordered
 //!   `Roster` snapshot shared by the node's cache, every heartbeat in
 //!   flight and the hub's view. A node builds a new snapshot only when
-//!   its active set changed; otherwise it re-sends the cached one. The
+//!   its active set changed; otherwise it re-sends the cached one. It
+//!   compares the active set with the cache only when its executive's
+//!   lifecycle sequence moved since the last look, since only a
+//!   transition can change the set. The
 //!   hub adopts a roster's names into its placement only when the
 //!   roster is not the one it last reconciled (`Rc::ptr_eq`) or a
 //!   placement was removed since (the hub's removal counter moved):
@@ -527,6 +530,9 @@ struct NodeSlot {
     /// The roster last heartbeated; re-sent by reference while the
     /// active set is unchanged.
     roster: Roster,
+    /// The node executive's lifecycle sequence when `roster` was last
+    /// compared with its active set.
+    roster_seq: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -585,6 +591,7 @@ impl Federation {
                     last_hub_contact: 0,
                     bundles: BTreeMap::new(),
                     roster: Roster::default(),
+                    roster_seq: 0,
                 }
             })
             .collect();
@@ -897,8 +904,11 @@ impl Federation {
                 self.metrics.count("fed.nodes.degraded", 1);
             }
             let drcr = slot.rt.drcr();
-            if !drcr.active_names().eq(slot.roster.iter()) {
-                slot.roster = drcr.active_names().cloned().collect();
+            if drcr.lifecycle_seq() != slot.roster_seq {
+                slot.roster_seq = drcr.lifecycle_seq();
+                if !drcr.active_names().eq(slot.roster.iter()) {
+                    slot.roster = drcr.active_names().cloned().collect();
+                }
             }
             drop(drcr);
             beats.push((slot.id, slot.roster.clone()));

@@ -119,27 +119,17 @@ impl ComponentState {
     }
 }
 
-/// A recorded lifecycle transition, for the DRCR decision log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Transition {
-    /// The component name.
-    pub component: String,
-    /// State before.
-    pub from: ComponentState,
-    /// State after.
-    pub to: ComponentState,
-    /// Why the DRCR performed it.
-    pub reason: String,
-}
-
-impl fmt::Display for Transition {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} -> {} ({})",
-            self.component, self.from, self.to, self.reason
-        )
-    }
+/// Where a component's lifecycle stands in the executive's history: the
+/// values of the DRCR-wide lifecycle sequence at its registration and at
+/// its latest entry into [`ComponentState::Active`]. A new registration or
+/// a new activation is a new stamp, so an observer that keeps the stamps it
+/// last saw can tell a fresh instance from the one it measured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Stamps {
+    /// Sequence value of the registration.
+    pub registered: u64,
+    /// Sequence value of the latest entry into Active (0: never active).
+    pub activated: u64,
 }
 
 #[cfg(test)]
@@ -223,19 +213,5 @@ mod tests {
             let expected = matches!(s, Unsatisfied | Disabled | Destroyed);
             assert_eq!(Installed.can_transition(s), expected, "{s}");
         }
-    }
-
-    #[test]
-    fn transition_displays_readably() {
-        let t = Transition {
-            component: "disp".into(),
-            from: Active,
-            to: Unsatisfied,
-            reason: "provider `calc` stopped".into(),
-        };
-        assert_eq!(
-            t.to_string(),
-            "disp: ACTIVE -> UNSATISFIED (provider `calc` stopped)"
-        );
     }
 }

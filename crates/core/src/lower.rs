@@ -72,16 +72,20 @@ impl<'a> Lowering<'a> {
 }
 
 /// Lowers one component contract. The task is periodic or aperiodic as
-/// declared, pinned to the declared CPU and latency-tracked. With
-/// `enforce_budgets`, a periodic task also gets a per-cycle execution
-/// budget of `round(period × claimed fraction)`, floored at 1 ns.
+/// declared, pinned to the declared CPU and latency-tracked. With a
+/// `budget_overhead_ns`, a periodic task also gets a per-cycle execution
+/// budget of `ceil(period × claimed fraction)` plus that overhead, floored
+/// at 1 ns: the per-cycle cost response-time admission reserves for a task
+/// charged that overhead ([`crate::rta::RtaParams::overhead_ns`]). The
+/// executive passes [`crate::rta::CONTAINER_OVERHEAD_NS`], since its tasks
+/// run in the hybrid container; fleet bodies run bare and pass 0.
 ///
 /// # Errors
 ///
 /// [`DrcrError::Kernel`] when the name is not a valid kernel task name.
 pub fn lower(
     descriptor: &ComponentDescriptor,
-    enforce_budgets: bool,
+    budget_overhead_ns: Option<u64>,
 ) -> Result<Lowering<'_>, DrcrError> {
     let name = descriptor.name.as_str();
     let priority = descriptor.task.priority();
@@ -93,14 +97,14 @@ pub fn lower(
     .map_err(|e| DrcrError::Kernel(e.to_string()))?
     .on_cpu(descriptor.task.cpu())
     .with_latency_tracking();
-    let task = match period.filter(|_| enforce_budgets) {
-        Some(period) => {
-            let budget_ns = (period.as_nanos() as f64 * descriptor.cpu_usage.fraction())
-                .round()
-                .max(1.0) as u64;
+    let task = match (period, budget_overhead_ns) {
+        (Some(period), Some(overhead_ns)) => {
+            let claim_ns =
+                (period.as_nanos() as f64 * descriptor.cpu_usage.fraction()).ceil() as u64;
+            let budget_ns = claim_ns.saturating_add(overhead_ns).max(1);
             task.with_exec_budget(SimDuration::from_nanos(budget_ns))
         }
-        None => task,
+        _ => task,
     };
     Ok(Lowering { task, descriptor })
 }
@@ -114,34 +118,49 @@ mod tests {
     }
 
     #[test]
-    fn budget_is_the_rounded_claim_floored_at_one_nanosecond() {
+    fn budget_is_the_ceiled_claim_plus_overhead_floored_at_one_nanosecond() {
         // 1000 Hz → 1 ms period; 0.25 of it is 250 µs.
         let d = ComponentDescriptor::builder("sensor")
             .periodic(1000, 1, 3)
             .cpu_usage(0.25)
             .build()
             .unwrap();
-        let task = lower(&d, true).unwrap().task;
+        let task = lower(&d, Some(0)).unwrap().task;
         assert_eq!(task.exec_budget, ns(250_000));
+        // The executive's budget is what response-time admission reserves:
+        // the claim plus the container overhead.
+        let overhead = crate::rta::CONTAINER_OVERHEAD_NS;
+        let task = lower(&d, Some(overhead)).unwrap().task;
+        assert_eq!(task.exec_budget, ns(250_000 + overhead));
         assert_eq!(task.cpu, 1);
         assert!(task.track_latency);
         assert_eq!(task.period(), Some(SimDuration::from_millis(1)));
-        // 3 Hz → 333_333_333 ns period; a third of it rounds to 111_111_111.
+        // 3 Hz → 333_333_333 ns period; a third of it is 111_111_111.
         let d = ComponentDescriptor::builder("third")
             .periodic(3, 0, 3)
             .cpu_usage(1.0 / 3.0)
             .build()
             .unwrap();
-        assert_eq!(lower(&d, true).unwrap().task.exec_budget, ns(111_111_111));
+        assert_eq!(
+            lower(&d, Some(0)).unwrap().task.exec_budget,
+            ns(111_111_111)
+        );
+        // A fractional nanosecond is charged whole, as admission does.
+        let d = ComponentDescriptor::builder("odd")
+            .periodic(3, 0, 3)
+            .cpu_usage(0.1)
+            .build()
+            .unwrap();
+        assert_eq!(lower(&d, Some(0)).unwrap().task.exec_budget, ns(33_333_334));
         // A claim too small for one nanosecond still gets one.
         let d = ComponentDescriptor::builder("tiny")
             .periodic(1000, 0, 3)
             .cpu_usage(1e-9)
             .build()
             .unwrap();
-        assert_eq!(lower(&d, true).unwrap().task.exec_budget, ns(1));
+        assert_eq!(lower(&d, Some(0)).unwrap().task.exec_budget, ns(1));
         // Enforcement off: no budget, same placement.
-        let task = lower(&d, false).unwrap().task;
+        let task = lower(&d, None).unwrap().task;
         assert_eq!(task.exec_budget, None);
         assert!(task.track_latency);
     }
@@ -153,7 +172,7 @@ mod tests {
             .cpu_usage(0.5)
             .build()
             .unwrap();
-        let task = lower(&d, true).unwrap().task;
+        let task = lower(&d, Some(0)).unwrap().task;
         assert_eq!(task.exec_budget, None);
         assert_eq!(task.period(), None);
         assert_eq!(task.cpu, 2);
@@ -170,7 +189,7 @@ mod tests {
             .outport("out", PortInterface::Mailbox, DataType::Byte, 7)
             .build()
             .unwrap();
-        let lowered = lower(&d, false).unwrap();
+        let lowered = lower(&d, None).unwrap();
         let channels: Vec<_> = lowered
             .channels()
             .map(|(dir, port, ch)| (dir, port.name.as_str(), ch))

@@ -1,8 +1,9 @@
 //! Observability for the DRCR executive: typed events and a metrics
 //! registry, mirroring [`rtos::trace`] one layer up.
 //!
-//! The executive's decisions — resolve rounds, admission verdicts, wiring
-//! diagnoses, cascades, mode switches, rollbacks — are [`DrcrEvent`]s;
+//! The executive's decisions — lifecycle transitions, resolve rounds,
+//! admission verdicts, wiring diagnoses, cascades, mode switches,
+//! rollbacks — are [`DrcrEvent`]s;
 //! management-bridge traffic (command enqueue, reply drain and latency) is
 //! [`BridgeEvent`]s. Both flow through the same bounded-ring +
 //! live-subscriber machinery as kernel events ([`rtos::trace::EventSink`]),
@@ -44,10 +45,19 @@ pub enum DrcrEvent {
         /// Components deactivated during the round.
         deactivations: u32,
     },
-    /// A component registered with the executive.
-    Registered {
-        /// Component name.
+    /// A component changed lifecycle state (Figure 1). Every state change
+    /// the executive makes — registration, activation, deactivation,
+    /// suspend, resume, enable, disable and removal — is one of these, so
+    /// the stream is the component's whole lifecycle history.
+    Transition {
+        /// The component.
         component: String,
+        /// State before.
+        from: ComponentState,
+        /// State after.
+        to: ComponentState,
+        /// Why the executive performed it.
+        reason: String,
     },
     /// A registration was refused (duplicate name).
     RegistrationRefused {
@@ -121,11 +131,6 @@ pub enum DrcrEvent {
         /// The rejection reason.
         reason: String,
     },
-    /// A component went active.
-    Activated {
-        /// The component.
-        component: String,
-    },
     /// An activation attempt errored (not a constraint rejection).
     ActivationFailed {
         /// The component.
@@ -139,15 +144,6 @@ pub enum DrcrEvent {
         /// The component whose activation unwound.
         component: String,
         /// What failed.
-        reason: String,
-    },
-    /// A component was deactivated.
-    Deactivated {
-        /// The component.
-        component: String,
-        /// The state it fell back to.
-        to: ComponentState,
-        /// Why.
         reason: String,
     },
     /// A component's contract was re-written for an operating mode.
@@ -244,9 +240,12 @@ impl fmt::Display for DrcrEvent {
                 f,
                 "resolve round {round} ended ({activations} activated, {deactivations} deactivated)"
             ),
-            DrcrEvent::Registered { component } => {
-                write!(f, "registered `{component}`")
-            }
+            DrcrEvent::Transition {
+                component,
+                from,
+                to,
+                reason,
+            } => write!(f, "{component}: {from} -> {to} ({reason})"),
             DrcrEvent::RegistrationRefused { reason } => {
                 write!(f, "registration refused: {reason}")
             }
@@ -315,18 +314,12 @@ impl fmt::Display for DrcrEvent {
                     )
                 }
             }
-            DrcrEvent::Activated { component } => write!(f, "activated `{component}`"),
             DrcrEvent::ActivationFailed { component, reason } => {
                 write!(f, "activation of `{component}` failed: {reason}")
             }
             DrcrEvent::Rollback { component, reason } => {
                 write!(f, "activation of `{component}` rolled back: {reason}")
             }
-            DrcrEvent::Deactivated {
-                component,
-                to,
-                reason,
-            } => write!(f, "deactivated `{component}` -> {to:?}: {reason}"),
             DrcrEvent::ModeSwitch {
                 component,
                 mode,
@@ -385,16 +378,14 @@ impl DrcrEvent {
     /// The component this event concerns, when it concerns exactly one.
     pub fn component(&self) -> Option<&str> {
         match self {
-            DrcrEvent::Registered { component }
+            DrcrEvent::Transition { component, .. }
             | DrcrEvent::AdmissionVerdict { component, .. }
             | DrcrEvent::AdmissionAnalysis { component, .. }
             | DrcrEvent::WiringUnsatisfied { component, .. }
             | DrcrEvent::CascadeDeactivation { component, .. }
             | DrcrEvent::GroupAbandoned { component, .. }
-            | DrcrEvent::Activated { component }
             | DrcrEvent::ActivationFailed { component, .. }
             | DrcrEvent::Rollback { component, .. }
-            | DrcrEvent::Deactivated { component, .. }
             | DrcrEvent::ModeSwitch { component, .. }
             | DrcrEvent::ComponentFault { component, .. }
             | DrcrEvent::RestartScheduled { component, .. }
@@ -968,10 +959,16 @@ mod tests {
             e.to_string(),
             "cascade: deactivating `disp`: inport latdat unbound"
         );
-        let e = DrcrEvent::Activated {
-            component: "calc".into(),
+        let e = DrcrEvent::Transition {
+            component: "disp".into(),
+            from: ComponentState::Active,
+            to: ComponentState::Unsatisfied,
+            reason: "provider `calc` stopped".into(),
         };
-        assert_eq!(e.to_string(), "activated `calc`");
+        assert_eq!(
+            e.to_string(),
+            "disp: ACTIVE -> UNSATISFIED (provider `calc` stopped)"
+        );
     }
 
     #[test]

@@ -74,7 +74,8 @@ impl FleetBridge {
 
     /// Derives per-cycle execution budgets from each periodic component's
     /// claimed CPU fraction, through the executive's own lowering
-    /// (budget = period × fraction, floored at 1 ns).
+    /// (budget = ⌈period × fraction⌉, floored at 1 ns). Fleet bodies run
+    /// without the hybrid container, so no container overhead is added.
     pub fn enforce_budgets(mut self, on: bool) -> Self {
         self.enforce_budgets = on;
         self
@@ -159,7 +160,7 @@ impl FleetBridge {
         let lowered = self
             .members
             .iter()
-            .map(|m| lower(&m.descriptor, self.enforce_budgets))
+            .map(|m| lower(&m.descriptor, self.enforce_budgets.then_some(0)))
             .collect::<Result<Vec<_>, _>>()?;
         let mut workload = Workload::new(self.cpus, self.seed);
         let mut declared: Vec<&str> = Vec::new();

@@ -740,9 +740,10 @@ mod tests {
         rt.stop_bundle(calc_bundle).unwrap();
         let log: Vec<String> = rt
             .drcr()
-            .transitions()
+            .events()
             .iter()
-            .map(|t| t.to_string())
+            .filter(|e| matches!(e.event, crate::obs::DrcrEvent::Transition { .. }))
+            .map(|e| e.event.to_string())
             .collect();
         assert!(log
             .iter()

@@ -54,10 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rt.process();
     println!("state after resume:     {:?}", rt.component_state("blink"));
 
-    // The DRCR logged everything it did.
+    // The DRCR logged everything it did; its lifecycle transitions are
+    // typed events in the same stream as its decisions.
     println!("\nDRCR transitions:");
-    for t in rt.drcr().transitions() {
-        println!("  {t}");
+    for e in rt.drcr().events().iter() {
+        if let DrcrEvent::Transition { .. } = e.event {
+            println!("  {}", e.event);
+        }
     }
     Ok(())
 }

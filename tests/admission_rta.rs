@@ -203,9 +203,7 @@ fn response_time_strategy_agrees_with_cap_when_both_admit() {
                 .filter(|e| {
                     matches!(
                         e.event,
-                        DrcrEvent::Activated { .. }
-                            | DrcrEvent::Deactivated { .. }
-                            | DrcrEvent::CascadeDeactivation { .. }
+                        DrcrEvent::Transition { .. } | DrcrEvent::CascadeDeactivation { .. }
                     )
                 })
                 .map(|e| format!("{} {}", e.time.as_nanos(), e.event))

@@ -10,11 +10,15 @@
 //!   the live heap where one round of churn left it.
 //! * Metrics updates on an existing key allocate nothing: the name is
 //!   copied only when a series is first created.
+//! * A steady-state contract-monitor poll allocates the same number of
+//!   times whatever the fleet size: it borrows contracts and collects
+//!   only shared name handles, in one allocation.
 //!
 //! The counters are per thread, so tests running in parallel threads of
 //! this binary do not see each other's allocations. Everything measured
 //! runs on the test's own thread.
 
+use drcom::contracts::{LearningConfig, StochasticMonitor};
 use drcom::hybrid::{BridgeMode, FnLogic, HybridRtBody, RtIo};
 use drcom::obs::MetricsRegistry;
 use drt::prelude::*;
@@ -239,5 +243,54 @@ fn metrics_updates_on_existing_keys_allocate_nothing() {
             .histogram("drcr.admission.wcrt_ns")
             .map(|h| h.count()),
         Some(1_001)
+    );
+}
+
+/// Allocations of one steady-state monitor poll over a fleet of `n`
+/// honest periodic components (each burns half its claim; refinement is
+/// off, so no poll acts).
+fn monitor_poll_allocations(n: usize) -> u64 {
+    let mut rt = DrtRuntime::new(KernelConfig::new(11).with_timer(TimerJitterModel::ideal()));
+    for i in 0..n {
+        let d = ComponentDescriptor::builder(&format!("c{i}"))
+            .periodic(100, 0, 2)
+            .cpu_usage(0.01)
+            .build()
+            .unwrap();
+        rt.install_component(
+            &format!("b.c{i}"),
+            ComponentProvider::new(d, || {
+                Box::new(FnLogic(|io: &mut RtIo<'_, '_>| {
+                    io.compute(SimDuration::from_micros(50));
+                }))
+            }),
+        )
+        .unwrap();
+    }
+    let mut monitor = StochasticMonitor::new(LearningConfig {
+        refine_ratio: 0.0,
+        ..LearningConfig::default()
+    });
+    // Warm-up: baselines, then estimators and histogram buckets.
+    for _ in 0..3 {
+        rt.advance(SimDuration::from_millis(50));
+        assert!(monitor.poll(&mut rt).unwrap().is_empty());
+    }
+    rt.advance(SimDuration::from_millis(50));
+    let before = allocations();
+    let outcomes = monitor.poll(&mut rt).unwrap();
+    let allocated = allocations() - before;
+    assert!(outcomes.is_empty());
+    assert!(monitor.estimator(&format!("c{}", n - 1)).unwrap().samples() >= 10);
+    allocated
+}
+
+#[test]
+fn monitor_poll_allocations_do_not_grow_with_the_fleet() {
+    let small = monitor_poll_allocations(8);
+    let large = monitor_poll_allocations(64);
+    assert_eq!(
+        small, large,
+        "8 components: {small}, 64 components: {large}"
     );
 }

@@ -122,12 +122,19 @@ fn repeated_churn_never_leaks() {
     // Exactly one live reservation pair and one SHM segment at the end.
     assert_eq!(rt.drcr().ledger().len(), 2);
     assert_eq!(rt.kernel().shm().len(), 1);
-    // Transition log shows 11 activations of disp (1 initial + 10 churns).
+    // The event stream shows 11 activations of disp (1 initial + 10 churns).
     let disp_activations = rt
         .drcr()
-        .transitions()
-        .iter()
-        .filter(|t| t.component == "disp" && t.to == ComponentState::Active)
+        .events_for("disp")
+        .filter(|e| {
+            matches!(
+                e.event,
+                DrcrEvent::Transition {
+                    to: ComponentState::Active,
+                    ..
+                }
+            )
+        })
         .count();
     assert_eq!(disp_activations, 11);
 }

@@ -228,14 +228,41 @@ fn kernel_budgets_cap_the_liar_mechanically() {
     let mut monitor = StochasticMonitor::new(LearningConfig::point(true));
     monitor.poll(&mut rt).unwrap();
     rt.advance(SimDuration::from_secs(1));
-    // Clamped to 10% of the 10 ms period = 1 ms per cycle, which is
-    // exactly the claim: the monitor sees a clean system.
+    // Clamped to 10% of the 10 ms period = 1 ms per cycle plus the
+    // container overhead admission charges outside the claim: net of that
+    // overhead it is exactly the claim, so the monitor sees a clean system.
     let liar = rt.drcr().task_of("liar").unwrap();
     assert!(rt.kernel().task_budget_overruns(liar).unwrap() > 90);
     assert!(monitor.poll(&mut rt).unwrap().is_empty());
     let est = monitor.estimator("liar").unwrap();
     assert!(est.samples() >= 90, "samples {}", est.samples());
     assert_eq!(est.over_rate(), 0.0);
+}
+
+#[test]
+fn budget_covers_the_claim_and_the_container_overhead() {
+    // The kernel budget equals the per-cycle cost admission reserves: the
+    // claim plus the container's work around the logic. A component burning
+    // exactly its claim is never clamped; one burning a microsecond more is
+    // clamped every cycle.
+    let mut rt = runtime();
+    rt.drcr_mut().set_budget_enforcement(true);
+    rt.install_component("b.at", steady("at", 0.10, 2, SimDuration::from_millis(1)))
+        .unwrap();
+    rt.install_component(
+        "b.over",
+        steady("over", 0.10, 3, SimDuration::from_micros(1_001)),
+    )
+    .unwrap();
+    rt.advance(SimDuration::from_secs(1));
+    let at = rt.drcr().task_of("at").unwrap();
+    let over = rt.drcr().task_of("over").unwrap();
+    let kernel = rt.kernel();
+    assert!(kernel.task_cycles(at).unwrap() >= 99);
+    assert_eq!(kernel.task_budget_overruns(at), Some(0));
+    let cycles = kernel.task_cycles(over).unwrap();
+    assert!(cycles >= 99, "cycles {cycles}");
+    assert_eq!(kernel.task_budget_overruns(over), Some(cycles));
 }
 
 // ---------------------------------------------------------------------

@@ -171,9 +171,11 @@ fn mode_switch_is_idempotent() {
     let mut rt = runtime();
     rt.install_component("demo.cam", moded_camera()).unwrap();
     rt.switch_mode("cam", "degrad").unwrap();
-    let transitions_before = rt.drcr().transitions().len();
+    let seq_before = rt.drcr().lifecycle_seq();
+    let events_before = rt.drcr().events().len();
     rt.switch_mode("cam", "degrad").unwrap();
-    assert_eq!(rt.drcr().transitions().len(), transitions_before);
+    assert_eq!(rt.drcr().lifecycle_seq(), seq_before);
+    assert_eq!(rt.drcr().events().len(), events_before);
 }
 
 #[test]

@@ -16,8 +16,12 @@
 //!    the internal resolver's cap.
 //! 4. **Functional soundness**: every Active consumer has an Active
 //!    provider for each inport.
-//! 5. **No leaks**: with no components registered, the kernel has no SHM
-//!    segments and no mailboxes.
+//! 5. **No leaks**: with no components registered, the ledger holds no
+//!    reservation and the kernel has no SHM segments, mailboxes or FIFOs.
+//! 6. **One lifecycle history**: the `DrcrEvent::Transition` stream alone
+//!    replays every component's lifecycle — each incarnation chains from
+//!    `Installed`, every step is legal per Figure 1, and the last step
+//!    lands on the state the executive reports.
 
 use drt::prelude::*;
 use rtos::rng::SimRng;
@@ -33,12 +37,14 @@ enum Op {
     StopModed,
     SuspendAny(u8),
     ResumeAny(u8),
+    DisableAny(u8),
+    EnableAny(u8),
     SwitchModed(bool), // true = cheap mode, false = base
     Advance(u8),
 }
 
 fn gen_op(rng: &mut SimRng) -> Op {
-    match rng.uniform_u64(0, 10) {
+    match rng.uniform_u64(0, 12) {
         0 => Op::InstallSource,
         1 => Op::InstallSink,
         2 => Op::InstallModed,
@@ -48,6 +54,8 @@ fn gen_op(rng: &mut SimRng) -> Op {
         6 => Op::SuspendAny(rng.next_u64() as u8),
         7 => Op::ResumeAny(rng.next_u64() as u8),
         8 => Op::SwitchModed(rng.chance(0.5)),
+        9 => Op::DisableAny(rng.next_u64() as u8),
+        10 => Op::EnableAny(rng.next_u64() as u8),
         _ => Op::Advance(rng.uniform_u64(1, 20) as u8),
     }
 }
@@ -147,10 +155,61 @@ fn check_invariants(rt: &DrtRuntime, case: usize) {
     }
     // 5: no leaks once everything is gone.
     if names.is_empty() {
+        assert!(drcr.ledger().is_empty(), "case {case}: leaked reservation");
         assert!(rt.kernel().shm().is_empty(), "case {case}: leaked SHM");
         assert!(
             rt.kernel().mailboxes().is_empty(),
             "case {case}: leaked mailboxes"
+        );
+        assert!(rt.kernel().fifos().is_empty(), "case {case}: leaked FIFOs");
+    }
+}
+
+/// Replays the transition stream: per component, each incarnation chains
+/// from `Installed` through legal steps, and the last step's target is the
+/// state the executive reports (a destroyed component is unregistered).
+fn check_transition_history(rt: &DrtRuntime, log: &[(SimTime, DrcrEvent)], case: usize) {
+    let mut current: std::collections::BTreeMap<&str, ComponentState> = Default::default();
+    for (_, event) in log {
+        let DrcrEvent::Transition {
+            component,
+            from,
+            to,
+            ..
+        } = event
+        else {
+            continue;
+        };
+        let expected = current
+            .get(component.as_str())
+            .copied()
+            .unwrap_or(ComponentState::Installed);
+        assert_eq!(
+            *from, expected,
+            "case {case}: `{component}` transition does not chain"
+        );
+        assert!(
+            from.can_transition(*to),
+            "case {case}: `{component}` took the illegal step {from} -> {to}"
+        );
+        if *to == ComponentState::Destroyed {
+            current.remove(component.as_str());
+        } else {
+            current.insert(component, *to);
+        }
+    }
+    let drcr = rt.drcr();
+    let names = drcr.component_names();
+    assert_eq!(
+        current.keys().copied().collect::<Vec<_>>(),
+        names,
+        "case {case}: the transition stream and the registry disagree on who exists"
+    );
+    for (name, state) in current {
+        assert_eq!(
+            drcr.state_of(name),
+            Some(state),
+            "case {case}: `{name}` last transition disagrees with its state"
         );
     }
 }
@@ -424,6 +483,7 @@ fn drcr_invariants_hold_under_random_operations() {
     let mut rng = SimRng::from_seed(0xD6C6);
     for case in 0..64 {
         let mut rt = DrtRuntime::new(KernelConfig::new(9).with_timer(TimerJitterModel::ideal()));
+        let log = tap(&rt);
         let mut bundles: std::collections::HashMap<&str, osgi::event::BundleId> =
             Default::default();
         let ops: Vec<Op> = (0..rng.uniform_u64(1, 60))
@@ -485,6 +545,26 @@ fn drcr_invariants_hold_under_random_operations() {
                         assert_eq!(result.is_ok(), was_suspended, "case {case}");
                     }
                 }
+                Op::DisableAny(pick) => {
+                    let names = rt.drcr().component_names();
+                    if !names.is_empty() {
+                        let name = names[pick as usize % names.len()].clone();
+                        let was_disabled =
+                            rt.component_state(&name) == Some(ComponentState::Disabled);
+                        let result = rt.disable_component(&name);
+                        assert_eq!(result.is_ok(), !was_disabled, "case {case}");
+                    }
+                }
+                Op::EnableAny(pick) => {
+                    let names = rt.drcr().component_names();
+                    if !names.is_empty() {
+                        let name = names[pick as usize % names.len()].clone();
+                        let was_disabled =
+                            rt.component_state(&name) == Some(ComponentState::Disabled);
+                        let result = rt.enable_component(&name);
+                        assert_eq!(result.is_ok(), was_disabled, "case {case}");
+                    }
+                }
                 Op::SwitchModed(cheap) => {
                     if rt.component_state("mod").is_some() {
                         let mode = if cheap { "cheap" } else { drcom::BASE_MODE };
@@ -496,11 +576,14 @@ fn drcr_invariants_hold_under_random_operations() {
                 }
             }
             check_invariants(&rt, case);
+            check_transition_history(&rt, &log.borrow(), case);
         }
         // Teardown: everything uninstalls cleanly.
         for (_, b) in bundles {
             rt.uninstall_bundle(b).unwrap();
         }
+        assert!(rt.drcr().component_names().is_empty());
         check_invariants(&rt, case);
+        check_transition_history(&rt, &log.borrow(), case);
     }
 }
