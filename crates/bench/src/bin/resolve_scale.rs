@@ -125,11 +125,11 @@ impl BatchParams {
 
 /// Counter ceilings asserted in `--check` mode, with ~25-50% headroom over
 /// the measured values so legitimate scenario tweaks don't trip them.
-/// Phase 1 measured (smoke): incremental checks=40570, sweeps=231;
-/// naive graph_builds=45370. Measured (full): incremental
-/// checks=1003874, sweeps=1045; naive graph_builds=1040999. The view is
+/// Phase 1 measured (smoke): incremental checks=21299, sweeps=231;
+/// naive graph_builds=26099. Measured (full): incremental
+/// checks=508380, sweeps=1045; naive graph_builds=545505. The view is
 /// maintained by delta and never rebuilt, in either engine.
-/// Phase 2 measured, at both fleet sizes: 2997 checks (3x) and 1001 view
+/// Phase 2 measured, at both fleet sizes: 2498 checks (2.5x) and 1001 view
 /// updates (1x) per churn event at cohort=999.
 struct Ceilings {
     incremental_checks: u64,

@@ -37,12 +37,13 @@ use crate::obs::{
 };
 use crate::reactive::ReactiveResolver;
 use crate::resolve::{
-    Decision, Resolver, ResolverHandle, ResolvingService, UtilizationResolver, RESOLVER_SERVICE,
+    BatchAdmission, Decision, Resolver, ResolverHandle, ResolvingService, UtilizationResolver,
+    RESOLVER_SERVICE,
 };
 use crate::rta::{RtaAnalysis, CONTAINER_OVERHEAD_NS};
 use crate::supervise::{FaultDecision, SupervisionConfig, Supervisor};
 use crate::view::{ComponentInfo, SystemView};
-use crate::wiring::{MissingPort, WiringResult};
+use crate::wiring::{MissingPort, MissingReason, WiringResult};
 use osgi::event::{BundleId, FrameworkEvent, ServiceEventKind};
 use osgi::framework::Framework;
 use osgi::ldap::{PropValue, Properties};
@@ -150,6 +151,12 @@ fn release(kernel: &mut Kernel, objects: Vec<KernelObject>) {
             }
         }
     }
+}
+
+/// A failed wiring check's unsatisfied inports, rendered for the log.
+fn diagnosis(missing: &[MissingPort]) -> String {
+    let ports: Vec<String> = missing.iter().map(|m| m.to_string()).collect();
+    ports.join("; ")
 }
 
 struct ComponentRecord {
@@ -480,12 +487,10 @@ impl Drcr {
 
     /// Admission verdicts only (both admissions and rejections), in order.
     pub fn admission_verdicts(&self) -> impl Iterator<Item = &Timestamped<DrcrEvent>> {
-        self.events.iter().filter(|e| {
-            matches!(
-                e.event,
-                DrcrEvent::AdmissionVerdict { .. } | DrcrEvent::GroupAbandoned { .. }
-            )
-        })
+        use DrcrEvent::{AdmissionVerdict, GroupAbandoned};
+        self.events
+            .iter()
+            .filter(|e| matches!(e.event, AdmissionVerdict { .. } | GroupAbandoned { .. }))
     }
 
     /// Departure-cascade deactivations only, in order.
@@ -514,18 +519,6 @@ impl Drcr {
     /// executive's view, which is always current).
     pub fn system_view(&self) -> SystemView {
         self.view.clone()
-    }
-
-    /// Re-writes one component's view record from its (changed) contract.
-    fn view_replace(&mut self, name: &str) {
-        let (key, rec) = self.components.get_key_value(name).expect("present");
-        let info = rec.info(key.clone());
-        let idx = self
-            .view
-            .position(name)
-            .expect("registered components are in the view");
-        self.view.replace_at(idx, info);
-        self.metrics.count("drcr.view.updates", 1);
     }
 
     /// The one place a component's lifecycle state changes. Checks the
@@ -696,40 +689,25 @@ impl Drcr {
         let mode = rec.base_descriptor.mode(mode_name).ok_or_else(|| {
             DrcrError::Management(format!("component `{name}` has no mode `{mode_name}`"))
         })?;
-        let was_running = rec.state.holds_admission();
-        if was_running {
-            self.deactivate(
-                name,
-                fw,
-                ComponentState::Unsatisfied,
-                &format!("mode switch to `{mode_name}`"),
-            )?;
-        }
-        let rec = self.components.get_mut(name).expect("present");
-        rec.descriptor = rec.base_descriptor.with_mode(&mode);
-        rec.current_mode = mode_name.to_string();
-        // A mode substitutes frequency/priority/claim, never ports — the
-        // wiring index stays valid across the switch.
-        debug_assert!(
-            rec.descriptor.inports == rec.base_descriptor.inports
-                && rec.descriptor.outports == rec.base_descriptor.outports,
-            "mode substitution must preserve ports"
-        );
-        let descriptor = rec.descriptor.clone();
-        // The contract node changed: drop this component's memoized wiring
-        // and admission results (its ports are unchanged, but its claim,
-        // frequency and priority are not).
-        self.resolver.on_contract_changed(name, &descriptor);
-        // The view takes the rewritten contract in place.
-        self.view_replace(name);
-        self.note(DrcrEvent::ModeSwitch {
+        let event = DrcrEvent::ModeSwitch {
             component: name.to_string(),
             mode: mode_name.to_string(),
             frequency_hz: mode.frequency_hz,
             cpu_usage: mode.cpu_usage,
-        });
+        };
+        let why = format!("mode switch to `{mode_name}`");
+        self.rewrite_contract(name, fw, &why, event, |rec| {
+            rec.descriptor = rec.base_descriptor.with_mode(&mode);
+            rec.current_mode = mode_name.to_string();
+            // A mode substitutes frequency/priority/claim, never ports — the
+            // wiring index stays valid across the switch.
+            debug_assert!(
+                rec.descriptor.inports == rec.base_descriptor.inports
+                    && rec.descriptor.outports == rec.base_descriptor.outports,
+                "mode substitution must preserve ports"
+            );
+        })?;
         self.metrics.count("drcr.mode_switches", 1);
-        self.dirty = true;
         Ok(())
     }
 
@@ -770,31 +748,55 @@ impl Drcr {
         if declared == refined {
             return Ok(());
         }
-        let was_running = rec.state.holds_admission();
-        if was_running {
-            self.deactivate(
-                name,
-                fw,
-                ComponentState::Unsatisfied,
-                &format!("claim refinement to {refined:.3}"),
-            )?;
-        }
-        let rec = self.components.get_mut(name).expect("present");
-        rec.descriptor.cpu_usage = refined_claim;
-        let descriptor = rec.descriptor.clone();
-        // The contract node changed: drop this component's memoized wiring
-        // and admission results, and invalidate the CPU's admission epoch
-        // so peers' memoized rejections are re-evaluated against the
-        // reclaimed capacity.
-        self.resolver.on_contract_changed(name, &descriptor);
-        self.view_replace(name);
-        self.note(DrcrEvent::ClaimRefined {
+        let event = DrcrEvent::ClaimRefined {
             component: name.to_string(),
             declared,
             refined,
             samples,
-        });
+        };
+        let why = format!("claim refinement to {refined:.3}");
+        self.rewrite_contract(name, fw, &why, event, |rec| {
+            rec.descriptor.cpu_usage = refined_claim;
+        })?;
         self.metrics.count("drcr.contracts.refinements", 1);
+        Ok(())
+    }
+
+    /// The reconfiguration epoch both contract rewrites share: a running
+    /// holder is deactivated (`why` is the transition's reason),
+    /// `rewrite` re-writes the record's contract, and the engine's nodes
+    /// and the view take the new contract before `event` is emitted. The
+    /// component is re-admitted on the next resolve pass, through the same
+    /// admission gate as a fresh deployment.
+    fn rewrite_contract(
+        &mut self,
+        name: &str,
+        fw: &mut Framework,
+        why: &str,
+        event: DrcrEvent,
+        rewrite: impl FnOnce(&mut ComponentRecord),
+    ) -> Result<(), DrcrError> {
+        if self.components[name].state.holds_admission() {
+            self.deactivate(name, fw, ComponentState::Unsatisfied, why)?;
+        }
+        let (key, _) = self.components.get_key_value(name).expect("present");
+        let key = key.clone();
+        let rec = self.components.get_mut(name).expect("present");
+        rewrite(rec);
+        // The contract node changed: the engine drops this component's
+        // memoized wiring and admission results (its ports are unchanged,
+        // but its claim, frequency or priority are not) and invalidates the
+        // CPU's admission epoch, so peers' memoized rejections are
+        // re-evaluated against the changed capacity.
+        self.resolver.on_contract_changed(name, &rec.descriptor);
+        // The view takes the rewritten contract in place.
+        let idx = self
+            .view
+            .position(name)
+            .expect("registered components are in the view");
+        self.view.replace_at(idx, rec.info(key));
+        self.metrics.count("drcr.view.updates", 1);
+        self.note(event);
         self.dirty = true;
         Ok(())
     }
@@ -948,6 +950,13 @@ impl Drcr {
         self.resolve_round += 1;
         let round = self.resolve_round;
         self.note(DrcrEvent::ResolveRoundStarted { round });
+        // The customized resolving services every candidate must also pass
+        // (§4.3). A round never registers or removes one.
+        let found = fw.registry().find(RESOLVER_SERVICE, None);
+        let services: Vec<Rc<ResolverHandle>> = found
+            .iter()
+            .filter_map(|s| fw.registry().get::<ResolverHandle>(s.id()))
+            .collect();
         let mut activations: u32 = 0;
         let mut deactivations: u32 = 0;
         let mut sweeps: u64 = 0;
@@ -992,30 +1001,18 @@ impl Drcr {
                 .filter(|n| !self.supervisor.is_held(n))
                 .cloned()
                 .collect();
-            let activated = match self.try_activate_batch(&waiting, fw) {
-                Some(n) => n,
-                None => {
-                    let mut n = 0;
-                    for name in &waiting {
-                        n += u32::from(self.activate_waiting(name, fw));
-                    }
-                    n
-                }
-            };
+            let mut stalled = Vec::new();
+            let mut activated = self.activate_wave(&waiting, &services, fw, &mut stalled);
+            // Cyclically dependent components cannot activate one at a time
+            // (each waits for the other). When the sweep stalls, try
+            // co-activating a mutually-consistent group of the waiters it
+            // left waiting on inactive providers.
+            if activated == 0 && !changed {
+                activated = self.activate_group(stalled, &services, fw);
+            }
             if activated > 0 {
                 activations += activated;
                 changed = true;
-            }
-
-            // Cyclically dependent components cannot activate one at a time
-            // (each waits for the other). When the strict sweep stalls, try
-            // co-activating a mutually-consistent group.
-            if !changed {
-                let group = self.try_activate_group(fw);
-                if group > 0 {
-                    activations += group;
-                    changed = true;
-                }
             }
 
             if !changed {
@@ -1065,12 +1062,17 @@ impl Drcr {
     /// histogram — a memoized ruling replays both identically, so the
     /// evidence stream is independent of cache behaviour.
     ///
-    /// `memoize` lets the engine reuse a ruling computed against an
-    /// equivalent view (same per-CPU admission epoch); pass `false` for
-    /// one-off probes that must not populate the memo.
-    fn internal_admit(&mut self, candidate: &ComponentInfo, memoize: bool) -> (String, Decision) {
+    /// The ruling is against the live view, which lets the engine reuse
+    /// one computed against an equivalent view (same per-CPU admission
+    /// epoch), or against a `hypothetical` one, which is never memoized.
+    fn internal_admit(
+        &mut self,
+        candidate: &ComponentInfo,
+        hypothetical: Option<&SystemView>,
+    ) -> (String, Decision) {
         self.metrics.count("drcr.admission.checks", 1);
-        let ruling = self.resolver.admit(candidate, &self.view, memoize);
+        let view = hypothetical.unwrap_or(&self.view);
+        let ruling = self.resolver.admit(candidate, view, hypothetical.is_none());
         if ruling.evaluated {
             self.metrics.count("drcr.admission.evals", 1);
         } else {
@@ -1110,11 +1112,7 @@ impl Drcr {
         let Err(missing) = self.check_wiring(name, &[]) else {
             return false;
         };
-        let reason = missing
-            .iter()
-            .map(|m| m.to_string())
-            .collect::<Vec<_>>()
-            .join("; ");
+        let reason = diagnosis(&missing);
         self.note(DrcrEvent::CascadeDeactivation {
             component: name.to_string(),
             reason: reason.clone(),
@@ -1124,269 +1122,285 @@ impl Drcr {
         true
     }
 
-    /// Optimistic group activation: finds the largest set of unsatisfied
-    /// components that are functionally consistent *assuming each other
-    /// active* (greatest fixpoint), admission-checks them, and activates
-    /// the whole group. Returns the number of components activated.
-    fn try_activate_group(&mut self, fw: &mut Framework) -> u32 {
-        let mut assume: Vec<Rc<str>> = self
-            .unsatisfied
-            .iter()
-            .filter(|n| !self.supervisor.is_held(n))
-            .cloned()
-            .collect();
-        if assume.len() < 2 {
-            return 0;
-        }
-        // Strike out members whose constraints fail even under the
-        // assumption, until stable.
-        loop {
-            let before = assume.len();
-            let mut keep: Vec<Rc<str>> = Vec::with_capacity(before);
-            for name in &assume {
-                if self.check_wiring(name, &assume).is_ok() {
-                    keep.push(name.clone());
-                }
-            }
-            assume = keep;
-            if assume.len() == before {
-                break;
-            }
-        }
-        // A group of one would have activated in the strict sweep already.
-        if assume.len() < 2 {
-            return 0;
-        }
-        // Admission for every member, against the view as members join.
-        for name in &assume {
-            let candidate = self.components[&**name].info(name.clone());
-            let (resolver, verdict) = self.internal_admit(&candidate, true);
-            if let Decision::Reject(reason) = verdict {
-                self.note(DrcrEvent::GroupAbandoned {
-                    component: name.to_string(),
-                    resolver,
-                    internal: true,
-                    reason,
-                });
-                self.metrics.count("drcr.admission.rejections", 1);
-                return 0;
-            }
-            for service_ref in fw.registry().find(RESOLVER_SERVICE, None) {
-                let Some(handle) = fw.registry().get::<ResolverHandle>(service_ref.id()) else {
-                    continue;
-                };
-                if let Decision::Reject(reason) = handle.0.admit(&candidate, &self.view) {
-                    let resolver = handle.0.name().to_string();
-                    self.note(DrcrEvent::GroupAbandoned {
-                        component: name.to_string(),
-                        resolver,
-                        internal: false,
-                        reason,
-                    });
-                    self.metrics.count("drcr.admission.rejections", 1);
-                    return 0;
-                }
-            }
-        }
-        self.note(DrcrEvent::GroupCoActivation {
-            members: assume.iter().map(|s| s.to_string()).collect(),
-        });
+    /// One activation sweep over `waiting`, in name order, through the one
+    /// activation pipeline: each waiter is **screened** (its wiring
+    /// checked), **ruled** ([`Drcr::rule`]) and **committed**
+    /// ([`Drcr::activate`]). Returns how many went active; `stalled`
+    /// receives the waiters whose wiring waits only on inactive providers
+    /// (the candidates of a cyclic group).
+    ///
+    /// A batching engine ([`Resolver::batches`]) with no customized
+    /// `services` (they rule per candidate and must see the view grow
+    /// member by member) screens the wave first and rules its passers in
+    /// one pass per CPU ([`Drcr::screen_wave`]); the events keep the
+    /// per-waiter order and differ only in the evidence payload. A declined
+    /// wave, and the rest of a wave once a passer fails to go active, is
+    /// ruled member by member. A screen that counted an earlier passer
+    /// active is then checked again at its turn; every other screen still
+    /// holds, as only earlier passers change state before a waiter's turn.
+    fn activate_wave(
+        &mut self,
+        waiting: &[Rc<str>],
+        services: &[Rc<ResolverHandle>],
+        fw: &mut Framework,
+        stalled: &mut Vec<Rc<str>>,
+    ) -> u32 {
+        let (screened, batch) = if self.resolver.batches() && services.is_empty() {
+            self.screen_wave(waiting)
+        } else {
+            (Vec::new(), None)
+        };
+        let mut screened = screened.into_iter();
+        // Every passer so far went active.
+        let mut intact = true;
         let mut activated: u32 = 0;
-        for name in assume.clone() {
-            let providers = match self.check_wiring(&name, &assume) {
-                Ok(p) => p,
-                Err(_) => continue,
+        for name in waiting {
+            let wiring = match screened.next() {
+                Some((wiring, relied)) if intact || !relied => wiring,
+                _ => self.check_wiring(name, &[]),
             };
-            match self.activate(&name, fw, providers) {
-                Ok(()) => activated += 1,
-                Err(err) => self.note(DrcrEvent::ActivationFailed {
-                    component: name.to_string(),
-                    reason: format!("group member failed to activate: {err}"),
-                }),
+            let providers = match wiring {
+                Ok(providers) => providers,
+                Err(missing) => {
+                    if missing
+                        .iter()
+                        .all(|m| matches!(m.reason, MissingReason::ProviderInactive { .. }))
+                    {
+                        stalled.push(name.clone());
+                    }
+                    self.note(DrcrEvent::WiringUnsatisfied {
+                        component: name.to_string(),
+                        missing: diagnosis(&missing),
+                    });
+                    continue;
+                }
+            };
+            let admitted = match &batch {
+                // Every passer's WCRT is in its CPU's one analysis (the
+                // pass models them all admitted).
+                Some(batch) if intact => {
+                    self.metrics.count("drcr.admission.checks", 1);
+                    self.metrics.count("drcr.admission.batched", 1);
+                    let cpu = self.components[&**name].descriptor.task.cpu();
+                    let analysis = batch.analyses.iter().find(|a| a.cpu == cpu);
+                    self.note_analysis(name, analysis.expect("one analysis per CPU"));
+                    self.note_verdict(name, batch.resolver.clone(), true, Decision::Admit, false)
+                }
+                _ => {
+                    let candidate = self.components[&**name].info(name.clone());
+                    self.rule(&candidate, None, services)
+                }
+            };
+            if admitted && self.activate(name, fw, providers) {
+                activated += 1;
+            } else {
+                intact = false;
             }
         }
         activated
     }
 
-    /// Attempts one activation; `Ok(true)` when the component went active.
-    fn try_activate(&mut self, name: &Rc<str>, fw: &mut Framework) -> Result<bool, DrcrError> {
-        if !self.components.contains_key(&**name) {
-            return Err(DrcrError::NoSuchComponent(name.to_string()));
-        }
-        // Functional constraints (strict: providers must be Active now).
-        let providers = match self.check_wiring(name, &[]) {
-            Ok(p) => p,
-            Err(missing) => {
-                self.note_unwired(name, &missing);
-                return Ok(false);
-            }
-        };
-
-        // Non-functional constraints: internal + every customized resolver.
-        let candidate = self.components[&**name].info(name.clone());
-        let (resolver, verdict) = self.internal_admit(&candidate, true);
-        let rejected = matches!(verdict, Decision::Reject(_));
-        self.note(DrcrEvent::AdmissionVerdict {
-            component: name.to_string(),
-            resolver,
-            internal: true,
-            admitted: !rejected,
-            reason: match verdict {
-                Decision::Reject(reason) => reason,
-                _ => String::new(),
-            },
-        });
-        if rejected {
-            self.metrics.count("drcr.admission.rejections", 1);
-            return Ok(false);
-        }
-        for service_ref in fw.registry().find(RESOLVER_SERVICE, None) {
-            let Some(handle) = fw.registry().get::<ResolverHandle>(service_ref.id()) else {
-                continue;
-            };
-            let verdict = handle.0.admit(&candidate, &self.view);
-            let resolver = handle.0.name().to_string();
-            let rejected = matches!(verdict, Decision::Reject(_));
-            self.note(DrcrEvent::AdmissionVerdict {
-                component: name.to_string(),
-                resolver,
-                internal: false,
-                admitted: !rejected,
-                reason: match verdict {
-                    Decision::Reject(reason) => reason,
-                    _ => String::new(),
-                },
-            });
-            if rejected {
-                self.metrics.count("drcr.admission.rejections", 1);
-                return Ok(false);
-            }
-        }
-
-        self.activate(name, fw, providers)?;
-        Ok(true)
-    }
-
-    /// Batched admission of one arrival wave: admits every waiting
-    /// component that passes its wiring in **one** analysis pass per CPU —
-    /// one RTA fixed point per CPU instead of one per candidate (see
+    /// Screens an arrival wave as the per-waiter sweep would see it: each
+    /// waiter's wiring is checked with the passers before it counted active
+    /// (they all activate if the wave commits). Returns each waiter's
+    /// wiring and whether its check counted a passer, plus — for two or
+    /// more passers — the engine's one-pass-per-CPU admission of them all
+    /// ([`Resolver::admit_batch`]; see
     /// [`crate::rta::RtaResolver::analyze_batch`] for the soundness
-    /// argument).
-    ///
-    /// The wave is screened as the sequential sweep would see it: each
-    /// candidate's wiring is checked with the passers before it counted
-    /// active (they all activate when the batch commits). When the engine
-    /// commits the batch, the events follow the sequential sweep's order —
-    /// per candidate in sweep order, its wiring diagnosis, or its
-    /// [`DrcrEvent::AdmissionAnalysis`] (the whole CPU's batch analysis),
-    /// verdict and activation — so the two paths differ only in the
-    /// evidence payload. An activation failure voids the wave's premise
-    /// (its claim and outputs were counted), so the rest of the wave then
-    /// runs the sequential path.
-    ///
-    /// Returns `None` — before emitting any event — when batching does not
-    /// apply: an engine that never batches, fewer than two passers,
-    /// customized resolver services registered (they rule per candidate and
-    /// must see the view grow member by member), or an engine declining
-    /// the wave (mixed task models, an unschedulable CPU; counted in
-    /// `drcr.admission.batches_declined`). The caller then runs the
-    /// sequential sweep.
-    fn try_activate_batch(&mut self, waiting: &[Rc<str>], fw: &mut Framework) -> Option<u32> {
-        if waiting.len() < 2
-            || !self.resolver.batches()
-            || !fw.registry().find(RESOLVER_SERVICE, None).is_empty()
-        {
-            return None;
-        }
-
-        let mut screened: Vec<(Rc<str>, WiringResult)> = Vec::with_capacity(waiting.len());
+    /// argument), or `None` when it declines (mixed task models, an
+    /// unschedulable CPU; counted in `drcr.admission.batches_declined`).
+    fn screen_wave(
+        &mut self,
+        waiting: &[Rc<str>],
+    ) -> (Vec<(WiringResult, bool)>, Option<BatchAdmission>) {
+        let mut screened = Vec::with_capacity(waiting.len());
         let mut passers: Vec<Rc<str>> = Vec::new();
-        let mut provided: HashSet<String> = HashSet::new();
+        let mut provided: HashSet<ObjName> = HashSet::new();
         for name in waiting {
-            // Only a candidate reading a channel an earlier passer provides
+            // Only a waiter reading a channel an earlier passer provides
             // can see a different wiring than the strict, memoized check.
-            let relies = self.components[&**name]
-                .descriptor
+            let descriptor = &self.components[&**name].descriptor;
+            let relies = descriptor
                 .inports
                 .iter()
-                .any(|p| provided.contains(p.name.as_str()));
+                .any(|p| provided.contains(&p.name));
             let wiring = self.check_wiring(name, if relies { &passers } else { &[] });
             if wiring.is_ok() {
                 passers.push(name.clone());
-                provided.extend(
-                    self.components[&**name]
-                        .descriptor
-                        .outports
-                        .iter()
-                        .map(|p| p.name.to_string()),
-                );
+                let outports = &self.components[&**name].descriptor.outports;
+                provided.extend(outports.iter().map(|p| p.name));
             }
-            screened.push((name.clone(), wiring));
+            screened.push((wiring, relies));
         }
         if passers.len() < 2 {
-            return None;
+            return (screened, None);
         }
         let candidates: Vec<ComponentInfo> = passers
             .iter()
             .map(|name| self.components[&**name].info(name.clone()))
             .collect();
-        let Some(batch) = self.resolver.admit_batch(&candidates, &self.view) else {
-            self.metrics.count("drcr.admission.batches_declined", 1);
-            return None;
-        };
-
-        self.metrics.count("drcr.admission.batches", 1);
-        self.metrics
-            .count("drcr.admission.rta_passes", batch.analyses.len() as u64);
-        let by_cpu: HashMap<u32, &RtaAnalysis> =
-            batch.analyses.iter().map(|a| (a.cpu, a)).collect();
-        let mut activated: u32 = 0;
-        let mut screened = screened.into_iter();
-        for (name, wiring) in screened.by_ref() {
-            let providers = match wiring {
-                Ok(providers) => providers,
-                Err(missing) => {
-                    self.note_unwired(&name, &missing);
-                    continue;
-                }
-            };
-            // Every candidate's WCRT is in its CPU's single analysis (the
-            // pass models them all admitted).
-            self.metrics.count("drcr.admission.checks", 1);
-            self.metrics.count("drcr.admission.batched", 1);
-            let analysis = by_cpu[&self.components[&*name].descriptor.task.cpu()];
-            self.note_analysis(&name, analysis);
-            self.note(DrcrEvent::AdmissionVerdict {
-                component: name.to_string(),
-                resolver: batch.resolver.clone(),
-                internal: true,
-                admitted: true,
-                reason: String::new(),
-            });
-            match self.activate(&name, fw, providers) {
-                Ok(()) => activated += 1,
-                Err(err) => {
-                    self.note(DrcrEvent::ActivationFailed {
-                        component: name.to_string(),
-                        reason: err.to_string(),
-                    });
-                    break;
-                }
+        let batch = self.resolver.admit_batch(&candidates, &self.view);
+        match &batch {
+            Some(batch) => {
+                self.metrics.count("drcr.admission.batches", 1);
+                self.metrics
+                    .count("drcr.admission.rta_passes", batch.analyses.len() as u64);
             }
+            None => self.metrics.count("drcr.admission.batches_declined", 1),
         }
-        for (name, _) in screened {
-            if self.activate_waiting(&name, fw) {
-                activated += 1;
-            }
-        }
-        Some(activated)
+        (screened, batch)
     }
 
-    /// One step of the sequential activation sweep: attempts `name`,
-    /// recording a failed activation as an event. True when it went active.
-    fn activate_waiting(&mut self, name: &Rc<str>, fw: &mut Framework) -> bool {
-        match self.try_activate(name, fw) {
-            Ok(activated) => activated,
+    /// Co-activates a dependency cycle the sweep could not break. Of the
+    /// `group` of waiters the sweep left waiting only on inactive
+    /// providers, the largest set whose wiring holds with each other
+    /// counted active (the greatest fixpoint) is ruled all-or-nothing
+    /// before any member activates: each member against the view with the
+    /// members ruled before it counted admitted, so a cycle goes active
+    /// only when its members fit together. A member that then fails to
+    /// activate rolls back the members before it, so no partly-active
+    /// cycle is left. Returns the number of components activated.
+    fn activate_group(
+        &mut self,
+        mut group: Vec<Rc<str>>,
+        services: &[Rc<ResolverHandle>],
+        fw: &mut Framework,
+    ) -> u32 {
+        // Strike out members whose constraints fail even under the
+        // assumption, until stable. A group of one would have activated in
+        // the sweep already.
+        let providers = loop {
+            if group.len() < 2 {
+                return 0;
+            }
+            let mut kept = Vec::with_capacity(group.len());
+            let mut providers = Vec::with_capacity(group.len());
+            for name in &group {
+                if let Ok(p) = self.check_wiring(name, &group) {
+                    kept.push(name.clone());
+                    providers.push(p);
+                }
+            }
+            if kept.len() == group.len() {
+                break providers;
+            }
+            group = kept;
+        };
+        let mut hypothetical = self.view.clone();
+        for name in &group {
+            let candidate = self.components[&**name].info(name.clone());
+            if !self.rule(&candidate, Some(&hypothetical), services) {
+                return 0;
+            }
+            let idx = hypothetical
+                .position(name)
+                .expect("registered components are in the view");
+            hypothetical.set_state_at(idx, ComponentState::Active);
+        }
+        self.note(DrcrEvent::GroupCoActivation {
+            members: group.iter().map(|s| s.to_string()).collect(),
+        });
+        for (i, (name, providers)) in group.iter().zip(providers).enumerate() {
+            if !self.activate(name, fw, providers) {
+                // The rollback restores the state this round already
+                // resolved, so it leaves no new work for the next one.
+                let dirty = self.dirty;
+                let reason = format!("group member `{name}` failed to activate");
+                for member in group[..i].iter().rev() {
+                    let _ = self.deactivate(member, fw, ComponentState::Unsatisfied, &reason);
+                }
+                self.dirty = dirty;
+                return 0;
+            }
+        }
+        group.len() as u32
+    }
+
+    /// The rule step: the engine's internal verdict on `candidate`, then
+    /// each customized resolving service's (§4.3: all must admit),
+    /// stopping at the first rejection. A cyclic group's member is ruled
+    /// against the `hypothetical` view its group builds; every other
+    /// candidate against the live view.
+    fn rule(
+        &mut self,
+        candidate: &ComponentInfo,
+        hypothetical: Option<&SystemView>,
+        services: &[Rc<ResolverHandle>],
+    ) -> bool {
+        let group = hypothetical.is_some();
+        let (resolver, decision) = self.internal_admit(candidate, hypothetical);
+        if !self.note_verdict(&candidate.name, resolver, true, decision, group) {
+            return false;
+        }
+        services.iter().all(|handle| {
+            let decision = handle
+                .0
+                .admit(candidate, hypothetical.unwrap_or(&self.view));
+            let resolver = handle.0.name().to_string();
+            self.note_verdict(&candidate.name, resolver, false, decision, group)
+        })
+    }
+
+    /// Reports one resolver's verdict on `component` — the one place
+    /// verdict events are made — and returns whether it admitted. A
+    /// rejection counts in `drcr.admission.rejections`. A cyclic group's
+    /// member (`group`) reports only a rejection, which abandons the group.
+    fn note_verdict(
+        &mut self,
+        component: &str,
+        resolver: String,
+        internal: bool,
+        decision: Decision,
+        group: bool,
+    ) -> bool {
+        let (admitted, reason) = match decision {
+            Decision::Admit => (true, String::new()),
+            Decision::Reject(reason) => (false, reason),
+        };
+        let component = component.to_string();
+        if !group {
+            self.note(DrcrEvent::AdmissionVerdict {
+                component,
+                resolver,
+                internal,
+                admitted,
+                reason,
+            });
+        } else if !admitted {
+            self.note(DrcrEvent::GroupAbandoned {
+                component,
+                resolver,
+                internal,
+                reason,
+            });
+        }
+        if !admitted {
+            self.metrics.count("drcr.admission.rejections", 1);
+        }
+        admitted
+    }
+
+    /// The commit step: channels, RT task, admission, management service
+    /// registration, lifecycle transition. True when `name` went active; a
+    /// failure is recorded as an event.
+    fn activate(
+        &mut self,
+        name: &str,
+        fw: &mut Framework,
+        providers: Vec<(String, String)>,
+    ) -> bool {
+        let activated = self.transition(
+            name,
+            Some(ComponentState::Unsatisfied),
+            ComponentState::Active,
+            "constraints satisfied; admitted",
+            |drcr| drcr.build(name, fw, providers),
+        );
+        match activated {
+            Ok(()) => {
+                self.metrics.count("drcr.activations", 1);
+                true
+            }
             Err(err) => {
                 self.note(DrcrEvent::ActivationFailed {
                     component: name.to_string(),
@@ -1395,37 +1409,6 @@ impl Drcr {
                 false
             }
         }
-    }
-
-    /// Records why `name` cannot activate yet: its unsatisfied inports.
-    fn note_unwired(&mut self, name: &str, missing: &[MissingPort]) {
-        self.note(DrcrEvent::WiringUnsatisfied {
-            component: name.to_string(),
-            missing: missing
-                .iter()
-                .map(|m| m.to_string())
-                .collect::<Vec<_>>()
-                .join("; "),
-        });
-    }
-
-    /// Performs the activation: channels, RT task, admission, management
-    /// service registration, lifecycle transition.
-    fn activate(
-        &mut self,
-        name: &str,
-        fw: &mut Framework,
-        providers: Vec<(String, String)>,
-    ) -> Result<(), DrcrError> {
-        self.transition(
-            name,
-            Some(ComponentState::Unsatisfied),
-            ComponentState::Active,
-            "constraints satisfied; admitted",
-            |drcr| drcr.build(name, fw, providers),
-        )?;
-        self.metrics.count("drcr.activations", 1);
-        Ok(())
     }
 
     /// The kernel side of an activation: kernel objects, reservation and
@@ -2129,6 +2112,51 @@ mod tests {
         let quarantine = |rt: &mut DrtRuntime, n: &str| rt.quarantine_component(n, "test");
         assert_refused(&mut rt, "off", (Disabled, Disabled), quarantine);
         assert!(!rt.drcr().is_quarantined("off"));
+    }
+
+    #[test]
+    fn a_group_member_that_fails_to_activate_rolls_its_group_back() {
+        // `ga` ⇄ `gb` over mailboxes; an unrelated mailbox already holds
+        // `gb`'s outport name, so `gb`'s activation fails after `ga`'s.
+        let member = |name: &str, reads: &str, writes: &str| {
+            let d = ComponentDescriptor::builder(name)
+                .periodic(100, 0, 2)
+                .cpu_usage(0.1)
+                .inport(reads, PortInterface::Mailbox, DataType::Integer, 1)
+                .outport(writes, PortInterface::Mailbox, DataType::Integer, 1)
+                .build()
+                .unwrap();
+            ComponentProvider::new(d, || Box::new(FnLogic(|_io: &mut RtIo<'_, '_>| {})))
+        };
+        let mut rt = DrtRuntime::new(KernelConfig::new(5).with_timer(TimerJitterModel::ideal()));
+        rt.kernel_mut().mailboxes_mut().create("ba", 4).unwrap();
+        rt.install_component("b.ga", member("ga", "ba", "ab"))
+            .unwrap();
+        rt.install_component("b.gb", member("gb", "ab", "ba"))
+            .unwrap();
+        assert_eq!(rt.component_state("ga"), Some(Unsatisfied));
+        assert_eq!(rt.component_state("gb"), Some(Unsatisfied));
+        assert_eq!(rt.drcr().ledger().utilization(0), 0.0);
+        assert!(rt.kernel().mailboxes().get("ab").is_none(), "`ga` leaked");
+        let drcr = rt.drcr();
+        let steps: Vec<String> = drcr
+            .events()
+            .iter()
+            .skip_while(|e| !matches!(e.event, DrcrEvent::GroupCoActivation { .. }))
+            .filter(|e| matches!(e.event, DrcrEvent::Transition { .. }))
+            .map(|e| e.event.to_string())
+            .collect();
+        assert_eq!(
+            steps,
+            [
+                "ga: UNSATISFIED -> ACTIVE (constraints satisfied; admitted)",
+                "ga: ACTIVE -> UNSATISFIED (group member `gb` failed to activate)",
+            ]
+        );
+        assert!(drcr.events().iter().any(|e| matches!(
+            &e.event,
+            DrcrEvent::ActivationFailed { component, .. } if component == "gb"
+        )));
     }
 
     #[test]

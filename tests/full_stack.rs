@@ -265,3 +265,155 @@ fn cyclic_pipelines_co_activate() {
     rt.stop_bundle(bundle).unwrap();
     assert_eq!(rt.component_state("cam"), Some(ComponentState::Unsatisfied));
 }
+
+/// One member of the `cya` ⇄ `cyb` cycle on CPU 0: each reads the other's
+/// outport.
+fn cycle_member(name: &str, claim: f64) -> ComponentProvider {
+    let (reads, writes) = if name == "cya" {
+        ("ba", "ab")
+    } else {
+        ("ab", "ba")
+    };
+    periodic_on_cpu0(name, claim, &[reads], &[writes])
+}
+
+fn periodic_on_cpu0(name: &str, claim: f64, reads: &[&str], writes: &[&str]) -> ComponentProvider {
+    let mut builder = ComponentDescriptor::builder(name)
+        .periodic(100, 0, 2)
+        .cpu_usage(claim);
+    for port in reads {
+        builder = builder.inport(port, PortInterface::Shm, DataType::Integer, 1);
+    }
+    for port in writes {
+        builder = builder.outport(port, PortInterface::Shm, DataType::Integer, 1);
+    }
+    ComponentProvider::new(builder.build().unwrap(), || {
+        Box::new(FnLogic(|_io: &mut RtIo<'_, '_>| {}))
+    })
+}
+
+fn group_abandonments(rt: &DrtRuntime) -> usize {
+    rt.drcr()
+        .events()
+        .iter()
+        .filter(|e| matches!(e.event, DrcrEvent::GroupAbandoned { .. }))
+        .count()
+}
+
+#[test]
+fn cycle_that_does_not_fit_together_stays_unsatisfied() {
+    // Each 0.6 member fits CPU 0 alone, the pair does not. The group is
+    // ruled with the members before each one counted admitted, so the
+    // second member's ruling sees 1.2 and abandons the group before
+    // anything activates.
+    let policies: [fn() -> DrtRuntime; 2] = [runtime, || {
+        DrtRuntime::with_resolver(
+            KernelConfig::new(23).with_timer(TimerJitterModel::ideal()),
+            Box::<drcom::RtaResolver>::default(),
+        )
+    }];
+    for boot in policies {
+        let mut rt = boot();
+        rt.install_component("demo.cya", cycle_member("cya", 0.6))
+            .unwrap();
+        rt.install_component("demo.cyb", cycle_member("cyb", 0.6))
+            .unwrap();
+        rt.advance(SimDuration::from_millis(20));
+        assert_eq!(rt.component_state("cya"), Some(ComponentState::Unsatisfied));
+        assert_eq!(rt.component_state("cyb"), Some(ComponentState::Unsatisfied));
+        assert_eq!(rt.drcr().ledger().utilization(0), 0.0);
+        assert_eq!(group_abandonments(&rt), 1);
+    }
+}
+
+#[test]
+fn cycle_that_fits_together_co_activates() {
+    let mut rt = runtime();
+    rt.install_component("demo.cya", cycle_member("cya", 0.4))
+        .unwrap();
+    rt.install_component("demo.cyb", cycle_member("cyb", 0.4))
+        .unwrap();
+    assert_eq!(rt.component_state("cya"), Some(ComponentState::Active));
+    assert_eq!(rt.component_state("cyb"), Some(ComponentState::Active));
+    assert!((rt.drcr().ledger().utilization(0) - 0.8).abs() < 1e-9);
+    assert_eq!(group_abandonments(&rt), 0);
+}
+
+#[test]
+fn rejected_waiters_are_never_ruled_as_a_group() {
+    // `r1` and `r2` passed their wiring and were rejected by admission:
+    // neither waits on the other, so no group is ever formed of them, and
+    // each further arrival costs only the sweep's own rulings.
+    let mut rt = runtime();
+    rt.install_component("demo.big", periodic_on_cpu0("big", 0.7, &[], &[]))
+        .unwrap();
+    for name in ["r1", "r2"] {
+        rt.install_component(
+            &format!("demo.{name}"),
+            periodic_on_cpu0(name, 0.4, &[], &[]),
+        )
+        .unwrap();
+        assert_eq!(rt.component_state(name), Some(ComponentState::Unsatisfied));
+    }
+    for i in 0..5 {
+        let name = format!("s{i}");
+        rt.install_component(
+            &format!("demo.{name}"),
+            periodic_on_cpu0(&name, 0.01, &[], &[]),
+        )
+        .unwrap();
+        assert_eq!(rt.component_state(&name), Some(ComponentState::Active));
+    }
+    assert_eq!(group_abandonments(&rt), 0);
+    // One ruling for `big`, one for `r1`, two for `r2`'s round, and five
+    // per arrival: `r1`, `r2` and the arrival, then `r1` and `r2` again
+    // against the grown CPU.
+    assert_eq!(rt.drcr().metrics().counter("drcr.admission.checks"), 29);
+}
+
+#[test]
+fn cycle_co_activates_beside_a_rejected_waiter() {
+    let mut rt = runtime();
+    rt.install_component("demo.big", periodic_on_cpu0("big", 0.7, &[], &[]))
+        .unwrap();
+    rt.install_component("demo.r1", periodic_on_cpu0("r1", 0.4, &[], &[]))
+        .unwrap();
+    assert_eq!(rt.component_state("r1"), Some(ComponentState::Unsatisfied));
+    rt.install_component("demo.cya", cycle_member("cya", 0.1))
+        .unwrap();
+    rt.install_component("demo.cyb", cycle_member("cyb", 0.1))
+        .unwrap();
+    assert_eq!(rt.component_state("cya"), Some(ComponentState::Active));
+    assert_eq!(rt.component_state("cyb"), Some(ComponentState::Active));
+    assert_eq!(rt.component_state("r1"), Some(ComponentState::Unsatisfied));
+    assert!((rt.drcr().ledger().utilization(0) - 0.9).abs() < 1e-9);
+    assert_eq!(group_abandonments(&rt), 0);
+}
+
+#[test]
+fn a_declined_wave_rechecks_the_consumer_of_a_rejected_provider() {
+    // Under response-time admission `pa` and `pb` arrive in one wave, and
+    // `pb`'s screen counts `pa` active. The wave does not fit beside `blk`,
+    // so it is ruled member by member: `pa` is rejected, and `pb` must be
+    // checked again rather than activated on its screen, which would leave
+    // it active with no provider.
+    let mut rt = DrtRuntime::with_resolver(
+        KernelConfig::new(23).with_timer(TimerJitterModel::ideal()),
+        Box::<drcom::RtaResolver>::default(),
+    );
+    rt.install_component("demo.blk", periodic_on_cpu0("blk", 0.7, &[], &[]))
+        .unwrap();
+    rt.install_components([
+        ("demo.pa", periodic_on_cpu0("pa", 0.5, &[], &["pab"])),
+        ("demo.pb", periodic_on_cpu0("pb", 0.1, &["pab"], &[])),
+    ])
+    .unwrap();
+    let drcr = rt.drcr();
+    assert_eq!(drcr.metrics().counter("drcr.admission.batches_declined"), 1);
+    assert_eq!(drcr.state_of("pa"), Some(ComponentState::Unsatisfied));
+    assert_eq!(drcr.state_of("pb"), Some(ComponentState::Unsatisfied));
+    assert!(drcr.events().iter().any(|e| matches!(
+        &e.event,
+        DrcrEvent::WiringUnsatisfied { component, .. } if component == "pb"
+    )));
+}

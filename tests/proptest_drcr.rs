@@ -13,7 +13,9 @@
 //! 2. **Kernel ↔ lifecycle**: admission-holding components have a live
 //!    kernel task; others have none.
 //! 3. **No overcommitment**: reserved utilization per CPU never exceeds
-//!    the internal resolver's cap.
+//!    the internal resolver's cap — cyclic groups included: the `cya` ⇄
+//!    `cyb` pair fits one member at a time beside `src` and `snk` but not
+//!    both, so it must not co-activate there.
 //! 4. **Functional soundness**: every Active consumer has an Active
 //!    provider for each inport.
 //! 5. **No leaks**: with no components registered, the ledger holds no
@@ -35,6 +37,8 @@ enum Op {
     StopSource,
     StopSink,
     StopModed,
+    InstallCyclic(bool), // true = `cya`, false = `cyb`
+    StopCyclic(bool),
     SuspendAny(u8),
     ResumeAny(u8),
     DisableAny(u8),
@@ -44,7 +48,7 @@ enum Op {
 }
 
 fn gen_op(rng: &mut SimRng) -> Op {
-    match rng.uniform_u64(0, 12) {
+    match rng.uniform_u64(0, 14) {
         0 => Op::InstallSource,
         1 => Op::InstallSink,
         2 => Op::InstallModed,
@@ -56,6 +60,8 @@ fn gen_op(rng: &mut SimRng) -> Op {
         8 => Op::SwitchModed(rng.chance(0.5)),
         9 => Op::DisableAny(rng.next_u64() as u8),
         10 => Op::EnableAny(rng.next_u64() as u8),
+        11 => Op::InstallCyclic(rng.chance(0.5)),
+        12 => Op::StopCyclic(rng.chance(0.5)),
         _ => Op::Advance(rng.uniform_u64(1, 20) as u8),
     }
 }
@@ -93,6 +99,25 @@ fn moded() -> ComponentProvider {
         .periodic(200, 0, 3)
         .cpu_usage(0.4)
         .mode("cheap", 20, 0.05, 3)
+        .build()
+        .unwrap();
+    ComponentProvider::new(d, || Box::new(FnLogic(|_io: &mut RtIo<'_, '_>| {})))
+}
+
+/// One member of the `cya` ⇄ `cyb` dependency cycle: each reads the
+/// other's outport. One 0.3 member fits beside `src` and `snk` (0.5), the
+/// pair does not.
+fn cyclic(a: bool) -> ComponentProvider {
+    let (name, reads, writes) = if a {
+        ("cya", "ba", "ab")
+    } else {
+        ("cyb", "ab", "ba")
+    };
+    let d = ComponentDescriptor::builder(name)
+        .periodic(100, 0, 3)
+        .cpu_usage(0.3)
+        .inport(reads, PortInterface::Shm, DataType::Integer, 1)
+        .outport(writes, PortInterface::Shm, DataType::Integer, 1)
         .build()
         .unwrap();
     ComponentProvider::new(d, || Box::new(FnLogic(|_io: &mut RtIo<'_, '_>| {})))
@@ -152,6 +177,15 @@ fn check_invariants(rt: &DrtRuntime, case: usize) {
             Some(ComponentState::Active),
             "case {case}: sink active without an active source"
         );
+    }
+    for (member, partner) in [("cya", "cyb"), ("cyb", "cya")] {
+        if drcr.state_of(member) == Some(ComponentState::Active) {
+            assert_eq!(
+                drcr.state_of(partner),
+                Some(ComponentState::Active),
+                "case {case}: `{member}` active without an active `{partner}`"
+            );
+        }
     }
     // 5: no leaks once everything is gone.
     if names.is_empty() {
@@ -239,9 +273,10 @@ fn tap(rt: &DrtRuntime) -> std::rc::Rc<std::cell::RefCell<Vec<(SimTime, DrcrEven
 
 /// A deeper topology than the invariant test: `src`/`alt` both provide
 /// `chan`; `rly` consumes `chan` and provides `chan2`; `fan` consumes
-/// `chan2` (two-level cascades); `mod` is moded. Claims sum past the 1.0
-/// cap so admission rejections (and their view-derived reason strings) are
-/// exercised too.
+/// `chan2` (two-level cascades); `mod` is moded; `cya` and `cyb` read each
+/// other's outport (a cycle only a group co-activates). Claims sum past the
+/// 1.0 cap so admission rejections (and their view-derived reason strings)
+/// are exercised too, cyclic-group rulings included.
 fn diff_component(name: &str) -> ComponentProvider {
     let builder = ComponentDescriptor::builder(name);
     let d = match name {
@@ -278,6 +313,16 @@ fn diff_component(name: &str) -> ComponentProvider {
             .periodic(200, 0, 3)
             .cpu_usage(0.4)
             .mode("cheap", 20, 0.05, 3),
+        "cya" => builder
+            .periodic(100, 0, 3)
+            .cpu_usage(0.2)
+            .inport("ba", PortInterface::Shm, DataType::Integer, 1)
+            .outport("ab", PortInterface::Shm, DataType::Integer, 1),
+        "cyb" => builder
+            .periodic(50, 0, 4)
+            .cpu_usage(0.2)
+            .inport("ab", PortInterface::Shm, DataType::Integer, 1)
+            .outport("ba", PortInterface::Shm, DataType::Integer, 1),
         other => panic!("unknown diff component {other}"),
     }
     .build()
@@ -285,7 +330,7 @@ fn diff_component(name: &str) -> ComponentProvider {
     ComponentProvider::new(d, || Box::new(FnLogic(|_io: &mut RtIo<'_, '_>| {})))
 }
 
-const DIFF_NAMES: [&str; 6] = ["src", "alt", "snk", "rly", "fan", "mod"];
+const DIFF_NAMES: [&str; 8] = ["src", "alt", "snk", "rly", "fan", "mod", "cya", "cyb"];
 
 fn assert_lockstep(
     case: usize,
@@ -389,6 +434,7 @@ fn lockstep_against_naive(
 ) -> u64 {
     let mut rng = SimRng::from_seed(seed);
     let mut batches = 0;
+    let mut groups = GroupOutcomes::default();
     for case in 0..24 {
         let config = || KernelConfig::new(2).with_timer(TimerJitterModel::ideal());
         let mut inc = DrtRuntime::with_resolver(config(), policy());
@@ -474,13 +520,45 @@ fn lockstep_against_naive(
             "case {case}: incremental {inc_work_counter} exceeds the reference's checks ({inc_work} > {naive_checks})"
         );
         batches += inc.drcr().metrics().counter("drcr.admission.batches");
+        groups.tally(&inc_log.borrow());
     }
+    groups.assert_both_seen("lockstep");
     batches
+}
+
+/// How often a sample's cyclic groups co-activated and were abandoned.
+#[derive(Default)]
+struct GroupOutcomes {
+    co_activated: usize,
+    abandoned: usize,
+}
+
+impl GroupOutcomes {
+    fn tally(&mut self, log: &[(SimTime, DrcrEvent)]) {
+        for (_, event) in log {
+            match event {
+                DrcrEvent::GroupCoActivation { .. } => self.co_activated += 1,
+                DrcrEvent::GroupAbandoned { .. } => self.abandoned += 1,
+                _ => {}
+            }
+        }
+    }
+
+    /// The sample covers the group path both ways.
+    fn assert_both_seen(&self, what: &str) {
+        assert!(
+            self.co_activated > 0 && self.abandoned > 0,
+            "{what}: the sample co-activated {} and abandoned {} cyclic groups",
+            self.co_activated,
+            self.abandoned
+        );
+    }
 }
 
 #[test]
 fn drcr_invariants_hold_under_random_operations() {
     let mut rng = SimRng::from_seed(0xD6C6);
+    let mut groups = GroupOutcomes::default();
     for case in 0..64 {
         let mut rt = DrtRuntime::new(KernelConfig::new(9).with_timer(TimerJitterModel::ideal()));
         let log = tap(&rt);
@@ -521,6 +599,20 @@ fn drcr_invariants_hold_under_random_operations() {
                 }
                 Op::StopModed => {
                     if let Some(b) = bundles.remove("mod") {
+                        rt.uninstall_bundle(b).unwrap();
+                    }
+                }
+                Op::InstallCyclic(a) => {
+                    let name = if a { "cya" } else { "cyb" };
+                    if !bundles.contains_key(name) {
+                        let b = rt
+                            .install_component(&format!("b.{name}"), cyclic(a))
+                            .unwrap();
+                        bundles.insert(name, b);
+                    }
+                }
+                Op::StopCyclic(a) => {
+                    if let Some(b) = bundles.remove(if a { "cya" } else { "cyb" }) {
                         rt.uninstall_bundle(b).unwrap();
                     }
                 }
@@ -585,5 +677,7 @@ fn drcr_invariants_hold_under_random_operations() {
         assert!(rt.drcr().component_names().is_empty());
         check_invariants(&rt, case);
         check_transition_history(&rt, &log.borrow(), case);
+        groups.tally(&log.borrow());
     }
+    groups.assert_both_seen("invariants");
 }
