@@ -123,14 +123,16 @@ impl BatchParams {
     }
 }
 
-/// Counter ceilings asserted in `--check` mode, with ~25-50% headroom over
-/// the measured values so legitimate scenario tweaks don't trip them.
-/// Phase 1 measured (smoke): incremental checks=21299, sweeps=231;
-/// naive graph_builds=26099. Measured (full): incremental
-/// checks=508380, sweeps=1045; naive graph_builds=545505. The view is
-/// maintained by delta and never rebuilt, in either engine.
-/// Phase 2 measured, at both fleet sizes: 2498 checks (2.5x) and 1001 view
-/// updates (1x) per churn event at cohort=999.
+/// Counter ceilings asserted in `--check` mode, set with ~25-50% headroom
+/// over the values measured when waiting components were still screened
+/// every sweep: phase 1 (smoke) incremental checks=21299, sweeps=231;
+/// (full) checks=508380, sweeps=1045; phase 2, 2498 checks (2.5x cohort)
+/// per churn event. Since a waiter is screened only when something it waits
+/// on changed, phase 1 measures checks=803 (smoke) and 4470 (full), and
+/// phase 2 1499 checks (1.5x) and 1001 view updates (1x) per churn event
+/// at cohort=999, at both fleet sizes. Naive graph_builds=26099 (smoke) and
+/// 545505 (full). The view is maintained by delta and never rebuilt, in
+/// either engine.
 struct Ceilings {
     incremental_checks: u64,
     incremental_sweeps: u64,
@@ -292,7 +294,6 @@ struct ChurnStats {
     cohort: usize,
     churn_events: u64,
     checks_per_event: u64,
-    evals_per_event: u64,
     view_updates_per_event: u64,
     graph_builds: u64,
     active_after: usize,
@@ -335,7 +336,6 @@ fn run_churn(params: &ChurnParams) -> ChurnStats {
         cohort: params.cohort(),
         churn_events,
         checks_per_event: delta("drcr.wiring.checks") / churn_events,
-        evals_per_event: delta("drcr.wiring.evals") / churn_events,
         view_updates_per_event: delta("drcr.view.updates") / churn_events,
         graph_builds: counter(&after, "drcr.wiring.graph_builds"),
         active_after,
@@ -403,15 +403,10 @@ fn churn_json(c: &ChurnStats) -> String {
     format!(
         concat!(
             "{{\"components\": {}, \"cohort\": {}, \"churn_events\": {}, ",
-            "\"checks_per_event\": {}, \"evals_per_event\": {}, ",
+            "\"checks_per_event\": {}, ",
             "\"view_updates_per_event\": {}}}"
         ),
-        c.components,
-        c.cohort,
-        c.churn_events,
-        c.checks_per_event,
-        c.evals_per_event,
-        c.view_updates_per_event
+        c.components, c.cohort, c.churn_events, c.checks_per_event, c.view_updates_per_event
     )
 }
 
@@ -436,15 +431,11 @@ fn main() {
         if smoke { "smoke" } else { "full" },
     );
 
-    let total_clock = bench::timing::WallClock::new();
-    let phase1_clock = bench::timing::WallClock::new();
     let incremental = run(
         Box::new(ReactiveResolver::new(Box::new(AlwaysAdmit))),
         &params,
     );
-    let phase1_incremental_secs = phase1_clock.elapsed_secs();
     let naive = run(Box::new(NaiveResolver::new(Box::new(AlwaysAdmit))), &params);
-    let phase1_secs = phase1_clock.elapsed_secs();
 
     let inc_rendered = render(&incremental.events);
     let naive_rendered = render(&naive.events);
@@ -486,10 +477,6 @@ fn main() {
         events_identical
     );
     println!("  graph-build reduction: {ratio:.1}x");
-    println!(
-        "  phase 1 wall: {phase1_secs:.3} s ({:.0} executive events/s incremental)",
-        incremental.events.len() as f64 / phase1_incremental_secs.max(1e-9)
-    );
 
     if check {
         assert!(events_identical, "event streams diverged between engines");
@@ -526,7 +513,6 @@ fn main() {
 
     // ---- Phase 2: churn at scale ------------------------------------
     let mut churns = Vec::with_capacity(CHURN_HUB_COUNTS.len());
-    let phase2_clock = bench::timing::WallClock::new();
     for hubs in CHURN_HUB_COUNTS {
         let churn_params = ChurnParams::with_hubs(hubs);
         println!();
@@ -538,17 +524,10 @@ fn main() {
             churn_params.cohort(),
             churn_params.churn_cycles,
         );
-        let fleet_clock = bench::timing::WallClock::new();
         let churn = run_churn(&churn_params);
-        let fleet_secs = fleet_clock.elapsed_secs();
         println!(
-            "  fleet wall: {fleet_secs:.3} s ({:.1} churn events/s)",
-            churn.churn_events as f64 / fleet_secs
-        );
-        println!(
-            "  per churn event: {} wiring checks ({} evaluated), {} view updates, {:.4}x of n",
+            "  per churn event: {} wiring checks, {} view updates, {:.4}x of n",
             churn.checks_per_event,
-            churn.evals_per_event,
             churn.view_updates_per_event,
             churn.checks_per_event as f64 / churn.components as f64,
         );
@@ -586,7 +565,6 @@ fn main() {
         }
         churns.push(churn);
     }
-    let phase2_secs = phase2_clock.elapsed_secs();
     if check {
         // Same cohort, twice the fleet: per-event work must not grow.
         let (small, large) = (&churns[0], &churns[1]);
@@ -612,12 +590,8 @@ fn main() {
         "resolve_scale phase 3 (batched arrivals): {} arrivals on {} CPUs, response-time admission",
         batch_params.arrivals, batch_params.cpus,
     );
-    let phase3_clock = bench::timing::WallClock::new();
     let batched = run_batch(&batch_params, true);
     let sequential = run_batch(&batch_params, false);
-    let phase3_secs = phase3_clock.elapsed_secs();
-    let total_secs = total_clock.elapsed_secs();
-    println!("  phase 3 wall: {phase3_secs:.3} s, total wall: {total_secs:.3} s");
     println!(
         "  batched:    {} RTA passes, {} batches, {} activations, {} rejections",
         batched.rta_passes, batched.batches, batched.activations, batched.rejections
@@ -672,11 +646,7 @@ fn main() {
                 "  \"churn_at_scale\": [{}],\n",
                 "  \"batched_arrivals\": {{\"arrivals\": {}, \"cpus\": {}, ",
                 "\"batched_rta_passes\": {}, \"sequential_rta_passes\": {}, ",
-                "\"activations\": {}}},\n",
-                "  \"timing\": {{\"phase1_wall_seconds\": {:.6}, ",
-                "\"phase1_events_per_sec\": {:.1}, ",
-                "\"phase2_wall_seconds\": {:.6}, \"phase2_churn_events_per_sec\": {:.1}, ",
-                "\"phase3_wall_seconds\": {:.6}, \"total_wall_seconds\": {:.6}}}\n",
+                "\"activations\": {}}}\n",
                 "}}\n"
             ),
             params.components(),
@@ -694,12 +664,6 @@ fn main() {
             batched.rta_passes,
             sequential.rta_passes,
             batched.activations,
-            phase1_secs,
-            incremental.events.len() as f64 / phase1_incremental_secs.max(1e-9),
-            phase2_secs,
-            churns.iter().map(|c| c.churn_events).sum::<u64>() as f64 / phase2_secs,
-            phase3_secs,
-            total_secs,
         );
         std::fs::write("BENCH_resolve.json", &json).expect("write BENCH_resolve.json");
         println!("  wrote BENCH_resolve.json");

@@ -25,7 +25,7 @@ use crate::admission::AdmissionLedger;
 use crate::descriptor::ComponentDescriptor;
 use crate::error::DrcrError;
 use crate::hybrid::{BridgeMode, Command, HybridRtBody, PortBinding, Reply, RtLogic};
-use crate::lifecycle::{ComponentState, Stamps};
+use crate::lifecycle::{ComponentState, Rejection, Stamps, WaitReport};
 use crate::lower::{lower, Channel, Lowering};
 use crate::manage::{
     ManagementHandle, ManagementReply, RequestToken, RtComponentManagement, MANAGEMENT_SERVICE,
@@ -37,13 +37,12 @@ use crate::obs::{
 };
 use crate::reactive::ReactiveResolver;
 use crate::resolve::{
-    BatchAdmission, Decision, Resolver, ResolverHandle, ResolvingService, UtilizationResolver,
-    RESOLVER_SERVICE,
+    Decision, Resolver, ResolverHandle, ResolvingService, UtilizationResolver, RESOLVER_SERVICE,
 };
 use crate::rta::{RtaAnalysis, CONTAINER_OVERHEAD_NS};
 use crate::supervise::{FaultDecision, SupervisionConfig, Supervisor};
 use crate::view::{ComponentInfo, SystemView};
-use crate::wiring::{MissingPort, MissingReason, WiringResult};
+use crate::wiring::WiringResult;
 use osgi::event::{BundleId, FrameworkEvent, ServiceEventKind};
 use osgi::framework::Framework;
 use osgi::ldap::{PropValue, Properties};
@@ -64,9 +63,15 @@ pub const COMPONENT_SERVICE: &str = "drt.component";
 /// `drt.management` registrations.
 pub const PROP_COMPONENT_NAME: &str = "drt.name";
 
-/// Capacity of the executive's event rings; older events are dropped
-/// (counted, and still delivered to live subscribers first).
-const EVENT_RING_CAPACITY: usize = 10_000;
+/// Capacity of the executive's event ring; older events are dropped
+/// (counted, and still delivered to live subscribers first). A waiter's
+/// report is logged only when it changes, so an operation logs fewer
+/// events than when every sweep logged it again: 6,000 events keep about
+/// the history, and the memory, that 10,000 did then.
+const EVENT_RING_CAPACITY: usize = 6_000;
+
+/// Capacity of the management-bridge event ring.
+const BRIDGE_RING_CAPACITY: usize = 10_000;
 
 /// A deployable component: validated descriptor plus the factory producing
 /// its real-time logic.
@@ -153,11 +158,47 @@ fn release(kernel: &mut Kernel, objects: Vec<KernelObject>) {
     }
 }
 
-/// A failed wiring check's unsatisfied inports, rendered for the log.
-fn diagnosis(missing: &[MissingPort]) -> String {
-    let ports: Vec<String> = missing.iter().map(|m| m.to_string()).collect();
-    ports.join("; ")
+/// One resolver's verdict on `component` (`reason` is empty on admission).
+fn verdict(
+    component: &str,
+    resolver: &str,
+    internal: bool,
+    admitted: bool,
+    reason: &str,
+) -> DrcrEvent {
+    DrcrEvent::AdmissionVerdict {
+        component: component.to_string(),
+        resolver: resolver.to_string(),
+        internal,
+        admitted,
+        reason: reason.to_string(),
+    }
 }
+
+/// The event that reports `report` for `component`.
+fn report_event(report: &WaitReport, component: &str) -> DrcrEvent {
+    match report {
+        WaitReport::Rejected(r) => verdict(component, &r.resolver, r.internal, false, &r.reason),
+        WaitReport::Unwired(_) => DrcrEvent::WiringUnsatisfied {
+            component: component.to_string(),
+            missing: report.to_string(),
+        },
+        WaitReport::GroupAbandoned { rejection: r, .. } => DrcrEvent::GroupAbandoned {
+            component: component.to_string(),
+            resolver: r.resolver.clone(),
+            internal: r.internal,
+            reason: r.reason.clone(),
+        },
+        WaitReport::ActivationFailed(reason) => DrcrEvent::ActivationFailed {
+            component: component.to_string(),
+            reason: reason.clone(),
+        },
+    }
+}
+
+/// A wave member's screen: its wiring, and whether the check counted an
+/// earlier passer active.
+type Screen = (Rc<str>, WiringResult, bool);
 
 struct ComponentRecord {
     /// The contract currently in force (mode-substituted).
@@ -180,6 +221,8 @@ struct ComponentRecord {
     current_mode: String,
     /// Replies already drained from the reply mailbox, by token.
     reply_buffer: HashMap<u32, ManagementReply>,
+    /// Why it waits, while it waits and has been screened.
+    report: Option<WaitReport>,
 }
 
 impl ComponentRecord {
@@ -213,13 +256,19 @@ pub struct Drcr {
     next_chan: u32,
     next_token: u32,
     dirty: bool,
-    /// The constraint-resolution engine: wiring index + memoized nodes +
-    /// sweep cursor + internal admission, behind one pluggable surface.
-    /// Fixed at construction.
+    /// The constraint-resolution engine: wiring index + sweep scopes +
+    /// internal admission, behind one pluggable surface. Fixed at
+    /// construction.
     resolver: Box<dyn Resolver>,
-    /// Components currently `Unsatisfied` (the activation sweep's work
-    /// list), maintained on every state transition.
-    unsatisfied: BTreeSet<Rc<str>>,
+    /// Waiters whose report waits only on inactive providers: the
+    /// candidates of a cyclic group.
+    stalled: BTreeSet<Rc<str>>,
+    /// Whether the stalled set, or what a stalled waiter waits on, changed
+    /// since the last group attempt.
+    group_due: bool,
+    /// Events of the ruling in progress, held back until its outcome says
+    /// whether they report anything new.
+    held: Vec<DrcrEvent>,
     /// The global view, kept current by delta: registration and removal
     /// insert and remove one record, lifecycle flips and contract rewrites
     /// patch one in place. It is never rebuilt.
@@ -275,7 +324,7 @@ impl Drcr {
             enforce_budgets: false,
             lifecycle_seq: 0,
             events: EventSink::new(EVENT_RING_CAPACITY),
-            bridge_events: EventSink::new(EVENT_RING_CAPACITY),
+            bridge_events: EventSink::new(BRIDGE_RING_CAPACITY),
             metrics: MetricsRegistry::new(),
             resolve_round: 0,
             pending_replies: HashMap::new(),
@@ -283,7 +332,9 @@ impl Drcr {
             next_token: 0,
             dirty: false,
             resolver,
-            unsatisfied: BTreeSet::new(),
+            stalled: BTreeSet::new(),
+            group_due: false,
+            held: Vec::new(),
             view: SystemView::new(cpu_count, Vec::new()),
             supervisor: Supervisor::new(),
             task_names: BTreeMap::new(),
@@ -344,7 +395,8 @@ impl Drcr {
     /// # Errors
     ///
     /// [`DrcrError::DuplicateComponent`] — component names are globally
-    /// unique (§2.3).
+    /// unique (§2.3); [`DrcrError::NoSuchCpu`] when the task is pinned to
+    /// a CPU the kernel does not have.
     pub fn register_component(
         &mut self,
         descriptor: ComponentDescriptor,
@@ -355,6 +407,14 @@ impl Drcr {
         if self.components.contains_key(&*id) {
             return Err(DrcrError::DuplicateComponent(id.to_string()));
         }
+        let (cpu, cpus) = (descriptor.task.cpu(), self.ledger.cpu_count());
+        if cpu >= cpus {
+            return Err(DrcrError::NoSuchCpu {
+                component: id.to_string(),
+                cpu,
+                cpus,
+            });
+        }
         let initial = if descriptor.enabled {
             ComponentState::Unsatisfied
         } else {
@@ -362,8 +422,8 @@ impl Drcr {
         };
         // A fresh registration starts inactive in the engine; it cannot
         // break any running consumer (it only *adds* a provider), so no
-        // dirty-set seeding happens — the engine just refreshes the stale
-        // wiring memos of the new provider's consumers.
+        // dirty-set seeding happens — the engine just wakes the new
+        // provider's waiting consumers, whose diagnoses it changes.
         self.resolver.on_registered(&id, &descriptor);
         let record = ComponentRecord {
             base_descriptor: descriptor.clone(),
@@ -380,6 +440,7 @@ impl Drcr {
             providers: Vec::new(),
             current_mode: crate::model::BASE_MODE.to_string(),
             reply_buffer: HashMap::new(),
+            report: None,
         };
         self.components.insert(id.clone(), record);
         self.transition(&id, None, initial, "descriptor registered", |_| Ok(()))?;
@@ -438,6 +499,13 @@ impl Drcr {
     /// The providers chosen for a component's inports at activation.
     pub fn providers_of(&self, name: &str) -> Option<&[(String, String)]> {
         self.components.get(name).map(|r| r.providers.as_slice())
+    }
+
+    /// Why a waiting component is not running: its last report, once it
+    /// has been screened. `None` for a component that is not waiting or
+    /// has not been screened since it started waiting.
+    pub fn report(&self, name: &str) -> Option<&WaitReport> {
+        self.components.get(name).and_then(|r| r.report.as_ref())
     }
 
     /// The lifecycle sequence: bumped by every state transition, so an
@@ -526,11 +594,10 @@ impl Drcr {
     /// names its edge (resume, enable), against that edge's `source` — and
     /// returns [`DrcrError::IllegalTransition`] with nothing changed when
     /// it is not allowed. Otherwise runs `effect` (the kernel side of the
-    /// step), and when that succeeds commits: the record and its stamps,
-    /// the activation work-list, the engine's constraint nodes, the view,
-    /// the lifecycle sequence, and one [`DrcrEvent::Transition`]. An
-    /// `effect` that fails must leave nothing behind; its error is
-    /// returned.
+    /// step), and when that succeeds commits: the record and its stamps
+    /// (its report cleared), the engine's scopes, the view, the lifecycle
+    /// sequence, and one [`DrcrEvent::Transition`]. An `effect` that fails
+    /// must leave nothing behind; its error is returned.
     fn transition(
         &mut self,
         name: &str,
@@ -567,11 +634,10 @@ impl Drcr {
         if to == ComponentState::Active {
             rec.stamps.activated = self.lifecycle_seq;
         }
+        rec.report = None;
         let cpu = rec.descriptor.task.cpu();
-        if to == ComponentState::Unsatisfied {
-            self.unsatisfied.insert(key.clone());
-        } else {
-            self.unsatisfied.remove(name);
+        if self.stalled.remove(name) {
+            self.group_due = true;
         }
         self.resolver.on_state_changed(&key, cpu, from, to);
         if from == ComponentState::Installed {
@@ -783,11 +849,9 @@ impl Drcr {
         let key = key.clone();
         let rec = self.components.get_mut(name).expect("present");
         rewrite(rec);
-        // The contract node changed: the engine drops this component's
-        // memoized wiring and admission results (its ports are unchanged,
-        // but its claim, frequency or priority are not) and invalidates the
-        // CPU's admission epoch, so peers' memoized rejections are
-        // re-evaluated against the changed capacity.
+        // The contract changed: a waiting component's ruling read the old
+        // one, so the engine wakes it (its ports are unchanged, but its
+        // claim, frequency or priority are not).
         self.resolver.on_contract_changed(name, &rec.descriptor);
         // The view takes the rewritten contract in place.
         let idx = self
@@ -844,8 +908,12 @@ impl Drcr {
                     }
                 }
                 (_, _, true) => {
-                    // Resolver arrived or departed: re-resolve.
+                    // Resolver arrived or departed: re-resolve. A waiter the
+                    // internal policy rejected never reaches the services,
+                    // and one a service rejected is ruled every sweep, so
+                    // only a cyclic group's outcome can change unwatched.
                     self.dirty = true;
+                    self.group_due = true;
                 }
                 _ => {}
             }
@@ -940,6 +1008,9 @@ impl Drcr {
                     component: name.to_string(),
                     attempt,
                 });
+                // A release makes no transition: the engine wakes the
+                // waiter it parked behind the hold.
+                self.resolver.wake(&name);
                 self.dirty = true;
             }
         }
@@ -993,22 +1064,14 @@ impl Drcr {
                 }
             }
 
-            // Activation sweep. Components behind a backoff hold stay out
-            // until the supervisor releases them.
-            let waiting: Vec<Rc<str>> = self
-                .unsatisfied
-                .iter()
-                .filter(|n| !self.supervisor.is_held(n))
-                .cloned()
-                .collect();
-            let mut stalled = Vec::new();
-            let mut activated = self.activate_wave(&waiting, &services, fw, &mut stalled);
+            // Activation sweep over the woken waiters.
+            let mut activated = self.activate_wave(&services, fw);
             // Cyclically dependent components cannot activate one at a time
             // (each waits for the other). When the sweep stalls, try
-            // co-activating a mutually-consistent group of the waiters it
-            // left waiting on inactive providers.
+            // co-activating a mutually-consistent group of the waiters left
+            // waiting on inactive providers.
             if activated == 0 && !changed {
-                activated = self.activate_group(stalled, &services, fw);
+                activated = self.activate_group(&services, fw);
             }
             if activated > 0 {
                 activations += activated;
@@ -1034,77 +1097,38 @@ impl Drcr {
     }
 
     /// Checks one component's functional constraints through the resolution
-    /// engine, counting the work in the `drcr.wiring.*` metrics:
-    /// `checks` for every query, `evals` vs `memo_hits` for whether the
-    /// engine re-evaluated or replayed a memoized result, and
-    /// `graph_builds` when it rebuilt a wiring graph from scratch (the
-    /// naive reference does; the reactive engine never does).
+    /// engine, counting the work in the `drcr.wiring.*` metrics: `checks`
+    /// for every query, and `graph_builds` when the engine rebuilt a wiring
+    /// graph from scratch (the naive reference does; the reactive engine
+    /// never does).
     fn check_wiring(&mut self, name: &str, assume_active: &[Rc<str>]) -> WiringResult {
         self.metrics.count("drcr.wiring.checks", 1);
-        let rec = &self.components[name];
-        let check = self.resolver.check_wiring(&rec.descriptor, assume_active);
-        if check.evaluated {
-            self.metrics.count("drcr.wiring.evals", 1);
-        } else {
-            self.metrics.count("drcr.wiring.memo_hits", 1);
-        }
-        if check.graph_built {
+        if self.resolver.builds_graphs() {
             self.metrics.count("drcr.wiring.graph_builds", 1);
         }
-        check.result
+        let rec = &self.components[name];
+        self.resolver.check_wiring(&rec.descriptor, assume_active)
     }
 
-    /// The internal non-functional verdict on one candidate, ruled by the
-    /// engine's admission policy. Returns the ruling resolver's name
-    /// with the decision; an RTA ruling also emits a
-    /// [`DrcrEvent::AdmissionAnalysis`] evidence event and feeds the
-    /// candidate's computed WCRT into the `drcr.admission.wcrt_ns`
-    /// histogram — a memoized ruling replays both identically, so the
-    /// evidence stream is independent of cache behaviour.
-    ///
-    /// The ruling is against the live view, which lets the engine reuse
-    /// one computed against an equivalent view (same per-CPU admission
-    /// epoch), or against a `hypothetical` one, which is never memoized.
-    fn internal_admit(
-        &mut self,
-        candidate: &ComponentInfo,
-        hypothetical: Option<&SystemView>,
-    ) -> (String, Decision) {
-        self.metrics.count("drcr.admission.checks", 1);
-        let view = hypothetical.unwrap_or(&self.view);
-        let ruling = self.resolver.admit(candidate, view, hypothetical.is_none());
-        if ruling.evaluated {
-            self.metrics.count("drcr.admission.evals", 1);
-        } else {
-            self.metrics.count("drcr.admission.memo_hits", 1);
-        }
-        if let Some(analysis) = &ruling.analysis {
-            if ruling.evaluated {
-                self.metrics.count("drcr.admission.rta_passes", 1);
-            }
-            self.note_analysis(&candidate.name, analysis);
-        }
-        (ruling.resolver, ruling.decision)
-    }
-
-    /// Records the response-time analysis behind `component`'s verdict:
-    /// its WCRT in the `drcr.admission.wcrt_ns` histogram, and the
-    /// [`DrcrEvent::AdmissionAnalysis`] evidence event.
-    fn note_analysis(&mut self, component: &str, analysis: &RtaAnalysis) {
+    /// The response-time analysis behind `component`'s verdict as a
+    /// [`DrcrEvent::AdmissionAnalysis`] evidence event, with its WCRT fed
+    /// into the `drcr.admission.wcrt_ns` histogram.
+    fn analysis_event(&mut self, component: &str, analysis: &RtaAnalysis) -> DrcrEvent {
         if let Some(wcrt) = analysis.wcrt_of(component) {
             self.metrics.observe("drcr.admission.wcrt_ns", wcrt);
         }
-        self.note(DrcrEvent::AdmissionAnalysis {
+        DrcrEvent::AdmissionAnalysis {
             component: component.to_string(),
             cpu: analysis.cpu,
             schedulable: analysis.schedulable,
             wcrts: analysis.wcrts.clone(),
-        });
+        }
     }
 
     /// Re-checks one running component during the deactivation sweep,
     /// cascading it back to `Unsatisfied` when its wiring broke. Returns
-    /// `true` when it cascaded.
+    /// `true` when it cascaded. The cascade's diagnosis becomes the
+    /// waiter's report, so the activation sweep does not repeat it.
     fn cascade_check(&mut self, name: &Rc<str>, fw: &mut Framework) -> bool {
         if self.components[&**name].descriptor.inports.is_empty() {
             return false;
@@ -1112,125 +1136,155 @@ impl Drcr {
         let Err(missing) = self.check_wiring(name, &[]) else {
             return false;
         };
-        let reason = diagnosis(&missing);
+        let report = WaitReport::Unwired(missing);
+        let reason = report.to_string();
         self.note(DrcrEvent::CascadeDeactivation {
             component: name.to_string(),
             reason: reason.clone(),
         });
         self.metrics.count("drcr.cascades", 1);
-        let _ = self.deactivate(name, fw, ComponentState::Unsatisfied, &reason);
+        if self
+            .deactivate(name, fw, ComponentState::Unsatisfied, &reason)
+            .is_ok()
+        {
+            self.keep_report(name, report);
+            self.resolver.park(name, &[]);
+        }
         true
     }
 
-    /// One activation sweep over `waiting`, in name order, through the one
-    /// activation pipeline: each waiter is **screened** (its wiring
-    /// checked), **ruled** ([`Drcr::rule`]) and **committed**
-    /// ([`Drcr::activate`]). Returns how many went active; `stalled`
-    /// receives the waiters whose wiring waits only on inactive providers
-    /// (the candidates of a cyclic group).
+    /// One activation sweep over the woken waiters ([`Resolver::wake_next`])
+    /// in name order, through the one activation pipeline: each waiter is
+    /// **screened** (its wiring checked), **ruled** ([`Drcr::rule`]) and
+    /// **committed** ([`Drcr::activate`]); one that stays waiting is
+    /// settled ([`Drcr::settle`]). A waiter the sweep's own changes wake
+    /// after the cursor is screened in this sweep. Returns how many went
+    /// active.
     ///
     /// A batching engine ([`Resolver::batches`]) with no customized
     /// `services` (they rule per candidate and must see the view grow
-    /// member by member) screens the wave first and rules its passers in
-    /// one pass per CPU ([`Drcr::screen_wave`]); the events keep the
-    /// per-waiter order and differ only in the evidence payload. A declined
-    /// wave, and the rest of a wave once a passer fails to go active, is
-    /// ruled member by member. A screen that counted an earlier passer
-    /// active is then checked again at its turn; every other screen still
-    /// holds, as only earlier passers change state before a waiter's turn.
-    fn activate_wave(
-        &mut self,
-        waiting: &[Rc<str>],
-        services: &[Rc<ResolverHandle>],
-        fw: &mut Framework,
-        stalled: &mut Vec<Rc<str>>,
-    ) -> u32 {
-        let (screened, batch) = if self.resolver.batches() && services.is_empty() {
-            self.screen_wave(waiting)
+    /// member by member) screens the waiters woken when the sweep starts
+    /// as one wave and rules its passers in one pass per CPU
+    /// ([`Drcr::screen_wave`]); the events keep the per-waiter order and
+    /// differ only in the evidence payload. A declined wave, and the rest
+    /// of a wave once a passer fails to go active, is ruled member by
+    /// member. A screen that counted an earlier passer active is then
+    /// checked again at its turn; every other screen still holds, as only
+    /// earlier passers change state before a waiter's turn — unless a
+    /// waiter woken during the sweep goes active, which drops the rest of
+    /// the wave's screens and its batch.
+    fn activate_wave(&mut self, services: &[Rc<ResolverHandle>], fw: &mut Framework) -> u32 {
+        let (screened, mut batch) = if self.resolver.batches() && services.is_empty() {
+            self.screen_wave()
         } else {
             (Vec::new(), None)
         };
-        let mut screened = screened.into_iter();
+        let mut screened = screened.into_iter().peekable();
         // Every passer so far went active.
         let mut intact = true;
         let mut activated: u32 = 0;
-        for name in waiting {
-            let wiring = match screened.next() {
-                Some((wiring, relied)) if intact || !relied => wiring,
-                _ => self.check_wiring(name, &[]),
+        let mut cursor: Option<Rc<str>> = None;
+        while let Some(name) = self.resolver.wake_next(cursor.as_deref()) {
+            cursor = Some(name.clone());
+            if self.supervisor.is_held(&name) {
+                // Behind a backoff hold: the release wakes it.
+                self.resolver.park(&name, &[]);
+                continue;
+            }
+            let screen = screened.next_if(|(waiter, ..)| *waiter == name);
+            let in_wave = screen.is_some();
+            let wiring = match screen {
+                Some((_, wiring, relied)) if intact || !relied => wiring,
+                _ => self.check_wiring(&name, &[]),
             };
             let providers = match wiring {
                 Ok(providers) => providers,
                 Err(missing) => {
-                    if missing
-                        .iter()
-                        .all(|m| matches!(m.reason, MissingReason::ProviderInactive { .. }))
-                    {
-                        stalled.push(name.clone());
-                    }
-                    self.note(DrcrEvent::WiringUnsatisfied {
-                        component: name.to_string(),
-                        missing: diagnosis(&missing),
-                    });
+                    self.settle(&name, WaitReport::Unwired(missing));
                     continue;
                 }
             };
             let admitted = match &batch {
                 // Every passer's WCRT is in its CPU's one analysis (the
                 // pass models them all admitted).
-                Some(batch) if intact => {
+                Some(analyses) if intact && in_wave => {
                     self.metrics.count("drcr.admission.checks", 1);
                     self.metrics.count("drcr.admission.batched", 1);
-                    let cpu = self.components[&**name].descriptor.task.cpu();
-                    let analysis = batch.analyses.iter().find(|a| a.cpu == cpu);
-                    self.note_analysis(name, analysis.expect("one analysis per CPU"));
-                    self.note_verdict(name, batch.resolver.clone(), true, Decision::Admit, false)
+                    let cpu = self.components[&*name].descriptor.task.cpu();
+                    let analysis = analyses.iter().find(|a| a.cpu == cpu);
+                    let evidence =
+                        self.analysis_event(&name, analysis.expect("one analysis per CPU"));
+                    self.note(evidence);
+                    self.note(verdict(
+                        &name,
+                        self.resolver.policy().name(),
+                        true,
+                        true,
+                        "",
+                    ));
+                    true
                 }
                 _ => {
-                    let candidate = self.components[&**name].info(name.clone());
-                    self.rule(&candidate, None, services)
+                    let candidate = self.components[&*name].info(name.clone());
+                    match self.rule(&candidate, None, services) {
+                        Ok(()) => {
+                            self.emit_held();
+                            true
+                        }
+                        Err(rejection) => {
+                            self.settle(&name, WaitReport::Rejected(rejection));
+                            false
+                        }
+                    }
                 }
             };
-            if admitted && self.activate(name, fw, providers) {
+            if admitted && self.activate(&name, fw, providers) {
                 activated += 1;
-            } else {
+                if !in_wave {
+                    screened = Vec::new().into_iter().peekable();
+                    batch = None;
+                }
+            } else if in_wave {
                 intact = false;
             }
         }
         activated
     }
 
-    /// Screens an arrival wave as the per-waiter sweep would see it: each
-    /// waiter's wiring is checked with the passers before it counted active
-    /// (they all activate if the wave commits). Returns each waiter's
-    /// wiring and whether its check counted a passer, plus — for two or
-    /// more passers — the engine's one-pass-per-CPU admission of them all
-    /// ([`Resolver::admit_batch`]; see
+    /// Screens the waiters woken when a sweep starts as one arrival wave,
+    /// as the per-waiter sweep would see them: each waiter's wiring is
+    /// checked with the passers before it counted active (they all
+    /// activate if the wave commits). Returns each waiter with its wiring
+    /// and whether its check counted a passer, plus — for two or more
+    /// passers — the policy's one-pass-per-CPU admission of them all
+    /// ([`ResolvingService::admit_batch`]: one analysis per touched CPU; see
     /// [`crate::rta::RtaResolver::analyze_batch`] for the soundness
     /// argument), or `None` when it declines (mixed task models, an
     /// unschedulable CPU; counted in `drcr.admission.batches_declined`).
-    fn screen_wave(
-        &mut self,
-        waiting: &[Rc<str>],
-    ) -> (Vec<(WiringResult, bool)>, Option<BatchAdmission>) {
-        let mut screened = Vec::with_capacity(waiting.len());
+    fn screen_wave(&mut self) -> (Vec<Screen>, Option<Vec<RtaAnalysis>>) {
+        let mut screened = Vec::new();
         let mut passers: Vec<Rc<str>> = Vec::new();
         let mut provided: HashSet<ObjName> = HashSet::new();
-        for name in waiting {
+        let mut cursor: Option<Rc<str>> = None;
+        while let Some(name) = self.resolver.wake_next(cursor.as_deref()) {
+            cursor = Some(name.clone());
+            if self.supervisor.is_held(&name) {
+                continue;
+            }
             // Only a waiter reading a channel an earlier passer provides
-            // can see a different wiring than the strict, memoized check.
-            let descriptor = &self.components[&**name].descriptor;
+            // can see a different wiring than the strict check.
+            let descriptor = &self.components[&*name].descriptor;
             let relies = descriptor
                 .inports
                 .iter()
                 .any(|p| provided.contains(&p.name));
-            let wiring = self.check_wiring(name, if relies { &passers } else { &[] });
+            let wiring = self.check_wiring(&name, if relies { &passers } else { &[] });
             if wiring.is_ok() {
                 passers.push(name.clone());
-                let outports = &self.components[&**name].descriptor.outports;
+                let outports = &self.components[&*name].descriptor.outports;
                 provided.extend(outports.iter().map(|p| p.name));
             }
-            screened.push((wiring, relies));
+            screened.push((name, wiring, relies));
         }
         if passers.len() < 2 {
             return (screened, None);
@@ -1239,33 +1293,34 @@ impl Drcr {
             .iter()
             .map(|name| self.components[&**name].info(name.clone()))
             .collect();
-        let batch = self.resolver.admit_batch(&candidates, &self.view);
+        let batch = self.resolver.policy().admit_batch(&candidates, &self.view);
         match &batch {
-            Some(batch) => {
+            Some(analyses) => {
                 self.metrics.count("drcr.admission.batches", 1);
                 self.metrics
-                    .count("drcr.admission.rta_passes", batch.analyses.len() as u64);
+                    .count("drcr.admission.rta_passes", analyses.len() as u64);
             }
             None => self.metrics.count("drcr.admission.batches_declined", 1),
         }
         (screened, batch)
     }
 
-    /// Co-activates a dependency cycle the sweep could not break. Of the
-    /// `group` of waiters the sweep left waiting only on inactive
-    /// providers, the largest set whose wiring holds with each other
-    /// counted active (the greatest fixpoint) is ruled all-or-nothing
-    /// before any member activates: each member against the view with the
-    /// members ruled before it counted admitted, so a cycle goes active
-    /// only when its members fit together. A member that then fails to
+    /// Co-activates a dependency cycle the sweep could not break, once
+    /// something it waits on changed since the last attempt. Of the stalled
+    /// waiters (those waiting only on inactive providers), the largest set
+    /// whose wiring holds with each other counted active (the greatest
+    /// fixpoint) is ruled all-or-nothing before any member activates: each
+    /// member against the view with the members ruled before it counted
+    /// admitted, so a cycle goes active only when its members fit
+    /// together. A rejection abandons the group and parks its members on
+    /// their channels and every CPU the group uses. A member that fails to
     /// activate rolls back the members before it, so no partly-active
     /// cycle is left. Returns the number of components activated.
-    fn activate_group(
-        &mut self,
-        mut group: Vec<Rc<str>>,
-        services: &[Rc<ResolverHandle>],
-        fw: &mut Framework,
-    ) -> u32 {
+    fn activate_group(&mut self, services: &[Rc<ResolverHandle>], fw: &mut Framework) -> u32 {
+        if !std::mem::take(&mut self.group_due) {
+            return 0;
+        }
+        let mut group: Vec<Rc<str>> = self.stalled.iter().cloned().collect();
         // Strike out members whose constraints fail even under the
         // assumption, until stable. A group of one would have activated in
         // the sweep already.
@@ -1286,10 +1341,33 @@ impl Drcr {
             }
             group = kept;
         };
+        let mut cpus: Vec<u32> = group
+            .iter()
+            .map(|name| self.components[&**name].descriptor.task.cpu())
+            .collect();
+        cpus.sort_unstable();
+        cpus.dedup();
         let mut hypothetical = self.view.clone();
         for name in &group {
             let candidate = self.components[&**name].info(name.clone());
-            if !self.rule(&candidate, Some(&hypothetical), services) {
+            if let Err(rejection) = self.rule(&candidate, Some(&hypothetical), services) {
+                let missing = match &self.components[&**name].report {
+                    Some(
+                        WaitReport::Unwired(m) | WaitReport::GroupAbandoned { missing: m, .. },
+                    ) => m.clone(),
+                    _ => unreachable!("a stalled waiter's report waits on its wiring"),
+                };
+                let internal = rejection.internal;
+                self.settle(name, WaitReport::GroupAbandoned { missing, rejection });
+                for member in &group {
+                    if internal {
+                        self.resolver.park(member, &cpus);
+                    } else {
+                        self.resolver.wake(member);
+                    }
+                }
+                // Settling is no change to wait on.
+                self.group_due = false;
                 return 0;
             }
             let idx = hypothetical
@@ -1297,6 +1375,7 @@ impl Drcr {
                 .expect("registered components are in the view");
             hypothetical.set_state_at(idx, ComponentState::Active);
         }
+        self.emit_held();
         self.note(DrcrEvent::GroupCoActivation {
             members: group.iter().map(|s| s.to_string()).collect(),
         });
@@ -1318,74 +1397,135 @@ impl Drcr {
 
     /// The rule step: the engine's internal verdict on `candidate`, then
     /// each customized resolving service's (§4.3: all must admit),
-    /// stopping at the first rejection. A cyclic group's member is ruled
+    /// stopping at the first rejection, which is returned (and counted in
+    /// `drcr.admission.rejections`). A cyclic group's member is ruled
     /// against the `hypothetical` view its group builds; every other
-    /// candidate against the live view.
+    /// candidate against the live view. The ruling's events are held back
+    /// for its outcome: the analysis evidence of an RTA ruling and,
+    /// outside a group, each admitting verdict.
     fn rule(
         &mut self,
         candidate: &ComponentInfo,
         hypothetical: Option<&SystemView>,
         services: &[Rc<ResolverHandle>],
-    ) -> bool {
+    ) -> Result<(), Rejection> {
         let group = hypothetical.is_some();
-        let (resolver, decision) = self.internal_admit(candidate, hypothetical);
-        if !self.note_verdict(&candidate.name, resolver, true, decision, group) {
-            return false;
+        self.metrics.count("drcr.admission.checks", 1);
+        self.metrics.count("drcr.admission.evals", 1);
+        let policy = self.resolver.policy();
+        let (decision, analysis) = policy.rule(candidate, hypothetical.unwrap_or(&self.view));
+        let internal = policy.name().to_string();
+        if let Some(analysis) = &analysis {
+            self.metrics.count("drcr.admission.rta_passes", 1);
+            let evidence = self.analysis_event(&candidate.name, analysis);
+            self.held.push(evidence);
         }
-        services.iter().all(|handle| {
-            let decision = handle
-                .0
-                .admit(candidate, hypothetical.unwrap_or(&self.view));
-            let resolver = handle.0.name().to_string();
-            self.note_verdict(&candidate.name, resolver, false, decision, group)
+        let (resolver, internal, reason) = 'ruled: {
+            if let Decision::Reject(reason) = decision {
+                break 'ruled (internal, true, reason);
+            }
+            if !group {
+                self.held
+                    .push(verdict(&candidate.name, &internal, true, true, ""));
+            }
+            for handle in services {
+                let name = handle.0.name();
+                match handle
+                    .0
+                    .admit(candidate, hypothetical.unwrap_or(&self.view))
+                {
+                    Decision::Admit if !group => {
+                        self.held
+                            .push(verdict(&candidate.name, name, false, true, ""))
+                    }
+                    Decision::Admit => {}
+                    Decision::Reject(reason) => break 'ruled (name.to_string(), false, reason),
+                }
+            }
+            return Ok(());
+        };
+        self.metrics.count("drcr.admission.rejections", 1);
+        Err(Rejection {
+            resolver,
+            internal,
+            reason,
+            analysis,
         })
     }
 
-    /// Reports one resolver's verdict on `component` — the one place
-    /// verdict events are made — and returns whether it admitted. A
-    /// rejection counts in `drcr.admission.rejections`. A cyclic group's
-    /// member (`group`) reports only a rejection, which abandons the group.
-    fn note_verdict(
-        &mut self,
-        component: &str,
-        resolver: String,
-        internal: bool,
-        decision: Decision,
-        group: bool,
-    ) -> bool {
-        let (admitted, reason) = match decision {
-            Decision::Admit => (true, String::new()),
-            Decision::Reject(reason) => (false, reason),
+    /// Emits the held-back events of an admitting ruling.
+    fn emit_held(&mut self) {
+        let mut held = std::mem::take(&mut self.held);
+        for event in held.drain(..) {
+            self.note(event);
+        }
+        self.held = held;
+    }
+
+    /// Makes `report` the last report of the waiter `name` and returns
+    /// whether it differs from the one before. A wiring diagnosis equal to
+    /// the one a group abandonment recorded keeps the abandonment.
+    fn keep_report(&mut self, name: &Rc<str>, report: WaitReport) -> bool {
+        if report.stalled() {
+            self.stalled.insert(name.clone());
+            self.group_due = true;
+        } else if self.stalled.remove(&**name) {
+            self.group_due = true;
+        }
+        let rec = self
+            .components
+            .get_mut(&**name)
+            .expect("a waiter is registered");
+        let unchanged = match (&rec.report, &report) {
+            (
+                Some(WaitReport::GroupAbandoned { missing: kept, .. }),
+                WaitReport::Unwired(missing),
+            ) => kept == missing,
+            (kept, report) => kept.as_ref() == Some(report),
         };
-        let component = component.to_string();
-        if !group {
-            self.note(DrcrEvent::AdmissionVerdict {
-                component,
-                resolver,
-                internal,
-                admitted,
-                reason,
-            });
-        } else if !admitted {
-            self.note(DrcrEvent::GroupAbandoned {
-                component,
-                resolver,
-                internal,
-                reason,
-            });
+        if !unchanged {
+            rec.report = Some(report);
         }
-        if !admitted {
-            self.metrics.count("drcr.admission.rejections", 1);
+        !unchanged
+    }
+
+    /// Settles why a screened waiter still waits: `report` becomes its last
+    /// report ([`Drcr::keep_report`]), and its events — the held-back ones
+    /// of the ruling behind it, then the report's own — are emitted only
+    /// when it differs from the one before. The waiter is then parked on
+    /// what the report depends on: its inport channels, and its CPU's
+    /// admission holders when the internal policy rejected it. A
+    /// customized service's rejection or an activation error may turn on
+    /// anything, so that waiter is screened again next sweep.
+    fn settle(&mut self, name: &Rc<str>, report: WaitReport) {
+        let cpu = [self.components[&**name].descriptor.task.cpu()];
+        let watch = match &report {
+            WaitReport::Unwired(_) => Some(&[][..]),
+            WaitReport::Rejected(r) | WaitReport::GroupAbandoned { rejection: r, .. } => {
+                r.internal.then_some(&cpu[..])
+            }
+            WaitReport::ActivationFailed(_) => None,
+        };
+        if self.keep_report(name, report) {
+            self.emit_held();
+            let event = self.components[&**name].report.as_ref().expect("just kept");
+            let event = report_event(event, name);
+            self.note(event);
+        } else {
+            self.held.clear();
         }
-        admitted
+        match watch {
+            Some(cpus) => self.resolver.park(name, cpus),
+            None => self.resolver.wake(name),
+        }
     }
 
     /// The commit step: channels, RT task, admission, management service
     /// registration, lifecycle transition. True when `name` went active; a
-    /// failure is recorded as an event.
+    /// failure is settled as its report.
     fn activate(
         &mut self,
-        name: &str,
+        name: &Rc<str>,
         fw: &mut Framework,
         providers: Vec<(String, String)>,
     ) -> bool {
@@ -1402,10 +1542,7 @@ impl Drcr {
                 true
             }
             Err(err) => {
-                self.note(DrcrEvent::ActivationFailed {
-                    component: name.to_string(),
-                    reason: err.to_string(),
-                });
+                self.settle(name, WaitReport::ActivationFailed(err.to_string()));
                 false
             }
         }
@@ -1612,7 +1749,7 @@ impl Drcr {
     ) -> Result<(), DrcrError> {
         // The engine seeds this component's consumers into its dirty scope
         // (a departed provider is the only way a satisfied check breaks)
-        // and drops their memoized wiring results.
+        // and wakes the waiting ones.
         let held = self
             .state_of(name)
             .is_some_and(ComponentState::holds_admission);

@@ -89,6 +89,15 @@ pub enum DrcrError {
     /// A component with that name is already registered (names are globally
     /// unique, §2.3).
     DuplicateComponent(String),
+    /// A component is pinned to a CPU the kernel does not have.
+    NoSuchCpu {
+        /// The component.
+        component: String,
+        /// The CPU its task declares.
+        cpu: u32,
+        /// The number of CPUs on the kernel.
+        cpus: u32,
+    },
     /// The requested lifecycle transition is not legal.
     IllegalTransition {
         /// The component.
@@ -133,6 +142,14 @@ impl fmt::Display for DrcrError {
             DrcrError::DuplicateComponent(name) => {
                 write!(f, "component `{name}` is already registered")
             }
+            DrcrError::NoSuchCpu {
+                component,
+                cpu,
+                cpus,
+            } => write!(
+                f,
+                "component `{component}` is pinned to CPU {cpu}, but the kernel has {cpus} CPU(s)"
+            ),
             DrcrError::IllegalTransition {
                 component,
                 from,

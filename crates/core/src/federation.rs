@@ -35,7 +35,7 @@
 //! * **Cross-node migration on failure** — displaced components are
 //!   re-placed on the least-utilized surviving nodes and installed there
 //!   as a *wave*, so the target shard admits them through
-//!   [`Resolver::admit_batch`](crate::resolve::Resolver::admit_batch)
+//!   [`ResolvingService::admit_batch`](crate::resolve::ResolvingService::admit_batch)
 //!   (one response-time fixed point per CPU, all-or-nothing with
 //!   sequential fallback). Rejected placements go to a failover
 //!   [`Supervisor`] reusing the `drcom::supervise` restart policies:
@@ -61,7 +61,7 @@ use crate::error::DrcrError;
 use crate::faults::{NodeFaultKind, NodeFaultPlan};
 use crate::hybrid::RtLogic;
 use crate::lifecycle::ComponentState;
-use crate::obs::{DrcrEvent, FedEndpoint, FedEvent, MetricsRegistry, MetricsReport};
+use crate::obs::{FedEndpoint, FedEvent, MetricsRegistry, MetricsReport};
 use crate::rta::RtaResolver;
 use crate::runtime::DrtRuntime;
 use crate::supervise::{FaultDecision, SupervisionConfig, Supervisor};
@@ -1235,7 +1235,12 @@ impl Federation {
             if self.nodes[idx].rt.component_state(&name) == Some(ComponentState::Active) {
                 admitted.push(name);
             } else {
-                let reason = self.rejection_reason(idx, &name);
+                // The shard's own evidence: why the component still waits.
+                let reason = self.nodes[idx]
+                    .rt
+                    .drcr()
+                    .report(&name)
+                    .map_or_else(|| "admission rejected".to_string(), |r| r.to_string());
                 // Evict the rejected copy so the placement retry is owned
                 // by the hub's failover supervisor, not this shard's
                 // resolver.
@@ -1262,33 +1267,6 @@ impl Federation {
             t,
             &mut sink,
         );
-    }
-
-    /// The admission rejection reason for a component, fished from the
-    /// node's typed event stream (the shard's own evidence).
-    fn rejection_reason(&self, idx: usize, name: &str) -> String {
-        let drcr = self.nodes[idx].rt.drcr();
-        let mut reason = None;
-        for event in drcr.events().iter() {
-            match &event.event {
-                DrcrEvent::AdmissionVerdict {
-                    component,
-                    admitted: false,
-                    reason: r,
-                    ..
-                }
-                | DrcrEvent::GroupAbandoned {
-                    component,
-                    reason: r,
-                    ..
-                } if component == name => reason = Some(r.clone()),
-                DrcrEvent::WiringUnsatisfied { component, missing } if component == name => {
-                    reason = Some(missing.clone())
-                }
-                _ => {}
-            }
-        }
-        reason.unwrap_or_else(|| "admission rejected".to_string())
     }
 
     fn hub_place_ack(

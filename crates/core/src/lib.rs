@@ -106,7 +106,7 @@ pub use faults::{
 };
 pub use federation::{FailoverAccounting, Federation, FederationConfig};
 pub use hybrid::{BridgeMode, FnLogic, RtIo, RtLogic};
-pub use lifecycle::ComponentState;
+pub use lifecycle::{ComponentState, Rejection, WaitReport};
 pub use manage::{
     ComponentControl, ManagementReply, RequestToken, RtComponentManagement, MANAGEMENT_SERVICE,
 };
@@ -118,10 +118,7 @@ pub use obs::{
 };
 pub use parallel::{FleetBridge, FleetMember};
 pub use reactive::{NaiveResolver, ReactiveResolver};
-pub use resolve::{
-    AdmissionRuling, BatchAdmission, Decision, Resolver, ResolvingService, WiringCheck,
-    RESOLVER_SERVICE,
-};
+pub use resolve::{Decision, Resolver, ResolvingService, RESOLVER_SERVICE};
 pub use rta::{RtaAnalysis, RtaParams, RtaResolver, TaskWcrt};
 pub use runtime::{DrcomActivator, DrtRuntime};
 pub use supervise::{FaultDecision, QuarantineRule, RestartPolicy, SupervisionConfig};

@@ -19,7 +19,7 @@
 //! * **Disabled** — deployed with `enabled="false"` (or disabled by a
 //!   manager); the DRCR ignores it during resolution.
 //! * **Unsatisfied** — waiting for functional (port wiring) or
-//!   non-functional (admission) constraints.
+//!   non-functional (admission) constraints; its [`WaitReport`] says which.
 //! * **Active** — RT task created and released; contracts guaranteed.
 //! * **Suspended** — RT task parked by management action, resources still
 //!   reserved (a suspended component keeps its admission so resuming can
@@ -30,6 +30,8 @@
 //! is what makes the executive's global view trustworthy: a component can
 //! never reach a state the model does not allow.
 
+use crate::rta::RtaAnalysis;
+use crate::wiring::{MissingPort, MissingReason};
 use std::fmt;
 
 /// Lifecycle state of a declarative real-time component.
@@ -130,6 +132,76 @@ pub struct Stamps {
     pub registered: u64,
     /// Sequence value of the latest entry into Active (0: never active).
     pub activated: u64,
+}
+
+/// One resolver's rejection of a waiting component, with its evidence.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rejection {
+    /// The resolver that rejected it (internal or customized).
+    pub resolver: String,
+    /// Whether that was the internal resolver.
+    pub internal: bool,
+    /// Why.
+    pub reason: String,
+    /// The internal ruling's response-time analysis, when its policy
+    /// carries one.
+    pub analysis: Option<RtaAnalysis>,
+}
+
+/// Why a waiting (`Unsatisfied`) component is not running: the executive's
+/// last report on it ([`crate::drcr::Drcr::report`]).
+///
+/// A report is emitted as events only when it differs from the waiter's
+/// last one, so a waiter screened again with the same outcome adds nothing
+/// to the log. A departure cascade sets the report to the cascade's
+/// diagnosis; every other transition clears it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WaitReport {
+    /// Its wiring failed: the unsatisfied inports.
+    Unwired(Vec<MissingPort>),
+    /// A resolver rejected it.
+    Rejected(Rejection),
+    /// It waits in a dependency cycle whose group a resolver rejected it
+    /// from. `missing` is its own wiring diagnosis, which waits only on
+    /// inactive providers; screening it again with that diagnosis keeps
+    /// this report.
+    GroupAbandoned {
+        /// Its unsatisfied inports, with no member counted active.
+        missing: Vec<MissingPort>,
+        /// The rejection that abandoned the group.
+        rejection: Rejection,
+    },
+    /// Its activation errored (not a constraint rejection).
+    ActivationFailed(String),
+}
+
+impl WaitReport {
+    /// Whether the waiter waits only on inactive providers, so it may
+    /// belong to a dependency cycle (a cyclic group's candidate).
+    pub(crate) fn stalled(&self) -> bool {
+        match self {
+            WaitReport::Unwired(missing) | WaitReport::GroupAbandoned { missing, .. } => missing
+                .iter()
+                .all(|m| matches!(m.reason, MissingReason::ProviderInactive { .. })),
+            _ => false,
+        }
+    }
+}
+
+/// The reason alone: the unsatisfied inports, the rejection or the error.
+impl fmt::Display for WaitReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WaitReport::Unwired(missing) => {
+                let ports: Vec<String> = missing.iter().map(|m| m.to_string()).collect();
+                f.write_str(&ports.join("; "))
+            }
+            WaitReport::Rejected(r) | WaitReport::GroupAbandoned { rejection: r, .. } => {
+                f.write_str(&r.reason)
+            }
+            WaitReport::ActivationFailed(reason) => f.write_str(reason),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,76 +1,44 @@
 //! The reactive incremental resolution engine (and its naive oracle).
 //!
-//! This module generalizes the persistent [`PortIndex`] and the dirty-set
-//! deactivation sweep into a dependency-tracked constraint-node graph. Each
-//! component owns up to four constraint nodes:
+//! The engine keeps a persistent [`PortIndex`] and two scopes, filled only
+//! by change notifications:
 //!
-//! * a **wiring node** — its memoized functional check
-//!   ([`PortIndex::check_functional`] result);
-//! * an **admission node** — its memoized internal verdict (policy decision
-//!   plus, under response-time analysis, the full [`RtaAnalysis`] evidence);
-//! * a **placement node** — the CPU its admission verdict is scoped to
-//!   (tracked as a per-CPU epoch the admission memo is keyed on);
-//! * a **mode node** — the contract revision; a mode switch invalidates the
-//!   component's wiring and admission nodes wholesale.
+//! * the **deactivation scope** ([`Resolver::sweep_next`]): the consumers of
+//!   every channel whose provider stopped providing;
+//! * the **activation scope** ([`Resolver::wake_next`]): the woken waiters.
+//!   A component is woken when it starts waiting; once screened it is
+//!   parked ([`Resolver::park`]) on its inport channels, and on the CPUs
+//!   whose admission holders its ruling read.
 //!
-//! Invalidation is *scoped*: provider-side churn on a channel (a provider
-//! registering, unregistering, or flipping its providing state) dirties
-//! exactly the wiring nodes of that channel's consumers; an
-//! admission-holding flip on a CPU bumps that CPU's epoch, lazily
-//! invalidating only the admission nodes scoped to it. Everything else stays
-//! memoized, so a resolve round after a localized change does O(changed)
-//! node re-evaluations, not O(components).
+//! A provider registering, leaving or flipping its providing state wakes
+//! that channel's parked consumers; an admission-holding flip on a CPU wakes
+//! the waiters parked on it; a contract rewrite wakes the rewritten
+//! component. A resolve round after a localized change thus screens
+//! O(changed) waiters, and a waiter whose inputs did not change is never
+//! screened again.
 //!
-//! Batching: event storms coalesce naturally — N invalidations of the same
-//! node before its next read cost one re-evaluation, and when the policy
-//! batches ([`ResolvingService::batches`]: response-time analysis) a
-//! K-component arrival batch is admitted in **one** fixed-point pass per CPU
-//! ([`ResolvingService::admit_batch`]) instead of K.
-//!
-//! [`NaiveResolver`] is the differential oracle: the same [`Resolver`]
-//! surface with no memos, no dirty scope (every component is swept every
-//! round), a [`WiringGraph`] rebuilt per check, and one admission ruling
-//! per candidate (it never batches). The lockstep proptests drive both
-//! engines with identical notification sequences and require the
-//! executive's event streams to stay byte-identical; the batch tests use it
-//! as the sequential reference.
+//! [`NaiveResolver`] is the differential oracle: no scopes (every component
+//! is swept and every waiter screened every sweep), a [`WiringGraph`]
+//! rebuilt per check, and no batched admission. Since the executive emits a
+//! waiter's report only when it changes, both engines must produce the same
+//! event stream; the lockstep proptests drive them with identical
+//! notification sequences and check that.
 
 use crate::descriptor::ComponentDescriptor;
 use crate::lifecycle::ComponentState;
-use crate::resolve::{
-    AdmissionRuling, BatchAdmission, Decision, Resolver, ResolvingService, WiringCheck,
-};
-use crate::rta::RtaAnalysis;
-use crate::view::{ComponentInfo, SystemView};
+use crate::resolve::{Resolver, ResolvingService};
 use crate::wiring::{PortIndex, WiringGraph, WiringResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Bound;
 use std::rc::Rc;
 
-/// Rules on one candidate with `policy` (always a fresh evaluation).
-fn rule(
-    policy: &dyn ResolvingService,
-    candidate: &ComponentInfo,
-    view: &SystemView,
-) -> AdmissionRuling {
-    let (decision, analysis) = policy.rule(candidate, view);
-    AdmissionRuling {
-        resolver: policy.name().to_string(),
-        decision,
-        analysis,
-        evaluated: true,
-    }
-}
-
-/// One memoized admission node: the ruling plus the CPU epoch it was
-/// computed under.
-#[derive(Debug, Clone)]
-struct AdmissionMemo {
-    epoch: u64,
-    resolver: String,
-    decision: Decision,
-    analysis: Option<RtaAnalysis>,
+/// The entry strictly after `cursor` in `set`, in name order.
+fn next_after(set: &BTreeSet<Rc<str>>, cursor: Option<&str>) -> Option<Rc<str>> {
+    let from = cursor.map_or(Bound::Unbounded, Bound::Excluded);
+    set.range::<str, _>((from, Bound::Unbounded))
+        .next()
+        .cloned()
 }
 
 /// The reactive incremental engine. See the [module docs](self).
@@ -81,15 +49,15 @@ pub struct ReactiveResolver {
     /// sweep: seeded with the consumers of every channel whose provider
     /// stopped providing.
     dirty: BTreeSet<Rc<str>>,
-    /// Memoized wiring nodes: component → last strict functional result.
-    wiring_memo: HashMap<String, WiringResult>,
     /// The internal admission policy.
     policy: Box<dyn ResolvingService>,
-    /// Admission-scope epochs: bumped per CPU on every admission-holding
-    /// flip, lazily invalidating that CPU's memoized verdicts.
-    epochs: HashMap<u32, u64>,
-    /// Memoized admission nodes.
-    admission_memo: HashMap<String, AdmissionMemo>,
+    /// Waiters the next activation sweep screens.
+    woken: BTreeSet<Rc<str>>,
+    /// Screened waiters, each with the CPUs whose admission churn wakes it
+    /// (a change on one of its inport channels always does).
+    parked: HashMap<Rc<str>, Vec<u32>>,
+    /// Per CPU, the waiters parked on it.
+    on_cpu: HashMap<u32, BTreeSet<Rc<str>>>,
 }
 
 impl fmt::Debug for ReactiveResolver {
@@ -107,17 +75,41 @@ impl ReactiveResolver {
         ReactiveResolver {
             port_index: PortIndex::new(),
             dirty: BTreeSet::new(),
-            wiring_memo: HashMap::new(),
             policy,
-            epochs: HashMap::new(),
-            admission_memo: HashMap::new(),
+            woken: BTreeSet::new(),
+            parked: HashMap::new(),
+            on_cpu: HashMap::new(),
         }
     }
 
-    /// Drops the memoized wiring nodes of every consumer of `channel`.
-    fn invalidate_consumers(&mut self, channel: &str) {
-        for consumer in self.port_index.consumers_of(channel) {
-            self.wiring_memo.remove(&**consumer);
+    /// Takes `name` out of the parked scope, returning its interned key.
+    fn unpark(&mut self, name: &str) -> Option<Rc<str>> {
+        let (key, cpus) = self.parked.remove_entry(name)?;
+        for cpu in cpus {
+            if let Some(waiters) = self.on_cpu.get_mut(&cpu) {
+                waiters.remove(name);
+            }
+        }
+        Some(key)
+    }
+
+    /// Wakes every waiter parked on `cpu`.
+    fn wake_cpu(&mut self, cpu: u32) {
+        for name in self.on_cpu.remove(&cpu).unwrap_or_default() {
+            self.wake(&name);
+        }
+    }
+
+    /// Wakes the parked consumers of `channel`.
+    fn wake_consumers(&mut self, channel: &str) {
+        let parked: Vec<Rc<str>> = self
+            .port_index
+            .consumers_of(channel)
+            .filter(|c| self.parked.contains_key(&***c))
+            .cloned()
+            .collect();
+        for consumer in parked {
+            self.wake(&consumer);
         }
     }
 }
@@ -131,10 +123,10 @@ impl Resolver for ReactiveResolver {
         self.port_index.insert(name, descriptor);
         // A new provider — even an inactive one — can change a consumer's
         // diagnosis (`NoProvider` → `ProviderInactive`) or its provider
-        // scan order, so the consumers' wiring nodes go stale. It cannot
-        // break a satisfied component, so nothing is seeded for the sweep.
+        // scan order, so the parked consumers wake. It cannot break a
+        // satisfied component, so nothing is seeded for the sweep.
         for port in &descriptor.outports {
-            self.invalidate_consumers(port.name.as_str());
+            self.wake_consumers(port.name.as_str());
         }
     }
 
@@ -144,12 +136,12 @@ impl Resolver for ReactiveResolver {
         // running component before removing it, so the providing flip —
         // and the sweep seeding it implies — already happened.
         for port in &descriptor.outports {
-            self.invalidate_consumers(port.name.as_str());
+            self.wake_consumers(port.name.as_str());
         }
         self.port_index.remove(name, descriptor);
         self.dirty.remove(name);
-        self.wiring_memo.remove(name);
-        self.admission_memo.remove(name);
+        self.unpark(name);
+        self.woken.remove(name);
     }
 
     fn on_state_changed(
@@ -162,160 +154,83 @@ impl Resolver for ReactiveResolver {
         if from.provides_outputs() != to.provides_outputs() {
             let now = to.provides_outputs();
             self.port_index.set_active(name, now);
-            // Either direction invalidates the consumers' wiring nodes;
-            // only providing → *false* can break a satisfied component, so
-            // only that direction seeds the deactivation sweep.
+            // Either direction wakes the channels' parked consumers; only
+            // providing → *false* can break a satisfied component, so only
+            // that direction seeds the deactivation sweep.
             let mut affected: Vec<Rc<str>> = Vec::new();
             for channel in self.port_index.outports_of(name) {
-                for consumer in self.port_index.consumers_of(channel) {
-                    affected.push(consumer.clone());
-                }
+                affected.extend(self.port_index.consumers_of(channel).cloned());
             }
             for consumer in &affected {
-                self.wiring_memo.remove(&**consumer);
+                self.wake(consumer);
             }
             if !now {
                 self.dirty.extend(affected);
             }
         }
         if from.holds_admission() != to.holds_admission() {
-            *self.epochs.entry(cpu).or_insert(0) += 1;
-            // The flip just staled this component's own ruling; drop it
-            // rather than keep its evidence alive while it holds admission.
-            self.admission_memo.remove(&**name);
+            self.wake_cpu(cpu);
+        }
+        if to == ComponentState::Unsatisfied {
+            self.unpark(name);
+            self.woken.insert(name.clone());
+        } else if from == ComponentState::Unsatisfied {
+            self.unpark(name);
+            self.woken.remove(&**name);
         }
     }
 
-    fn on_contract_changed(&mut self, name: &str, descriptor: &ComponentDescriptor) {
-        // A mode or claim rewrite substitutes frequency/claim/priority,
-        // never ports: the port index stays valid, but the component's own
-        // nodes do not.
-        self.wiring_memo.remove(name);
-        self.admission_memo.remove(name);
-        // Contract rewrites change the CPU's capacity picture even while
-        // the component is inactive (a refined claim frees headroom a
-        // waiting peer was rejected against), so the CPU's admission epoch
-        // advances and peers' memoized rulings go stale. Conservative:
-        // memo misses only re-run analyses, decisions and event streams
-        // are unchanged.
-        *self.epochs.entry(descriptor.task.cpu()).or_insert(0) += 1;
+    fn on_contract_changed(&mut self, name: &str, _descriptor: &ComponentDescriptor) {
+        self.wake(name);
     }
 
     fn sweep_next(&mut self, cursor: Option<&str>) -> Option<Rc<str>> {
-        let next = match cursor {
-            None => self.dirty.iter().next().cloned(),
-            Some(c) => self
-                .dirty
-                .range::<str, _>((Bound::Excluded(c), Bound::Unbounded))
-                .next()
-                .cloned(),
-        }?;
+        let next = next_after(&self.dirty, cursor)?;
         self.dirty.remove(&next);
         Some(next)
+    }
+
+    fn wake_next(&self, cursor: Option<&str>) -> Option<Rc<str>> {
+        next_after(&self.woken, cursor)
+    }
+
+    fn park(&mut self, name: &Rc<str>, cpus: &[u32]) {
+        if !cpus.is_empty() && !self.policy.cacheable() {
+            // Nothing here says when the policy would rule differently.
+            self.wake(name);
+            return;
+        }
+        self.unpark(name);
+        self.woken.remove(&**name);
+        for &cpu in cpus {
+            self.on_cpu.entry(cpu).or_default().insert(name.clone());
+        }
+        self.parked.insert(name.clone(), cpus.to_vec());
+    }
+
+    fn wake(&mut self, name: &str) {
+        if let Some(key) = self.unpark(name) {
+            self.woken.insert(key);
+        }
     }
 
     fn check_wiring(
         &mut self,
         candidate: &ComponentDescriptor,
         assume_active: &[Rc<str>],
-    ) -> WiringCheck {
-        if !assume_active.is_empty() {
-            // Group-activation probes reason about hypothetical states and
-            // must neither read nor populate the memo.
-            return WiringCheck {
-                result: self.port_index.check_functional(candidate, assume_active),
-                evaluated: true,
-                graph_built: false,
-            };
-        }
-        if let Some(cached) = self.wiring_memo.get(candidate.name.as_str()) {
-            return WiringCheck {
-                result: cached.clone(),
-                evaluated: false,
-                graph_built: false,
-            };
-        }
-        let result = self.port_index.check_functional(candidate, &[]);
-        self.wiring_memo
-            .insert(candidate.name.to_string(), result.clone());
-        WiringCheck {
-            result,
-            evaluated: true,
-            graph_built: false,
-        }
+    ) -> WiringResult {
+        self.port_index.check_functional(candidate, assume_active)
     }
 
-    fn admit(
-        &mut self,
-        candidate: &ComponentInfo,
-        view: &SystemView,
-        memoize: bool,
-    ) -> AdmissionRuling {
-        if !(memoize && self.policy.cacheable()) {
-            return rule(&*self.policy, candidate, view);
-        }
-        let epoch = self.epochs.get(&candidate.cpu).copied().unwrap_or(0);
-        if let Some(memo) = self.admission_memo.get(&*candidate.name) {
-            if memo.epoch == epoch {
-                return AdmissionRuling {
-                    resolver: memo.resolver.clone(),
-                    decision: memo.decision.clone(),
-                    analysis: memo.analysis.clone(),
-                    evaluated: false,
-                };
-            }
-        }
-        let ruling = rule(&*self.policy, candidate, view);
-        self.admission_memo.insert(
-            candidate.name.to_string(),
-            AdmissionMemo {
-                epoch,
-                resolver: ruling.resolver.clone(),
-                decision: ruling.decision.clone(),
-                analysis: ruling.analysis.clone(),
-            },
-        );
-        ruling
-    }
-
-    fn batches(&self) -> bool {
-        self.policy.batches()
-    }
-
-    fn admit_batch(
-        &mut self,
-        candidates: &[ComponentInfo],
-        view: &SystemView,
-    ) -> Option<BatchAdmission> {
-        // A candidate whose memoized rejection is still current stays
-        // rejected however many peers join its CPU first (response times
-        // only grow), so the policy would decline the wave: skip the
-        // whole-wave pass, which clones the view and runs a fixed point per
-        // CPU only to decline. Near saturation most declined waves end
-        // here (about two thirds of the batch attempts on drtbench's
-        // `admission_waves`, where the skip is worth 7% in throughput on a
-        // 2-vCPU KVM guest).
-        let rejected_now = candidates.iter().any(|c| {
-            self.admission_memo.get(&*c.name).is_some_and(|memo| {
-                !memo.decision.is_admit()
-                    && memo.epoch == self.epochs.get(&c.cpu).copied().unwrap_or(0)
-            })
-        });
-        if rejected_now {
-            return None;
-        }
-        let analyses = self.policy.admit_batch(candidates, view)?;
-        Some(BatchAdmission {
-            resolver: self.policy.name().to_string(),
-            analyses,
-        })
+    fn policy(&self) -> &dyn ResolvingService {
+        &*self.policy
     }
 }
 
-/// The pre-index reference engine: no memos, no dirty scope, a
-/// [`WiringGraph`] rebuilt from scratch for every check, a sweep that
-/// visits every known component every round, and one admission ruling per
-/// candidate. Kept as the differential oracle and benchmark baseline.
+/// The pre-index reference engine: no scopes, a [`WiringGraph`] rebuilt
+/// from scratch for every check, sweeps that visit every known component
+/// and every waiter every time, and one admission ruling per candidate.
+/// Kept as the differential oracle and benchmark baseline.
 pub struct NaiveResolver {
     mirror: BTreeMap<Rc<str>, (ComponentDescriptor, ComponentState)>,
     policy: Box<dyn ResolvingService>,
@@ -337,6 +252,20 @@ impl NaiveResolver {
             mirror: BTreeMap::new(),
             policy,
         }
+    }
+
+    /// The first mirrored component strictly after `cursor` that `keep`
+    /// selects.
+    fn next_after(
+        &self,
+        cursor: Option<&str>,
+        keep: impl Fn(ComponentState) -> bool,
+    ) -> Option<Rc<str>> {
+        let from = cursor.map_or(Bound::Unbounded, Bound::Excluded);
+        self.mirror
+            .range::<str, _>((from, Bound::Unbounded))
+            .find(|(_, (_, state))| keep(*state))
+            .map(|(name, _)| name.clone())
     }
 }
 
@@ -375,37 +304,32 @@ impl Resolver for NaiveResolver {
     }
 
     fn sweep_next(&mut self, cursor: Option<&str>) -> Option<Rc<str>> {
-        match cursor {
-            None => self.mirror.keys().next().cloned(),
-            Some(c) => self
-                .mirror
-                .range::<str, _>((Bound::Excluded(c), Bound::Unbounded))
-                .next()
-                .map(|(k, _)| k.clone()),
-        }
+        self.next_after(cursor, |_| true)
+    }
+
+    fn wake_next(&self, cursor: Option<&str>) -> Option<Rc<str>> {
+        self.next_after(cursor, |state| state == ComponentState::Unsatisfied)
     }
 
     fn check_wiring(
         &mut self,
         candidate: &ComponentDescriptor,
         assume_active: &[Rc<str>],
-    ) -> WiringCheck {
+    ) -> WiringResult {
         let entries: Vec<_> = self.mirror.values().map(|(d, s)| (d, *s)).collect();
-        let graph = WiringGraph::new(entries);
-        WiringCheck {
-            result: graph.check_functional(candidate, assume_active),
-            evaluated: true,
-            graph_built: true,
-        }
+        WiringGraph::new(entries).check_functional(candidate, assume_active)
     }
 
-    fn admit(
-        &mut self,
-        candidate: &ComponentInfo,
-        view: &SystemView,
-        _memoize: bool,
-    ) -> AdmissionRuling {
-        rule(&*self.policy, candidate, view)
+    fn builds_graphs(&self) -> bool {
+        true
+    }
+
+    fn batches(&self) -> bool {
+        false
+    }
+
+    fn policy(&self) -> &dyn ResolvingService {
+        &*self.policy
     }
 }
 
@@ -413,9 +337,10 @@ impl Resolver for NaiveResolver {
 mod tests {
     use super::*;
     use crate::model::PortInterface;
-    use crate::resolve::{AlwaysAdmit, UtilizationResolver};
-    use crate::rta::RtaResolver;
+    use crate::resolve::{AlwaysAdmit, Decision, UtilizationResolver};
+    use crate::view::{ComponentInfo, SystemView};
     use rtos::shm::DataType;
+    use ComponentState::*;
 
     fn provider(name: &str) -> ComponentDescriptor {
         ComponentDescriptor::builder(name)
@@ -435,181 +360,165 @@ mod tests {
             .unwrap()
     }
 
-    fn info(name: &str, state: ComponentState, cpu: u32, usage: f64) -> ComponentInfo {
-        ComponentInfo {
-            name: name.into(),
-            state,
-            cpu,
-            cpu_usage: usage,
-            priority: 2,
-            period_ns: Some(1_000_000),
+    /// Registers `desc` and moves it to `state` (from `Installed`).
+    fn register(engine: &mut dyn Resolver, desc: &ComponentDescriptor, state: ComponentState) {
+        let name: Rc<str> = Rc::from(desc.name.as_str());
+        engine.on_registered(&name, desc);
+        engine.on_state_changed(&name, desc.task.cpu(), Installed, state);
+    }
+
+    /// Every woken waiter, in name order.
+    fn woken(engine: &dyn Resolver) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut cursor: Option<Rc<str>> = None;
+        while let Some(name) = engine.wake_next(cursor.as_deref()) {
+            out.push(name.to_string());
+            cursor = Some(name);
+        }
+        out
+    }
+
+    fn flip(
+        engine: &mut dyn Resolver,
+        name: &str,
+        cpu: u32,
+        from: ComponentState,
+        to: ComponentState,
+    ) {
+        engine.on_state_changed(&Rc::from(name), cpu, from, to);
+    }
+
+    #[test]
+    fn a_parked_consumer_wakes_only_on_provider_churn() {
+        let mut engine = ReactiveResolver::new(Box::new(AlwaysAdmit));
+        register(&mut engine, &provider("calc"), Disabled);
+        register(&mut engine, &consumer("disp"), Unsatisfied);
+        assert_eq!(woken(&engine), ["disp"], "a new waiter is woken");
+        let disp: Rc<str> = Rc::from("disp");
+        assert!(engine.check_wiring(&consumer("disp"), &[]).is_err());
+        engine.park(&disp, &[]);
+        assert!(woken(&engine).is_empty());
+
+        // A provider step that does not flip its providing state wakes
+        // only the provider, which starts waiting.
+        flip(&mut engine, "calc", 0, Disabled, Unsatisfied);
+        assert_eq!(woken(&engine), ["calc"]);
+        // Provider activates: the consumer wakes, and passes.
+        flip(&mut engine, "calc", 0, Unsatisfied, Active);
+        assert_eq!(woken(&engine), ["disp"]);
+        assert!(engine.check_wiring(&consumer("disp"), &[]).is_ok());
+        // Activation-side churn does not seed the deactivation sweep.
+        assert_eq!(engine.sweep_next(None), None);
+        flip(&mut engine, "disp", 0, Unsatisfied, Active);
+        assert!(
+            woken(&engine).is_empty(),
+            "a running component is no waiter"
+        );
+
+        // Provider stops: the consumer is seeded for the deactivation sweep.
+        flip(&mut engine, "calc", 0, Active, Unsatisfied);
+        assert_eq!(engine.sweep_next(None).as_deref(), Some("disp"));
+        assert_eq!(engine.sweep_next(Some("disp")), None);
+    }
+
+    #[test]
+    fn registration_churn_wakes_parked_consumers() {
+        let mut engine = ReactiveResolver::new(Box::new(AlwaysAdmit));
+        let c = consumer("disp");
+        register(&mut engine, &c, Unsatisfied);
+        let disp: Rc<str> = Rc::from("disp");
+        assert!(engine.check_wiring(&c, &[]).is_err()); // NoProvider
+        engine.park(&disp, &[]);
+        let p = provider("calc");
+        register(&mut engine, &p, Disabled);
+        assert_eq!(
+            woken(&engine),
+            ["disp"],
+            "a new provider changes the diagnosis"
+        );
+        let missing = engine.check_wiring(&c, &[]).unwrap_err();
+        assert!(missing[0].to_string().contains("not active"), "{missing:?}");
+        engine.park(&disp, &[]);
+        engine.on_removed("calc", &p);
+        assert_eq!(woken(&engine), ["disp"], "so does its removal");
+        assert!(engine.check_wiring(&c, &[]).unwrap_err()[0]
+            .to_string()
+            .contains("no provider"));
+    }
+
+    #[test]
+    fn a_rejected_waiter_wakes_on_admission_churn_of_its_cpu() {
+        let mut engine = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
+        let disp: Rc<str> = Rc::from("disp");
+        flip(&mut engine, "disp", 0, Installed, Unsatisfied);
+        engine.park(&disp, &[0]);
+        // Suspend ↔ resume keeps admission: nothing wakes.
+        flip(&mut engine, "calc", 0, Active, Suspended);
+        assert!(woken(&engine).is_empty());
+        // An admission-holding flip on another CPU wakes nothing...
+        flip(&mut engine, "other", 1, Unsatisfied, Active);
+        assert!(woken(&engine).is_empty());
+        // ...one on its CPU wakes it.
+        flip(&mut engine, "calc", 0, Suspended, Unsatisfied);
+        assert_eq!(woken(&engine), ["calc", "disp"]);
+    }
+
+    #[test]
+    fn a_waiter_parked_on_several_cpus_wakes_once() {
+        let mut engine = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
+        let cya: Rc<str> = Rc::from("cya");
+        flip(&mut engine, "cya", 0, Installed, Unsatisfied);
+        engine.park(&cya, &[0, 1]);
+        flip(&mut engine, "hog", 1, Active, Unsatisfied);
+        assert_eq!(woken(&engine), ["cya", "hog"]);
+        engine.park(&cya, &[]);
+        flip(&mut engine, "big", 0, Active, Unsatisfied);
+        assert_eq!(
+            woken(&engine),
+            ["big", "hog"],
+            "the wake took `cya` off CPU 0 too"
+        );
+    }
+
+    #[test]
+    fn a_contract_rewrite_and_an_explicit_wake_wake_the_waiter() {
+        let mut engine = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
+        let c = consumer("disp");
+        register(&mut engine, &c, Unsatisfied);
+        let disp: Rc<str> = Rc::from("disp");
+        engine.park(&disp, &[0]);
+        engine.on_contract_changed("disp", &c);
+        assert_eq!(woken(&engine), ["disp"]);
+        engine.park(&disp, &[]);
+        engine.wake("disp");
+        assert_eq!(woken(&engine), ["disp"]);
+        // Waking a component that is not parked does nothing.
+        engine.wake("calc");
+        assert_eq!(woken(&engine), ["disp"]);
+    }
+
+    /// A policy that reads more than the holders of the candidate's CPU.
+    struct Moody;
+
+    impl ResolvingService for Moody {
+        fn name(&self) -> &str {
+            "moody"
+        }
+
+        fn admit(&self, _candidate: &ComponentInfo, _view: &SystemView) -> Decision {
+            Decision::Reject("not today".into())
         }
     }
 
-    fn register(engine: &mut dyn Resolver, desc: &ComponentDescriptor) -> Rc<str> {
-        let name: Rc<str> = Rc::from(desc.name.as_str());
-        engine.on_registered(&name, desc);
-        name
-    }
-
     #[test]
-    fn wiring_memo_hits_until_provider_churn() {
-        let mut engine = ReactiveResolver::new(Box::new(AlwaysAdmit));
-        let p = provider("calc");
-        let c = consumer("disp");
-        register(&mut engine, &p);
-        register(&mut engine, &c);
-
-        let first = engine.check_wiring(&c, &[]);
-        assert!(first.evaluated && first.result.is_err());
-        let second = engine.check_wiring(&c, &[]);
-        assert!(!second.evaluated, "second strict check must hit the memo");
-        assert_eq!(
-            format!("{:?}", second.result),
-            format!("{:?}", first.result)
-        );
-
-        // Provider activates: memo invalidated, fresh check succeeds.
-        let calc: Rc<str> = Rc::from("calc");
-        engine.on_state_changed(
-            &calc,
-            0,
-            ComponentState::Unsatisfied,
-            ComponentState::Active,
-        );
-        let third = engine.check_wiring(&c, &[]);
-        assert!(third.evaluated && third.result.is_ok());
-        // Activation-side churn invalidates but does not seed the sweep.
-        assert_eq!(engine.sweep_next(None), None);
-
-        // Provider stops: memo invalidated again AND the consumer is
-        // seeded for the deactivation sweep.
-        engine.on_state_changed(
-            &calc,
-            0,
-            ComponentState::Active,
-            ComponentState::Unsatisfied,
-        );
-        assert_eq!(engine.sweep_next(None).as_deref(), Some("disp"));
-        assert_eq!(engine.sweep_next(Some("disp")), None);
-        let fourth = engine.check_wiring(&c, &[]);
-        assert!(fourth.evaluated && fourth.result.is_err());
-    }
-
-    #[test]
-    fn registration_churn_refreshes_consumer_diagnosis() {
-        let mut engine = ReactiveResolver::new(Box::new(AlwaysAdmit));
-        let c = consumer("disp");
-        register(&mut engine, &c);
-        assert!(engine.check_wiring(&c, &[]).result.is_err()); // NoProvider
-        let p = provider("calc");
-        register(&mut engine, &p);
-        let check = engine.check_wiring(&c, &[]);
-        assert!(check.evaluated, "new provider must invalidate the memo");
-        let missing = check.result.unwrap_err();
-        assert!(missing[0].to_string().contains("not active"), "{missing:?}");
-        engine.on_removed("calc", &p);
-        let check = engine.check_wiring(&c, &[]);
-        assert!(check.evaluated);
-        assert!(
-            check.result.unwrap_err()[0]
-                .to_string()
-                .contains("no provider"),
-            "removal must fall back to NoProvider"
-        );
-    }
-
-    #[test]
-    fn probe_checks_bypass_the_memo() {
-        let mut engine = ReactiveResolver::new(Box::new(AlwaysAdmit));
-        let p = provider("calc");
-        let c = consumer("disp");
-        register(&mut engine, &p);
-        register(&mut engine, &c);
-        engine.check_wiring(&c, &[]); // populate the strict memo (Err)
-        let assume: Vec<Rc<str>> = vec![Rc::from("calc")];
-        let probe = engine.check_wiring(&c, &assume);
-        assert!(probe.evaluated && probe.result.is_ok());
-        // The probe must not have poisoned the strict memo.
-        let strict = engine.check_wiring(&c, &[]);
-        assert!(!strict.evaluated && strict.result.is_err());
-    }
-
-    #[test]
-    fn admission_memo_keyed_on_cpu_epoch() {
-        let mut engine = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
-        let cand = info("disp", ComponentState::Unsatisfied, 0, 0.3);
-        let view = SystemView::new(2, vec![cand.clone()]);
-
-        assert!(engine.admit(&cand, &view, true).evaluated);
-        assert!(!engine.admit(&cand, &view, true).evaluated, "memo hit");
-
-        // Suspend ↔ resume keeps admission: no epoch bump, memo survives.
-        let other: Rc<str> = Rc::from("calc");
-        engine.on_state_changed(&other, 0, ComponentState::Active, ComponentState::Suspended);
-        assert!(!engine.admit(&cand, &view, true).evaluated);
-
-        // An admission-holding flip on the same CPU invalidates...
-        engine.on_state_changed(
-            &other,
-            0,
-            ComponentState::Suspended,
-            ComponentState::Unsatisfied,
-        );
-        assert!(engine.admit(&cand, &view, true).evaluated);
-        // ...but a flip on another CPU does not.
-        engine.on_state_changed(
-            &other,
-            1,
-            ComponentState::Unsatisfied,
-            ComponentState::Active,
-        );
-        assert!(!engine.admit(&cand, &view, true).evaluated);
-
-        // Group probes never read nor populate the memo.
-        assert!(engine.admit(&cand, &view, false).evaluated);
-        assert!(!engine.admit(&cand, &view, true).evaluated);
-    }
-
-    #[test]
-    fn mode_switch_clears_both_nodes() {
-        let mut engine = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
-        let c = consumer("disp");
-        register(&mut engine, &c);
-        let cand = info("disp", ComponentState::Unsatisfied, 0, 0.3);
-        let view = SystemView::new(1, vec![cand.clone()]);
-        engine.check_wiring(&c, &[]);
-        engine.admit(&cand, &view, true);
-        engine.on_contract_changed("disp", &c);
-        assert!(engine.check_wiring(&c, &[]).evaluated);
-        assert!(engine.admit(&cand, &view, true).evaluated);
-    }
-
-    #[test]
-    fn contract_change_bumps_the_cpu_admission_epoch_for_peers() {
-        // A claim rewrite frees (or consumes) capacity a *different*
-        // waiting component was last ruled against: its memoized ruling on
-        // the same CPU must go stale, while other CPUs are untouched.
-        let mut engine = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
-        let peer0 = info("peer0", ComponentState::Unsatisfied, 0, 0.3);
-        let peer1 = info("peer1", ComponentState::Unsatisfied, 1, 0.3);
-        let view = SystemView::new(2, vec![peer0.clone(), peer1.clone()]);
-        engine.admit(&peer0, &view, true);
-        engine.admit(&peer1, &view, true);
-        assert!(!engine.admit(&peer0, &view, true).evaluated, "memo hit");
-        assert!(!engine.admit(&peer1, &view, true).evaluated, "memo hit");
-
-        // `hog` (CPU 0) gets its claim refined.
-        let hog = provider("hog"); // cpu 0 descriptor
-        engine.on_contract_changed("hog", &hog);
-        assert!(
-            engine.admit(&peer0, &view, true).evaluated,
-            "same-CPU peer ruling must be re-evaluated"
-        );
-        assert!(
-            !engine.admit(&peer1, &view, true).evaluated,
-            "other-CPU peer ruling survives"
-        );
+    fn an_uncacheable_policy_rules_its_rejected_waiters_every_sweep() {
+        let mut engine = ReactiveResolver::new(Box::new(Moody));
+        let disp: Rc<str> = Rc::from("disp");
+        flip(&mut engine, "disp", 0, Installed, Unsatisfied);
+        engine.park(&disp, &[0]);
+        assert_eq!(woken(&engine), ["disp"], "nothing says when it would admit");
+        engine.park(&disp, &[]);
+        assert!(woken(&engine).is_empty(), "its wiring is still watched");
     }
 
     #[test]
@@ -617,66 +526,37 @@ mod tests {
         let mut reactive = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
         let mut naive = NaiveResolver::new(Box::new(UtilizationResolver::default()));
         let engines: &mut [&mut dyn Resolver] = &mut [&mut reactive, &mut naive];
-        let p = provider("calc");
         let c = consumer("disp");
         for engine in engines.iter_mut() {
-            register(*engine, &p);
-            register(*engine, &c);
+            register(*engine, &provider("calc"), Installed);
+            register(*engine, &c, Unsatisfied);
+            engine.park(&Rc::from("disp"), &[]);
         }
-        let calc: Rc<str> = Rc::from("calc");
         let flips = [
-            (ComponentState::Installed, ComponentState::Unsatisfied),
-            (ComponentState::Unsatisfied, ComponentState::Active),
-            (ComponentState::Active, ComponentState::Suspended),
-            (ComponentState::Suspended, ComponentState::Active),
-            (ComponentState::Active, ComponentState::Unsatisfied),
+            (Installed, Unsatisfied),
+            (Unsatisfied, Active),
+            (Active, Suspended),
+            (Suspended, Active),
+            (Active, Unsatisfied),
         ];
         for (from, to) in flips {
             let mut results = Vec::new();
             for engine in engines.iter_mut() {
-                engine.on_state_changed(&calc, 0, from, to);
-                // Strict check twice: a memo hit must replay equal values.
-                let once = engine.check_wiring(&c, &[]);
-                let twice = engine.check_wiring(&c, &[]);
-                assert_eq!(format!("{:?}", once.result), format!("{:?}", twice.result));
-                results.push(once.result);
+                flip(*engine, "calc", 0, from, to);
+                results.push(engine.check_wiring(&c, &[]));
             }
             assert_eq!(
-                format!("{:?}", results[0]),
-                format!("{:?}", results[1]),
+                results[0], results[1],
                 "engines diverged on {from:?} → {to:?}"
             );
         }
-        // The naive sweep serves every component, the reactive sweep only
-        // its dirty scope (seeded by the final providing → false flip).
+        // The naive sweeps serve every component and every waiter; the
+        // reactive ones only their scopes.
         assert_eq!(naive.sweep_next(None).as_deref(), Some("calc"));
         assert_eq!(naive.sweep_next(Some("calc")).as_deref(), Some("disp"));
+        assert_eq!(woken(&naive), ["calc", "disp"]);
         assert_eq!(reactive.sweep_next(None).as_deref(), Some("disp"));
         assert_eq!(reactive.sweep_next(Some("disp")), None);
-    }
-
-    #[test]
-    fn batch_admission_requires_response_time_policy() {
-        let mut engine = ReactiveResolver::new(Box::new(AlwaysAdmit));
-        let cand = info("a", ComponentState::Unsatisfied, 0, 0.1);
-        let view = SystemView::new(1, vec![cand.clone()]);
-        assert!(engine.admit_batch(&[cand], &view).is_none());
-    }
-
-    #[test]
-    fn batch_admission_yields_one_analysis_per_cpu() {
-        let mut engine = ReactiveResolver::new(Box::new(RtaResolver::default()));
-        let a = info("a", ComponentState::Unsatisfied, 0, 0.2);
-        let b = info("b", ComponentState::Unsatisfied, 0, 0.2);
-        let c = info("c", ComponentState::Unsatisfied, 1, 0.2);
-        let view = SystemView::new(2, vec![a.clone(), b.clone(), c.clone()]);
-        let batch = engine
-            .admit_batch(&[a, b, c], &view)
-            .expect("schedulable batch admits in one pass");
-        assert_eq!(batch.resolver, "response-time");
-        assert_eq!(batch.analyses.len(), 2, "one analysis per touched CPU");
-        assert_eq!(batch.analyses[0].cpu, 0);
-        assert_eq!(batch.analyses[1].cpu, 1);
-        assert!(batch.analyses.iter().all(|a| a.schedulable));
+        assert_eq!(woken(&reactive), ["calc", "disp"]);
     }
 }

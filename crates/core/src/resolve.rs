@@ -13,7 +13,6 @@
 //! * [`RmBoundResolver`] — Liu–Layland rate-monotonic bound
 //!   `n(2^{1/n} − 1)` over periodic components per CPU.
 //! * [`EdfResolver`] — EDF bound (utilization ≤ 1) per CPU.
-//! * [`CompositeResolver`] — all inner resolvers must admit.
 //! * [`AlwaysAdmit`] / [`AlwaysReject`] — scenario and test plumbing.
 //!
 //! Customized resolvers are discovered under the service interface
@@ -22,9 +21,9 @@
 //!
 //! Above the per-candidate policy sits the [`Resolver`] trait: the unified
 //! surface of a whole constraint-resolution *engine* (functional wiring
-//! checks, the deactivation sweep's dirty cursor, internal admission, and
-//! batched admission). The executive drives exactly one `Resolver`, fixed
-//! when it is built: [`crate::reactive::ReactiveResolver`] in production,
+//! checks, the sweeps' scopes, internal admission, and batched admission).
+//! The executive drives exactly one `Resolver`, fixed when it is built:
+//! [`crate::reactive::ReactiveResolver`] in production,
 //! [`crate::reactive::NaiveResolver`] as the sequential differential oracle.
 //! Either is handed its internal admission policy as a value — any
 //! `ResolvingService`. A policy whose rulings carry analysis evidence
@@ -81,14 +80,13 @@ pub trait ResolvingService {
     /// the candidate's claim is added to its CPU.
     fn admit(&self, candidate: &ComponentInfo, view: &SystemView) -> Decision;
 
-    /// Whether verdicts may be memoized between resolve sweeps.
+    /// Whether a verdict stays valid until the candidate's contract or the
+    /// *admission-holding* component set of its CPU changes.
     ///
-    /// A cacheable policy's verdict on a candidate depends only on the
-    /// candidate's contract and the *admission-holding* component set of the
-    /// candidate's CPU — so a memoized verdict stays valid until a component
-    /// on that CPU activates or deactivates. All built-in policies qualify;
-    /// the conservative default is `false` (policies that inspect arbitrary
-    /// view details are re-evaluated every time).
+    /// The reactive engine parks a waiter a cacheable policy rejected until
+    /// one of those changes. All built-in policies qualify; the
+    /// conservative default is `false` (a policy that inspects arbitrary
+    /// view details re-rules its rejected waiters every sweep).
     fn cacheable(&self) -> bool {
         false
     }
@@ -126,61 +124,20 @@ pub trait ResolvingService {
     }
 }
 
-/// Result of one functional (wiring) check through a [`Resolver`], with the
-/// work provenance the executive feeds into its `drcr.wiring.*` counters.
-#[derive(Debug, Clone)]
-pub struct WiringCheck {
-    /// Chosen `(inport, provider)` pairs, or the unsatisfied inports.
-    pub result: WiringResult,
-    /// False when the result was served from a memoized node.
-    pub evaluated: bool,
-    /// True when the engine rebuilt a full wiring graph for this check
-    /// (the naive reference only).
-    pub graph_built: bool,
-}
-
-/// Result of one internal admission ruling through a [`Resolver`].
-///
-/// The executive re-emits events from the returned values (verdict, and the
-/// analysis evidence when present), so a memo hit replays the exact event
-/// bytes of the original evaluation.
-#[derive(Debug, Clone)]
-pub struct AdmissionRuling {
-    /// Name of the ruling policy/analysis, for the verdict event.
-    pub resolver: String,
-    /// The verdict.
-    pub decision: Decision,
-    /// Response-time evidence, when the engine's admission policy carries
-    /// it ([`ResolvingService::rule`]).
-    pub analysis: Option<RtaAnalysis>,
-    /// False when the ruling was served from a memoized node.
-    pub evaluated: bool,
-}
-
-/// Result of admitting a whole arrival batch in one response-time pass per
-/// CPU ([`Resolver::admit_batch`]). Returned only when every candidate is
-/// admitted; any other outcome falls back to per-candidate rulings.
-#[derive(Debug, Clone)]
-pub struct BatchAdmission {
-    /// Name of the ruling analysis.
-    pub resolver: String,
-    /// One full-set analysis per touched CPU, ascending CPU order. Each is
-    /// the fixed-point analysis of the hypothetical view with *all* of that
-    /// CPU's candidates active — byte-identical to the last analysis the
-    /// sequential path would have produced for that CPU.
-    pub analyses: Vec<RtaAnalysis>,
-}
-
 /// A constraint-resolution engine: the single pluggable surface the DRCR
 /// executive drives.
 ///
-/// One engine owns all four constraint-node kinds of a component — wiring,
-/// admission claim, CPU placement and mode — behind change notifications
-/// (`on_*`), a dirty-scope sweep cursor ([`Resolver::sweep_next`]), and
-/// memoized checks. Implementations must preserve the executive's event
-/// byte-compatibility: for identical notification sequences,
-/// [`Resolver::check_wiring`] / [`Resolver::admit`] must return value-equal
-/// results across engines (the lockstep proptests enforce this against
+/// One engine owns the port topology, the internal admission policy
+/// ([`Resolver::policy`]) and the two sweep scopes behind change
+/// notifications (`on_*`): the deactivation sweep's
+/// ([`Resolver::sweep_next`]) and the activation sweep's
+/// ([`Resolver::wake_next`]), which a screened waiter leaves when the
+/// executive parks it on what its report depends on ([`Resolver::park`]).
+/// The executive emits a waiter's report only when it differs from the last
+/// one, so an engine may leave a waiter unscreened exactly while nothing its
+/// report depends on has changed; for identical notification sequences,
+/// [`Resolver::check_wiring`] must return value-equal results across
+/// engines (the lockstep proptests enforce both against
 /// [`crate::reactive::NaiveResolver`], the differential oracle).
 pub trait Resolver {
     /// A short engine name for logs and reports.
@@ -192,10 +149,12 @@ pub trait Resolver {
     /// A component was removed.
     fn on_removed(&mut self, name: &str, descriptor: &ComponentDescriptor);
 
-    /// A component's lifecycle state changed. The engine derives both
-    /// wiring-side churn (`provides_outputs` flips seed the dirty scope)
-    /// and admission-side churn (`holds_admission` flips invalidate the
-    /// CPU's memoized verdicts) from the transition.
+    /// A component's lifecycle state changed. The engine derives wiring-side
+    /// churn (`provides_outputs` flips wake the channels' parked consumers
+    /// and, when a provider stops, seed the deactivation scope),
+    /// admission-side churn (`holds_admission` flips wake the waiters
+    /// parked on `cpu`) and the waiting scope (a component that starts
+    /// waiting is woken) from the transition.
     fn on_state_changed(
         &mut self,
         name: &Rc<str>,
@@ -207,10 +166,10 @@ pub trait Resolver {
     /// A component's contract was re-written in place (mode switch, or a
     /// claim refinement published by [`crate::contracts::StochasticMonitor`];
     /// ports are preserved, frequency/claim/priority may change).
-    /// `descriptor` is the rewritten contract. A changed claim moves the
-    /// CPU's capacity arithmetic for *every* peer, so engines must also
-    /// invalidate the CPU's memoized admission verdicts — a refinement that
-    /// frees headroom must let previously rejected peers re-admit.
+    /// `descriptor` is the rewritten contract. A waiting component's own
+    /// ruling read the old contract, so the engine wakes it. Peers are
+    /// unaffected: rulings read only admission holders' contracts, and the
+    /// executive deactivates a holder before re-writing it.
     fn on_contract_changed(&mut self, name: &str, descriptor: &ComponentDescriptor);
 
     /// The next component the deactivation sweep should re-check, strictly
@@ -220,44 +179,50 @@ pub trait Resolver {
     /// known component.
     fn sweep_next(&mut self, cursor: Option<&str>) -> Option<Rc<str>>;
 
-    /// Checks `candidate`'s functional constraints. Results are memoized
-    /// per component (strict checks only: a non-empty `assume_active`
-    /// bypasses the memo entirely).
+    /// The next waiting (`Unsatisfied`) component the activation sweep
+    /// should screen, strictly after `cursor` in name order; `None` ends
+    /// the sweep. The reactive engine serves its woken waiters, the naive
+    /// reference every waiter. A waiter stays woken until it is parked
+    /// ([`Resolver::park`]) or stops waiting, so one the executive leaves
+    /// woken is screened again in the next sweep.
+    fn wake_next(&self, cursor: Option<&str>) -> Option<Rc<str>>;
+
+    /// Parks a screened waiter until one of its inport channels changes
+    /// (a provider registering, leaving or flipping its providing state)
+    /// or, for each of `cpus`, that CPU's set of admission holders changes.
+    /// An engine whose admission policy is not cacheable
+    /// ([`ResolvingService::cacheable`]) leaves a waiter that waits on a
+    /// CPU woken. The default parks nothing: every waiter is screened every
+    /// sweep.
+    fn park(&mut self, _name: &Rc<str>, _cpus: &[u32]) {}
+
+    /// Wakes a parked waiter: its report depends on something the engine
+    /// does not watch (a backoff hold's release, a customized resolving
+    /// service). The default does nothing.
+    fn wake(&mut self, _name: &str) {}
+
+    /// Checks `candidate`'s functional constraints, counting the components
+    /// in `assume_active` as active.
     fn check_wiring(
         &mut self,
         candidate: &ComponentDescriptor,
         assume_active: &[Rc<str>],
-    ) -> WiringCheck;
+    ) -> WiringResult;
 
-    /// The engine's internal admission ruling on one candidate. `memoize`
-    /// is false for group-activation probes, which run against hypothetical
-    /// views and must never populate the memo.
-    fn admit(
-        &mut self,
-        candidate: &ComponentInfo,
-        view: &SystemView,
-        memoize: bool,
-    ) -> AdmissionRuling;
-
-    /// Whether this engine admits arrival waves through
-    /// [`Resolver::admit_batch`]. The executive screens a wave for batching
-    /// only when this holds, so engines that never batch pay nothing.
-    fn batches(&self) -> bool {
+    /// Whether every wiring check rebuilds a full wiring graph (the naive
+    /// reference does; counted in `drcr.wiring.graph_builds`).
+    fn builds_graphs(&self) -> bool {
         false
     }
 
-    /// Admits a whole arrival batch in one response-time fixed-point pass
-    /// per CPU, against the hypothetical view where all candidates are
-    /// active. Returns `None` whenever single-pass admission is not
-    /// provably equivalent to sequential admission (mixed analysis modes,
-    /// any unschedulable CPU, or an engine without batching support) — the
-    /// executive then falls back to the exact per-candidate path.
-    fn admit_batch(
-        &mut self,
-        _candidates: &[ComponentInfo],
-        _view: &SystemView,
-    ) -> Option<BatchAdmission> {
-        None
+    /// The internal admission policy, handed over at construction.
+    fn policy(&self) -> &dyn ResolvingService;
+
+    /// Whether the executive admits arrival waves whole, through the
+    /// policy's [`ResolvingService::admit_batch`]. The naive reference
+    /// never does: it is the sequential oracle.
+    fn batches(&self) -> bool {
+        self.policy().batches()
     }
 }
 
@@ -413,52 +378,6 @@ impl ResolvingService for EdfResolver {
     }
 }
 
-/// Admits only if every inner resolver admits; reports the first rejection.
-pub struct CompositeResolver {
-    name: String,
-    inner: Vec<Box<dyn ResolvingService>>,
-}
-
-impl fmt::Debug for CompositeResolver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CompositeResolver({}; {} inner)",
-            self.name,
-            self.inner.len()
-        )
-    }
-}
-
-impl CompositeResolver {
-    /// Composes the given resolvers under one name.
-    pub fn new(name: &str, inner: Vec<Box<dyn ResolvingService>>) -> Self {
-        CompositeResolver {
-            name: name.to_string(),
-            inner,
-        }
-    }
-}
-
-impl ResolvingService for CompositeResolver {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn admit(&self, candidate: &ComponentInfo, view: &SystemView) -> Decision {
-        for r in &self.inner {
-            if let Decision::Reject(reason) = r.admit(candidate, view) {
-                return Decision::Reject(format!("{}: {reason}", r.name()));
-            }
-        }
-        Decision::Admit
-    }
-
-    fn cacheable(&self) -> bool {
-        self.inner.iter().all(|r| r.cacheable())
-    }
-}
-
 /// Admits everything (the "no admission control" ablation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AlwaysAdmit;
@@ -580,18 +499,6 @@ mod tests {
         assert!(rm.admit(&aperiodic, &v).is_admit());
         let hog = info("f", ComponentState::Unsatisfied, 0, 0.6, false);
         assert!(!rm.admit(&hog, &v).is_admit());
-    }
-
-    #[test]
-    fn composite_requires_unanimity() {
-        let c = CompositeResolver::new("both", vec![Box::new(AlwaysAdmit), Box::new(EdfResolver)]);
-        let v = view(vec![info("a", ComponentState::Active, 0, 0.9, true)]);
-        let small = info("b", ComponentState::Unsatisfied, 0, 0.05, true);
-        assert!(c.admit(&small, &v).is_admit());
-        let big = info("c", ComponentState::Unsatisfied, 0, 0.2, true);
-        let d = c.admit(&big, &v);
-        assert!(!d.is_admit());
-        assert!(d.to_string().contains("edf"), "{d}");
     }
 
     #[test]

@@ -149,8 +149,8 @@ pub struct RtaAnalysis {
     /// Whether every task (existing and candidate) meets its deadline.
     pub schedulable: bool,
     /// Per-task response times, priority order (empty on the aperiodic
-    /// utilization fallback). Shared, so memoized rulings and the evidence
-    /// events replaying them cost a reference count, not a copy.
+    /// utilization fallback). Shared, so the evidence events and the wait
+    /// reports carrying them cost a reference count, not a copy.
     pub wcrts: Rc<[TaskWcrt]>,
     /// Why the set is unschedulable, when it is.
     pub reason: Option<String>,
@@ -744,5 +744,29 @@ mod tests {
         );
         assert!(rta.to_string().contains("response-time"));
         assert_eq!(rta.name(), "response-time");
+    }
+
+    #[test]
+    fn only_a_response_time_policy_admits_a_wave_whole() {
+        let mut a = comp("a", ComponentState::Unsatisfied, 0.2, 2, 1);
+        let mut b = comp("b", ComponentState::Unsatisfied, 0.2, 2, 1);
+        let mut c = comp("c", ComponentState::Unsatisfied, 0.2, 2, 1);
+        c.cpu = 1;
+        let view = SystemView::new(2, vec![a.clone(), b.clone(), c.clone()]);
+        let wave = [a.clone(), b.clone(), c.clone()];
+        assert!(crate::resolve::AlwaysAdmit
+            .admit_batch(&wave, &view)
+            .is_none());
+        let analyses = RtaResolver::default()
+            .admit_batch(&wave, &view)
+            .expect("schedulable batch admits in one pass");
+        assert_eq!(analyses.len(), 2, "one analysis per touched CPU");
+        assert_eq!(analyses[0].cpu, 0);
+        assert_eq!(analyses[1].cpu, 1);
+        assert!(analyses.iter().all(|a| a.schedulable));
+        a.cpu_usage = 0.7;
+        b.cpu_usage = 0.7;
+        let view = SystemView::new(2, vec![a.clone(), b.clone()]);
+        assert!(RtaResolver::default().admit_batch(&[a, b], &view).is_none());
     }
 }

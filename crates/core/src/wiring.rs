@@ -12,7 +12,7 @@
 use crate::descriptor::ComponentDescriptor;
 use crate::lifecycle::ComponentState;
 use crate::model::PortSpec;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::rc::Rc;
 
@@ -147,65 +147,6 @@ impl<'a> WiringGraph<'a> {
             Err(missing)
         }
     }
-
-    /// Names of components whose functional constraints depend on an
-    /// outport of `provider` with **no alternative active provider**.
-    ///
-    /// These are the components the DRCR must deactivate (cascade) when
-    /// `provider` leaves.
-    pub fn dependents_of(&self, provider: &str) -> Vec<String> {
-        let Some((pdesc, _)) = self
-            .entries
-            .iter()
-            .find(|(d, _)| d.name.as_str() == provider)
-        else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (desc, state) in &self.entries {
-            if desc.name.as_str() == provider || !state.holds_admission() {
-                continue;
-            }
-            let depends = desc.inports.iter().any(|inport| {
-                let fed_by_provider = pdesc.outports.iter().any(|o| o.compatible_with(inport));
-                if !fed_by_provider {
-                    return false;
-                }
-                // Any *other* active provider for this inport?
-                let alternative = self.entries.iter().any(|(other, ostate)| {
-                    other.name != desc.name
-                        && other.name.as_str() != provider
-                        && ostate.provides_outputs()
-                        && other.outports.iter().any(|o| o.compatible_with(inport))
-                });
-                !alternative
-            });
-            if depends {
-                out.push(desc.name.to_string());
-            }
-        }
-        out
-    }
-
-    /// Summary of every channel: `name → (providers, consumers)`.
-    pub fn channels(&self) -> BTreeMap<String, (Vec<String>, Vec<String>)> {
-        let mut map: BTreeMap<String, (Vec<String>, Vec<String>)> = BTreeMap::new();
-        for (desc, _) in &self.entries {
-            for p in &desc.outports {
-                map.entry(p.name.to_string())
-                    .or_default()
-                    .0
-                    .push(desc.name.to_string());
-            }
-            for p in &desc.inports {
-                map.entry(p.name.to_string())
-                    .or_default()
-                    .1
-                    .push(desc.name.to_string());
-            }
-        }
-        map
-    }
 }
 
 /// One provider entry in the [`PortIndex`]: a component's outport under a
@@ -234,9 +175,8 @@ struct ProviderEntry {
 ///   the dirty-*scope* relation of the reactive engine
 ///   ([`crate::reactive::ReactiveResolver`]): any provider-side churn on a
 ///   channel — a provider stopping (seeds the deactivation sweep), but also
-///   a provider starting, registering or unregistering (invalidates the
-///   consumers' memoized wiring results) — touches exactly the consumers of
-///   that channel. The set is a superset of the truly-affected components
+///   a provider starting, registering or unregistering (wakes the parked
+///   waiting consumers) — touches exactly the consumers of that channel. The set is a superset of the truly-affected components
 ///   (shape-incompatible consumers are included); re-checking a
 ///   still-satisfied consumer is harmless and emits nothing.
 /// * `outports_of`: component name → its outport names, so state flips are
@@ -513,19 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn dependents_cascade_without_alternatives() {
-        let c = calc();
-        let d = disp();
-        let g = WiringGraph::new(vec![
-            (&c, ComponentState::Active),
-            (&d, ComponentState::Active),
-        ]);
-        assert_eq!(g.dependents_of("calc"), vec!["disp".to_string()]);
-        assert!(g.dependents_of("disp").is_empty());
-    }
-
-    #[test]
-    fn alternative_provider_prevents_cascade() {
+    fn an_alternative_active_provider_keeps_the_consumer_wired() {
         let c = calc();
         let backup = ComponentDescriptor::builder("calc2")
             .periodic(1000, 0, 3)
@@ -534,32 +462,12 @@ mod tests {
             .unwrap();
         let d = disp();
         let g = WiringGraph::new(vec![
-            (&c, ComponentState::Active),
+            (&c, ComponentState::Unsatisfied),
             (&backup, ComponentState::Active),
             (&d, ComponentState::Active),
         ]);
-        assert!(g.dependents_of("calc").is_empty());
-        // But if the backup is not active, the cascade applies.
-        let g = WiringGraph::new(vec![
-            (&c, ComponentState::Active),
-            (&backup, ComponentState::Unsatisfied),
-            (&d, ComponentState::Active),
-        ]);
-        assert_eq!(g.dependents_of("calc"), vec!["disp".to_string()]);
-    }
-
-    #[test]
-    fn channels_summarize_topology() {
-        let c = calc();
-        let d = disp();
-        let g = WiringGraph::new(vec![
-            (&c, ComponentState::Active),
-            (&d, ComponentState::Active),
-        ]);
-        let channels = g.channels();
-        let (providers, consumers) = &channels["latdat"];
-        assert_eq!(providers, &vec!["calc".to_string()]);
-        assert_eq!(consumers, &vec!["disp".to_string()]);
+        let providers = g.check_functional(&d, &[]).unwrap();
+        assert_eq!(providers, vec![("latdat".to_string(), "calc2".to_string())]);
     }
 
     #[test]

@@ -60,7 +60,7 @@ struct Outcome {
     batches: u64,
     rta_passes: u64,
     /// `drcr.admission.checks`, and the rulings that account for them:
-    /// evaluations + memo hits + batched admissions.
+    /// evaluations + batched admissions.
     checks: u64,
     ruled: u64,
     declined: u64,
@@ -150,7 +150,7 @@ fn run_wave(
         batches: counter(&report, "drcr.admission.batches"),
         rta_passes: counter(&report, "drcr.admission.rta_passes"),
         checks: counter(&report, "drcr.admission.checks"),
-        ruled: ["evals", "memo_hits", "batched"]
+        ruled: ["evals", "batched"]
             .iter()
             .map(|k| counter(&report, &format!("drcr.admission.{k}")))
             .sum(),
@@ -221,7 +221,7 @@ fn unschedulable_batch_falls_back_to_sequential_byte_identically() {
     assert_eq!(bat.rejections, seq.rejections);
     assert_eq!(bat.utilization_bits, seq.utilization_bits);
     assert_eq!(bat.events, seq.events, "fallback must replay sequentially");
-    // The reactive engine's memo can only save passes over the oracle.
+    // Parking rejected waiters can only save passes over the oracle.
     assert!(
         bat.rta_passes <= seq.rta_passes,
         "fallback ran more RTA passes ({} > {})",
@@ -309,7 +309,7 @@ fn randomized_fleets_agree_between_batched_and_sequential() {
 }
 
 /// Every admission check is counted as exactly one ruling — an evaluation,
-/// a memo hit or a batched admission — on the sequential path, in a
+/// or a batched admission — on the sequential path, in a
 /// committed batch, and after a declined one.
 #[test]
 fn every_admission_check_counts_as_exactly_one_ruling() {
@@ -333,10 +333,7 @@ fn every_admission_check_counts_as_exactly_one_ruling() {
         ("sequential", &sequential),
     ] {
         assert!(o.checks > 0, "{path}: nothing was ruled");
-        assert_eq!(
-            o.checks, o.ruled,
-            "{path}: checks != evals + memo_hits + batched"
-        );
+        assert_eq!(o.checks, o.ruled, "{path}: checks != evals + batched");
     }
 }
 

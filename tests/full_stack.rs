@@ -278,8 +278,18 @@ fn cycle_member(name: &str, claim: f64) -> ComponentProvider {
 }
 
 fn periodic_on_cpu0(name: &str, claim: f64, reads: &[&str], writes: &[&str]) -> ComponentProvider {
+    periodic_on(0, name, claim, reads, writes)
+}
+
+fn periodic_on(
+    cpu: u32,
+    name: &str,
+    claim: f64,
+    reads: &[&str],
+    writes: &[&str],
+) -> ComponentProvider {
     let mut builder = ComponentDescriptor::builder(name)
-        .periodic(100, 0, 2)
+        .periodic(100, cpu, 2)
         .cpu_usage(claim);
     for port in reads {
         builder = builder.inport(port, PortInterface::Shm, DataType::Integer, 1);
@@ -298,6 +308,24 @@ fn group_abandonments(rt: &DrtRuntime) -> usize {
         .iter()
         .filter(|e| matches!(e.event, DrcrEvent::GroupAbandoned { .. }))
         .count()
+}
+
+fn two_cpu_runtime() -> DrtRuntime {
+    DrtRuntime::new(
+        KernelConfig::new(23)
+            .with_timer(TimerJitterModel::ideal())
+            .with_cpus(2),
+    )
+}
+
+/// One member of the `cya` ⇄ `cyb` cycle pinned to `cpu`.
+fn cycle_member_on(cpu: u32, name: &str, claim: f64) -> ComponentProvider {
+    let (reads, writes) = if name == "cya" {
+        ("ba", "ab")
+    } else {
+        ("ab", "ba")
+    };
+    periodic_on(cpu, name, claim, &[reads], &[writes])
 }
 
 #[test]
@@ -365,10 +393,71 @@ fn rejected_waiters_are_never_ruled_as_a_group() {
         assert_eq!(rt.component_state(&name), Some(ComponentState::Active));
     }
     assert_eq!(group_abandonments(&rt), 0);
-    // One ruling for `big`, one for `r1`, two for `r2`'s round, and five
-    // per arrival: `r1`, `r2` and the arrival, then `r1` and `r2` again
-    // against the grown CPU.
-    assert_eq!(rt.drcr().metrics().counter("drcr.admission.checks"), 29);
+    // One ruling each for `big`, `r1` and `r2`, and three per arrival: the
+    // arrival, then `r1` and `r2` again, woken by the arrival's admission
+    // on their CPU. An arrival wakes no one else.
+    assert_eq!(rt.drcr().metrics().counter("drcr.admission.checks"), 18);
+}
+
+#[test]
+fn a_cycle_that_does_not_fit_is_not_re_ruled_by_unrelated_arrivals() {
+    // The 0.6 + 0.6 cycle is abandoned on CPU 0 once; arrivals on CPU 1
+    // change nothing it waits on, so each costs only its own ruling and
+    // the cycle is neither screened nor ruled again.
+    let mut rt = two_cpu_runtime();
+    rt.install_component("demo.cya", cycle_member_on(0, "cya", 0.6))
+        .unwrap();
+    rt.install_component("demo.cyb", cycle_member_on(0, "cyb", 0.6))
+        .unwrap();
+    for i in 0..3 {
+        let name = format!("s{i}");
+        rt.install_component(
+            &format!("demo.{name}"),
+            periodic_on(1, &name, 0.01, &[], &[]),
+        )
+        .unwrap();
+        assert_eq!(rt.component_state(&name), Some(ComponentState::Active));
+    }
+    assert_eq!(rt.component_state("cya"), Some(ComponentState::Unsatisfied));
+    assert_eq!(rt.component_state("cyb"), Some(ComponentState::Unsatisfied));
+    let drcr = rt.drcr();
+    assert_eq!(group_abandonments(&rt), 1);
+    let diagnoses = drcr
+        .events()
+        .iter()
+        .filter(|e| matches!(e.event, DrcrEvent::WiringUnsatisfied { .. }))
+        .count();
+    // `cya` with no provider, `cya` and `cyb` waiting on each other.
+    assert_eq!(diagnoses, 3);
+    // The group's two rulings, then one per arrival.
+    assert_eq!(drcr.metrics().counter("drcr.admission.checks"), 5);
+    assert!(matches!(
+        drcr.report("cyb"),
+        Some(drcom::WaitReport::GroupAbandoned { .. })
+    ));
+}
+
+#[test]
+fn a_cycle_across_cpus_co_activates_when_its_full_cpu_frees_room() {
+    // `cya` fits CPU 0, `cyb` does not fit CPU 1 beside `hog`. When `hog`
+    // leaves, the abandoned group is woken by CPU 1 and co-activates.
+    let mut rt = two_cpu_runtime();
+    let hog = rt
+        .install_component("demo.hog", periodic_on(1, "hog", 0.9, &[], &[]))
+        .unwrap();
+    rt.install_component("demo.cya", cycle_member_on(0, "cya", 0.2))
+        .unwrap();
+    rt.install_component("demo.cyb", cycle_member_on(1, "cyb", 0.2))
+        .unwrap();
+    assert_eq!(rt.component_state("cya"), Some(ComponentState::Unsatisfied));
+    assert_eq!(rt.component_state("cyb"), Some(ComponentState::Unsatisfied));
+    assert_eq!(group_abandonments(&rt), 1);
+    rt.stop_bundle(hog).unwrap();
+    assert_eq!(rt.component_state("cya"), Some(ComponentState::Active));
+    assert_eq!(rt.component_state("cyb"), Some(ComponentState::Active));
+    assert!((rt.drcr().ledger().utilization(0) - 0.2).abs() < 1e-9);
+    assert!((rt.drcr().ledger().utilization(1) - 0.2).abs() < 1e-9);
+    assert_eq!(group_abandonments(&rt), 1);
 }
 
 #[test]

@@ -61,21 +61,50 @@ fn descriptor_cpu_placement_reaches_the_kernel() {
 }
 
 #[test]
-fn a_cpu_that_does_not_exist_fails_activation_cleanly() {
+fn a_cpu_that_does_not_exist_is_refused_at_registration() {
+    // A 1-CPU kernel has no CPU 1. Utilization admission would read 0.0
+    // for it and admit the component, whose activation the kernel then
+    // refuses on every resolve round; the registration is refused instead,
+    // once, with a typed error.
     let mut rt = runtime(1);
-    rt.install_component("d.ghost", pinned("ghost", 5, 0.1))
-        .unwrap();
-    // Registered but unactivatable: the kernel refuses CPU 5, the DRCR
-    // rolls back and logs it.
-    assert_eq!(
-        rt.component_state("ghost"),
-        Some(ComponentState::Unsatisfied)
+    rt.install_component("d.u0", pinned("u0", 1, 0.1)).unwrap();
+    rt.advance(SimDuration::from_millis(50));
+    assert_eq!(rt.component_state("u0"), None);
+    let refusals: Vec<String> = rt
+        .drcr()
+        .events()
+        .iter()
+        .filter(|e| matches!(e.event, DrcrEvent::RegistrationRefused { .. }))
+        .map(|e| e.event.to_string())
+        .collect();
+    assert_eq!(refusals.len(), 1, "{refusals:?}");
+    assert!(
+        refusals[0].contains("component `u0` is pinned to CPU 1, but the kernel has 1 CPU(s)"),
+        "{refusals:?}"
     );
-    assert!(rt.drcr().events_for("ghost").any(|e| matches!(
+    assert!(!rt.drcr().events().iter().any(|e| matches!(
         e.event,
         DrcrEvent::ActivationFailed { .. } | DrcrEvent::Rollback { .. }
     )));
     assert!(rt.drcr().ledger().is_empty());
+    // The executive's own entry point returns the typed error.
+    let ghost = pinned("ghost", 5, 0.1);
+    let err = rt
+        .drcr_mut()
+        .register_component(
+            ghost.descriptor().clone(),
+            std::rc::Rc::new(|| Box::new(FnLogic(|_io: &mut RtIo<'_, '_>| {})) as Box<dyn RtLogic>),
+            None,
+        )
+        .unwrap_err();
+    assert_eq!(
+        err,
+        drcom::DrcrError::NoSuchCpu {
+            component: "ghost".into(),
+            cpu: 5,
+            cpus: 1,
+        }
+    );
 }
 
 #[test]
