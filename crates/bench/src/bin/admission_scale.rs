@@ -226,9 +226,6 @@ fn main() {
     );
 
     // -- Capacity half: RTA admits the harmonic fleet the cap truncates. --
-    let clock = bench::timing::WallClock::new();
-    let mut sim_runs = 0u64;
-    let mut total_dispatches = 0u64;
     let mut cap_a = None;
     let mut rta_a = None;
     let mut rta_a_misses = 0u64;
@@ -236,8 +233,6 @@ fn main() {
         let cap = run(cap(), &harmonic, seed, params.horizon_ms);
         let rta = run(rta(), &harmonic, seed, params.horizon_ms);
         rta_a_misses += rta.sched.deadline_misses;
-        sim_runs += 2;
-        total_dispatches += cap.sched.dispatches + rta.sched.dispatches;
         println!(
             "  [seed {seed:#06x}] harmonic: cap admits {} (U = {:.2}), RTA admits {} (U = {:.2}), RTA misses = {}",
             cap.admitted.len(),
@@ -266,8 +261,6 @@ fn main() {
         let rta = run(rta(), &counterexample, seed, params.horizon_ms);
         cap_b_misses += cap.sched.deadline_misses;
         rta_b_misses += rta.sched.deadline_misses;
-        sim_runs += 2;
-        total_dispatches += cap.sched.dispatches + rta.sched.dispatches;
         println!(
             "  [seed {seed:#06x}] counterexample: cap admits {:?} with {} misses, RTA admits {:?} with {} misses",
             cap.admitted, cap.sched.deadline_misses, rta.admitted, rta.sched.deadline_misses,
@@ -276,12 +269,6 @@ fn main() {
         rta_b.get_or_insert(rta);
     }
     let (cap_b, rta_b) = (cap_b.unwrap(), rta_b.unwrap());
-    let wall = clock.finish(sim_runs * params.horizon_ms * 1_000_000, total_dispatches);
-    println!(
-        "  throughput: {} ({} simulation runs)",
-        wall.summary(),
-        sim_runs
-    );
 
     if check {
         assert!(
@@ -348,8 +335,7 @@ fn main() {
                 "    \"fleet_utilization\": 0.875, \"cap\": {:.2},\n",
                 "    \"cap_admitted\": {}, \"cap_deadline_misses\": {},\n",
                 "    \"rta_admitted\": {}, \"rta_deadline_misses\": {}\n",
-                "  }},\n",
-                "  {}\n",
+                "  }}\n",
                 "}}\n"
             ),
             params.horizon_ms,
@@ -367,7 +353,6 @@ fn main() {
             cap_b_misses,
             rta_b.admitted.len(),
             rta_b_misses,
-            wall.json_fields(),
         );
         std::fs::write("BENCH_admission.json", &json).expect("write BENCH_admission.json");
         println!("  wrote BENCH_admission.json");

@@ -364,9 +364,7 @@ fn main() {
         if smoke { "smoke" } else { "full" },
     );
 
-    let clock = bench::timing::WallClock::new();
     let stats = run(&params);
-    let wall = clock.finish(params.horizon_ms * 1_000_000, stats.sched.dispatches);
     let escaped = stats.injected.panics.saturating_sub(stats.contained);
 
     println!();
@@ -399,7 +397,6 @@ fn main() {
         stats.sched.faults,
         stats.sched.deadline_misses,
     );
-    println!("  throughput: {}", wall.summary());
 
     if check {
         let ceilings = Ceilings::for_mode(smoke);
@@ -462,8 +459,7 @@ fn main() {
                 "  \"max_recovery_cycles\": {},\n",
                 "  \"mean_recovery_cycles\": {:.2},\n",
                 "  \"leaked_reservations\": {},\n",
-                "  \"wedge_quarantined\": {},\n",
-                "  {}\n",
+                "  \"wedge_quarantined\": {}\n",
                 "}}\n"
             ),
             params.components(),
@@ -484,7 +480,6 @@ fn main() {
             stats.mean_recovery_cycles,
             stats.leaked_reservations,
             stats.wedge_quarantined,
-            wall.json_fields(),
         );
         std::fs::write("BENCH_fault.json", &json).expect("write BENCH_fault.json");
         println!("  wrote BENCH_fault.json");

@@ -286,10 +286,7 @@ fn main() {
         if smoke { "smoke" } else { "full" },
     );
 
-    let clock = bench::timing::WallClock::new();
     let stats = run(&params);
-    let sim_ns = params.horizon_ticks * 10_000_000;
-    let wall = clock.finish(sim_ns, stats.total_dispatches);
     let acct = stats.accounting;
 
     println!();
@@ -333,7 +330,6 @@ fn main() {
         "  hygiene: {} leaked reservations, {} deadline misses on survivors",
         stats.leaked_reservations, stats.survivor_deadline_misses,
     );
-    println!("  throughput: {}", wall.summary());
 
     if check {
         assert!(
@@ -421,8 +417,7 @@ fn main() {
                 "  \"rejoined\": {},\n",
                 "  \"roster_reconciles\": {{\"total\": {}, \"per_quiet_tick\": {}}},\n",
                 "  \"leaked_reservations\": {},\n",
-                "  \"survivor_deadline_misses\": {},\n",
-                "  {}\n",
+                "  \"survivor_deadline_misses\": {}\n",
                 "}}\n"
             ),
             params.nodes,
@@ -453,7 +448,6 @@ fn main() {
             stats.quiet_reconciles_per_tick,
             stats.leaked_reservations,
             stats.survivor_deadline_misses,
-            wall.json_fields(),
         );
         std::fs::write("BENCH_federation.json", &json).expect("write BENCH_federation.json");
         println!("  wrote BENCH_federation.json");

@@ -305,13 +305,8 @@ fn main() {
         if smoke { "smoke" } else { "full" },
     );
 
-    let clock = bench::timing::WallClock::new();
     let declared = run(&params, false);
     let refined = run(&params, true);
-    let wall = clock.finish(
-        2 * params.horizon_ms * 1_000_000,
-        declared.sched.dispatches + refined.sched.dispatches,
-    );
 
     println!();
     println!(
@@ -345,7 +340,6 @@ fn main() {
     if let Some(reason) = &refined.sneak_evidence {
         println!("  evidence: {reason}");
     }
-    println!("  throughput: {}", wall.summary());
 
     if check {
         let ceilings = Ceilings::for_params(&params);
@@ -442,8 +436,7 @@ fn main() {
                 "  \"refinements\": {},\n",
                 "  \"convictions\": {},\n",
                 "  \"sneak_quarantined\": {},\n",
-                "  \"estimator_samples\": {},\n",
-                "  {}\n",
+                "  \"estimator_samples\": {}\n",
                 "}}\n"
             ),
             params.components(),
@@ -461,7 +454,6 @@ fn main() {
             refined.convictions,
             refined.sneak_quarantined,
             refined.estimator_samples,
-            wall.json_fields(),
         );
         std::fs::write("BENCH_contracts.json", &json).expect("write BENCH_contracts.json");
         println!("  wrote BENCH_contracts.json");

@@ -1,10 +1,12 @@
-//! Wall-clock throughput measurement shared by the bench binaries.
+//! Wall-clock throughput measurement for `parallel_throughput`, whose
+//! speedup gate compares executors in real time.
 //!
 //! The simulation itself runs in virtual nanoseconds, so counters alone
-//! cannot show whether an optimisation made anything *faster in real
-//! time*. Every perf-trajectory bench wraps its run in a [`WallClock`] and
-//! reports three numbers: elapsed real seconds, simulated nanoseconds
-//! executed per real second, and completed task cycles per real second.
+//! cannot show whether an executor is *faster in real time*. A
+//! [`WallClock`] reports three numbers: elapsed real seconds, simulated
+//! nanoseconds executed per real second, and completed task cycles per
+//! real second. The other bench binaries report only deterministic
+//! counters; end-to-end timing is drtbench's job.
 
 use std::time::Instant;
 

@@ -550,7 +550,7 @@ mod tests {
         );
         // Still ACTIVE — just cheaper.
         assert_eq!(rt.component_state("low"), Some(ComponentState::Active));
-        assert_eq!(rt.drcr().current_mode("low").unwrap(), "cheap");
+        assert_eq!(rt.drcr().current_mode_ref("low").unwrap(), "cheap");
         assert_eq!(rt.drcr().ledger().reservation("low"), Some((0, 0.05)));
         // Pressure now 0.55; second evaluation is quiet.
         assert!(mgr.run_once(&mut rt).unwrap().is_empty());
@@ -567,7 +567,7 @@ mod tests {
         let mut mgr =
             AdaptationManager::new().with_policy(Box::new(GracefulDegradation::new(0, 0.3, 0.8)));
         mgr.run_once(&mut rt).unwrap();
-        assert_eq!(rt.drcr().current_mode("low").unwrap(), "cheap");
+        assert_eq!(rt.drcr().current_mode_ref("low").unwrap(), "cheap");
         // The heavy one leaves: pressure 0.05 < 0.3 -> restore.
         rt.stop_bundle(crit).unwrap();
         let applied = mgr.run_once(&mut rt).unwrap();
@@ -579,7 +579,7 @@ mod tests {
             }]
         );
         assert_eq!(
-            rt.drcr().current_mode("low").unwrap(),
+            rt.drcr().current_mode_ref("low").unwrap(),
             crate::model::BASE_MODE
         );
         assert_eq!(rt.drcr().ledger().reservation("low"), Some((0, 0.45)));

@@ -73,14 +73,17 @@ const EVENT_RING_CAPACITY: usize = 6_000;
 /// Capacity of the management-bridge event ring.
 const BRIDGE_RING_CAPACITY: usize = 10_000;
 
+/// Shared factory producing a fresh [`RtLogic`] per activation.
+pub type LogicFactory = Rc<dyn Fn() -> Box<dyn RtLogic>>;
+
 /// A deployable component: validated descriptor plus the factory producing
 /// its real-time logic.
 ///
 /// This is the Rust-native equivalent of the paper's bundle payload (XML
 /// descriptor + implementation class named by `bincode`).
 pub struct ComponentProvider {
-    descriptor: ComponentDescriptor,
-    factory: Rc<dyn Fn() -> Box<dyn RtLogic>>,
+    pub(crate) descriptor: Rc<ComponentDescriptor>,
+    pub(crate) factory: LogicFactory,
 }
 
 impl fmt::Debug for ComponentProvider {
@@ -90,13 +93,14 @@ impl fmt::Debug for ComponentProvider {
 }
 
 impl ComponentProvider {
-    /// Pairs a descriptor with its logic factory.
+    /// Pairs a descriptor with its logic factory. The descriptor is held
+    /// once: the executive's record shares it.
     pub fn new(
-        descriptor: ComponentDescriptor,
+        descriptor: impl Into<Rc<ComponentDescriptor>>,
         factory: impl Fn() -> Box<dyn RtLogic> + 'static,
     ) -> Self {
         ComponentProvider {
-            descriptor,
+            descriptor: descriptor.into(),
             factory: Rc::new(factory),
         }
     }
@@ -110,19 +114,12 @@ impl ComponentProvider {
         xml: &str,
         factory: impl Fn() -> Box<dyn RtLogic> + 'static,
     ) -> Result<Self, crate::error::DescriptorError> {
-        Ok(ComponentProvider {
-            descriptor: ComponentDescriptor::parse_xml(xml)?,
-            factory: Rc::new(factory),
-        })
+        Ok(Self::new(ComponentDescriptor::parse_xml(xml)?, factory))
     }
 
     /// The validated descriptor.
     pub fn descriptor(&self) -> &ComponentDescriptor {
         &self.descriptor
-    }
-
-    pub(crate) fn factory(&self) -> Rc<dyn Fn() -> Box<dyn RtLogic>> {
-        self.factory.clone()
     }
 }
 
@@ -201,11 +198,15 @@ fn report_event(report: &WaitReport, component: &str) -> DrcrEvent {
 type Screen = (Rc<str>, WiringResult, bool);
 
 struct ComponentRecord {
-    /// The contract currently in force (mode-substituted).
-    descriptor: ComponentDescriptor,
-    /// The pristine contract as registered (mode switches derive from it).
-    base_descriptor: ComponentDescriptor,
-    factory: Rc<dyn Fn() -> Box<dyn RtLogic>>,
+    /// The contract in force: `registered` itself in the base mode until a
+    /// refinement copies it, else the mode's substituted contract.
+    descriptor: Rc<ComponentDescriptor>,
+    /// The contract as registered, shared with its provider; modes derive
+    /// from it and it is never written.
+    registered: Rc<ComponentDescriptor>,
+    /// The index of the declared mode in force; `None` is the base mode.
+    mode: Option<usize>,
+    factory: LogicFactory,
     state: ComponentState,
     stamps: Stamps,
     bundle: Option<BundleId>,
@@ -217,8 +218,6 @@ struct ComponentRecord {
     reply_mbx: Option<ObjName>,
     /// Chosen provider per inport at activation (for diagnostics).
     providers: Vec<(String, String)>,
-    /// The operating mode currently substituted into the contract.
-    current_mode: String,
     /// Replies already drained from the reply mailbox, by token.
     reply_buffer: HashMap<u32, ManagementReply>,
     /// Why it waits, while it waits and has been screened.
@@ -226,6 +225,12 @@ struct ComponentRecord {
 }
 
 impl ComponentRecord {
+    /// The name of the operating mode in force.
+    fn mode_name(&self) -> &str {
+        self.mode
+            .map_or(crate::model::BASE_MODE, |i| &self.registered.modes[i].name)
+    }
+
     /// The record's entry in the global view, under its interned `name`.
     fn info(&self, name: Rc<str>) -> ComponentInfo {
         ComponentInfo::from_contract_interned(
@@ -277,6 +282,8 @@ pub struct Drcr {
     supervisor: Supervisor,
     /// Kernel task → owning component, for O(faulted) supervision scans.
     task_names: BTreeMap<TaskId, Rc<str>>,
+    /// The per-CPU utilization gauge names, indexed by CPU.
+    gauge_keys: Vec<String>,
     self_ref: Weak<RefCell<Drcr>>,
 }
 
@@ -338,6 +345,9 @@ impl Drcr {
             view: SystemView::new(cpu_count, Vec::new()),
             supervisor: Supervisor::new(),
             task_names: BTreeMap::new(),
+            gauge_keys: (0..cpu_count)
+                .map(|cpu| format!("admission.cpu{cpu}.utilization"))
+                .collect(),
             self_ref: Weak::new(),
         }));
         drcr.borrow_mut().self_ref = Rc::downgrade(&drcr);
@@ -399,8 +409,8 @@ impl Drcr {
     /// a CPU the kernel does not have.
     pub fn register_component(
         &mut self,
-        descriptor: ComponentDescriptor,
-        factory: Rc<dyn Fn() -> Box<dyn RtLogic>>,
+        descriptor: Rc<ComponentDescriptor>,
+        factory: LogicFactory,
         bundle: Option<BundleId>,
     ) -> Result<(), DrcrError> {
         let id: Rc<str> = Rc::from(descriptor.name.as_str());
@@ -426,8 +436,9 @@ impl Drcr {
         // provider's waiting consumers, whose diagnoses it changes.
         self.resolver.on_registered(&id, &descriptor);
         let record = ComponentRecord {
-            base_descriptor: descriptor.clone(),
+            registered: descriptor.clone(),
             descriptor,
+            mode: None,
             factory,
             state: ComponentState::Installed,
             stamps: Stamps::default(),
@@ -438,7 +449,6 @@ impl Drcr {
             cmd_mbx: None,
             reply_mbx: None,
             providers: Vec::new(),
-            current_mode: crate::model::BASE_MODE.to_string(),
             reply_buffer: HashMap::new(),
             report: None,
         };
@@ -635,11 +645,11 @@ impl Drcr {
             rec.stamps.activated = self.lifecycle_seq;
         }
         rec.report = None;
-        let cpu = rec.descriptor.task.cpu();
         if self.stalled.remove(name) {
             self.group_due = true;
         }
-        self.resolver.on_state_changed(&key, cpu, from, to);
+        self.resolver
+            .on_state_changed(&key, &rec.descriptor, from, to);
         if from == ComponentState::Installed {
             let info = self.components[name].info(key);
             self.view.insert(info);
@@ -670,26 +680,14 @@ impl Drcr {
         self.components.get(name).and_then(|r| r.bundle)
     }
 
-    /// A copy of a component's declared contract. Prefer
-    /// [`Drcr::descriptor_ref`] when a borrow suffices.
-    pub fn descriptor_of(&self, name: &str) -> Option<ComponentDescriptor> {
-        self.descriptor_ref(name).cloned()
-    }
-
-    /// The contract currently in force (mode-substituted), borrowed.
+    /// The contract currently in force (mode-substituted or refined).
     pub fn descriptor_ref(&self, name: &str) -> Option<&ComponentDescriptor> {
-        self.components.get(name).map(|r| &r.descriptor)
+        self.components.get(name).map(|r| &*r.descriptor)
     }
 
-    /// The operating mode a component currently runs under. Prefer
-    /// [`Drcr::current_mode_ref`] when a borrow suffices.
-    pub fn current_mode(&self, name: &str) -> Option<String> {
-        self.current_mode_ref(name).map(str::to_string)
-    }
-
-    /// The current operating-mode name, borrowed.
+    /// The name of the operating mode a component currently runs under.
     pub fn current_mode_ref(&self, name: &str) -> Option<&str> {
-        self.components.get(name).map(|r| r.current_mode.as_str())
+        self.components.get(name).map(ComponentRecord::mode_name)
     }
 
     /// Releases one cycle of an aperiodic component (the manual trigger;
@@ -746,15 +744,17 @@ impl Drcr {
             .components
             .get(name)
             .ok_or_else(|| DrcrError::NoSuchComponent(name.to_string()))?;
-        if rec.current_mode == mode_name {
+        if rec.mode_name() == mode_name {
             return Ok(());
         }
         // Modes are alternatives to the *base* contract, not cumulative
         // rewrites, so lookup and substitution both run against the
-        // pristine registered descriptor.
-        let mode = rec.base_descriptor.mode(mode_name).ok_or_else(|| {
+        // registered contract.
+        let mode = rec.registered.mode(mode_name).ok_or_else(|| {
             DrcrError::Management(format!("component `{name}` has no mode `{mode_name}`"))
         })?;
+        let modes = &rec.registered.modes;
+        let index = modes.iter().position(|m| m.name == mode_name);
         let event = DrcrEvent::ModeSwitch {
             component: name.to_string(),
             mode: mode_name.to_string(),
@@ -763,13 +763,17 @@ impl Drcr {
         };
         let why = format!("mode switch to `{mode_name}`");
         self.rewrite_contract(name, fw, &why, event, |rec| {
-            rec.descriptor = rec.base_descriptor.with_mode(&mode);
-            rec.current_mode = mode_name.to_string();
-            // A mode substitutes frequency/priority/claim, never ports — the
+            // The base mode shares the registered contract again; a mode
+            // substitutes frequency/priority/claim, never ports, so the
             // wiring index stays valid across the switch.
+            rec.descriptor = match index {
+                None => rec.registered.clone(),
+                Some(_) => Rc::new(rec.registered.with_mode(&mode)),
+            };
+            rec.mode = index;
             debug_assert!(
-                rec.descriptor.inports == rec.base_descriptor.inports
-                    && rec.descriptor.outports == rec.base_descriptor.outports,
+                rec.descriptor.inports == rec.registered.inports
+                    && rec.descriptor.outports == rec.registered.outports,
                 "mode substitution must preserve ports"
             );
         })?;
@@ -785,10 +789,11 @@ impl Drcr {
     /// resolve pass against the refined claim, so the refinement goes
     /// through the same admission gate as a fresh deployment. Unlike a
     /// mode switch, only `cpuusage` changes; frequency, priority and ports
-    /// stay as declared. The *base* descriptor is untouched: a later mode
-    /// switch re-derives from the pristine registered contract and
-    /// overrides any refinement (the estimator simply re-learns under the
-    /// new mode).
+    /// stay as declared. The contract in force is copied on write when it
+    /// is shared, so the registered contract and its provider are
+    /// untouched: a later mode switch re-derives from the registered
+    /// contract and overrides any refinement (the estimator simply
+    /// re-learns under the new mode).
     ///
     /// `samples` is the evidence size recorded in the
     /// [`DrcrEvent::ClaimRefined`] event.
@@ -822,7 +827,7 @@ impl Drcr {
         };
         let why = format!("claim refinement to {refined:.3}");
         self.rewrite_contract(name, fw, &why, event, |rec| {
-            rec.descriptor.cpu_usage = refined_claim;
+            Rc::make_mut(&mut rec.descriptor).cpu_usage = refined_claim;
         })?;
         self.metrics.count("drcr.contracts.refinements", 1);
         Ok(())
@@ -890,8 +895,8 @@ impl Drcr {
                             _ => None,
                         };
                         let result = self.register_component(
-                            provider.descriptor().clone(),
-                            provider.factory(),
+                            provider.descriptor.clone(),
+                            provider.factory.clone(),
                             bundle,
                         );
                         if let Err(err) = result {
@@ -1560,6 +1565,7 @@ impl Drcr {
         fw: &mut Framework,
         providers: Vec<(String, String)>,
     ) -> Result<(), DrcrError> {
+        // The record's contract and factory, shared rather than copied.
         let (descriptor, factory) = {
             let rec = &self.components[name];
             (rec.descriptor.clone(), rec.factory.clone())
@@ -1628,7 +1634,7 @@ impl Drcr {
         &mut self,
         descriptor: &ComponentDescriptor,
         lowered: Lowering<'_>,
-        factory: Rc<dyn Fn() -> Box<dyn RtLogic>>,
+        factory: LogicFactory,
         objects: &mut Vec<KernelObject>,
     ) -> Result<(TaskId, Option<ObjName>, Option<ObjName>), DrcrError> {
         let mut kernel = self.kernel.borrow_mut();
@@ -2033,11 +2039,8 @@ impl Drcr {
     /// activation/deactivation happens inside, or is immediately followed
     /// by, a resolve round.
     fn update_admission_gauges(&mut self) {
-        for cpu in 0..self.ledger.cpu_count() {
-            self.metrics.gauge(
-                &format!("admission.cpu{cpu}.utilization"),
-                self.ledger.utilization(cpu),
-            );
+        for (cpu, key) in (0..).zip(&self.gauge_keys) {
+            self.metrics.gauge(key, self.ledger.utilization(cpu));
         }
     }
 }

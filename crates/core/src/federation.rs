@@ -38,7 +38,7 @@
 //!   [`ResolvingService::admit_batch`](crate::resolve::ResolvingService::admit_batch)
 //!   (one response-time fixed point per CPU, all-or-nothing with
 //!   sequential fallback). Rejected placements go to a failover
-//!   [`Supervisor`] reusing the `drcom::supervise` restart policies:
+//!   supervisor reusing the [`crate::supervise`] restart policies:
 //!   Backoff grants delayed retries on virtual time, exhaustion (or a
 //!   flap window) quarantines the component with typed evidence.
 //! * **At-least-once bridge delivery** — inter-node messages ride
@@ -54,6 +54,8 @@
 //!
 //! Everything is observable: federation decisions are
 //! [`FedEvent`]s keyed on the tick, tallied into `fed.*` metrics.
+
+pub use crate::drcr::LogicFactory;
 
 use crate::descriptor::ComponentDescriptor;
 use crate::drcr::ComponentProvider;
@@ -509,12 +511,19 @@ impl Hub {
 // Nodes
 // ---------------------------------------------------------------------
 
-/// Shared factory producing a fresh [`RtLogic`] per (re)install.
-pub type LogicFactory = Rc<dyn Fn() -> Box<dyn RtLogic>>;
-
 struct CatalogEntry {
-    descriptor: ComponentDescriptor,
+    descriptor: Rc<ComponentDescriptor>,
     factory: LogicFactory,
+}
+
+impl CatalogEntry {
+    /// A provider sharing this entry's contract and factory.
+    fn provider(&self) -> ComponentProvider {
+        ComponentProvider {
+            descriptor: self.descriptor.clone(),
+            factory: self.factory.clone(),
+        }
+    }
 }
 
 type Catalog = BTreeMap<String, CatalogEntry>;
@@ -663,7 +672,7 @@ impl Federation {
             self.catalog.insert(
                 descriptor.name.as_str().to_string(),
                 CatalogEntry {
-                    descriptor,
+                    descriptor: Rc::new(descriptor),
                     factory,
                 },
             );
@@ -673,11 +682,7 @@ impl Federation {
             .iter()
             .map(|name| {
                 let entry = self.catalog.get(name).expect("just inserted");
-                let factory = entry.factory.clone();
-                (
-                    format!("fed.{name}"),
-                    ComponentProvider::new(entry.descriptor.clone(), move || factory()),
-                )
+                (format!("fed.{name}"), entry.provider())
             })
             .collect();
         let bundles = slot
@@ -1188,11 +1193,7 @@ impl Federation {
             let Some(entry) = self.catalog.get(&name) else {
                 continue;
             };
-            let factory = entry.factory.clone();
-            providers.push((
-                format!("fed.{name}"),
-                ComponentProvider::new(entry.descriptor.clone(), move || factory()),
-            ));
+            providers.push((format!("fed.{name}"), entry.provider()));
             names.push(name);
         }
         let installed: Vec<String> = providers.iter().map(|(b, _)| b[4..].to_string()).collect();
@@ -1642,7 +1643,7 @@ mod tests {
                 catalog.insert(
                     name.clone(),
                     CatalogEntry {
-                        descriptor: descriptor(&name, usage),
+                        descriptor: Rc::new(descriptor(&name, usage)),
                         factory: quiet(),
                     },
                 );

@@ -28,6 +28,7 @@ use crate::descriptor::ComponentDescriptor;
 use crate::lifecycle::ComponentState;
 use crate::resolve::{Resolver, ResolvingService};
 use crate::wiring::{PortIndex, WiringGraph, WiringResult};
+use rtos::task::ObjName;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Bound;
@@ -101,7 +102,7 @@ impl ReactiveResolver {
     }
 
     /// Wakes the parked consumers of `channel`.
-    fn wake_consumers(&mut self, channel: &str) {
+    fn wake_consumers(&mut self, channel: ObjName) {
         let parked: Vec<Rc<str>> = self
             .port_index
             .consumers_of(channel)
@@ -119,14 +120,14 @@ impl Resolver for ReactiveResolver {
         "reactive"
     }
 
-    fn on_registered(&mut self, name: &Rc<str>, descriptor: &ComponentDescriptor) {
+    fn on_registered(&mut self, name: &Rc<str>, descriptor: &Rc<ComponentDescriptor>) {
         self.port_index.insert(name, descriptor);
         // A new provider — even an inactive one — can change a consumer's
         // diagnosis (`NoProvider` → `ProviderInactive`) or its provider
         // scan order, so the parked consumers wake. It cannot break a
         // satisfied component, so nothing is seeded for the sweep.
         for port in &descriptor.outports {
-            self.wake_consumers(port.name.as_str());
+            self.wake_consumers(port.name);
         }
     }
 
@@ -136,7 +137,7 @@ impl Resolver for ReactiveResolver {
         // running component before removing it, so the providing flip —
         // and the sweep seeding it implies — already happened.
         for port in &descriptor.outports {
-            self.wake_consumers(port.name.as_str());
+            self.wake_consumers(port.name);
         }
         self.port_index.remove(name, descriptor);
         self.dirty.remove(name);
@@ -147,19 +148,19 @@ impl Resolver for ReactiveResolver {
     fn on_state_changed(
         &mut self,
         name: &Rc<str>,
-        cpu: u32,
+        descriptor: &ComponentDescriptor,
         from: ComponentState,
         to: ComponentState,
     ) {
         if from.provides_outputs() != to.provides_outputs() {
             let now = to.provides_outputs();
-            self.port_index.set_active(name, now);
+            self.port_index.set_active(descriptor, now);
             // Either direction wakes the channels' parked consumers; only
             // providing → *false* can break a satisfied component, so only
             // that direction seeds the deactivation sweep.
             let mut affected: Vec<Rc<str>> = Vec::new();
-            for channel in self.port_index.outports_of(name) {
-                affected.extend(self.port_index.consumers_of(channel).cloned());
+            for port in &descriptor.outports {
+                affected.extend(self.port_index.consumers_of(port.name).cloned());
             }
             for consumer in &affected {
                 self.wake(consumer);
@@ -169,7 +170,7 @@ impl Resolver for ReactiveResolver {
             }
         }
         if from.holds_admission() != to.holds_admission() {
-            self.wake_cpu(cpu);
+            self.wake_cpu(descriptor.task.cpu());
         }
         if to == ComponentState::Unsatisfied {
             self.unpark(name);
@@ -180,7 +181,7 @@ impl Resolver for ReactiveResolver {
         }
     }
 
-    fn on_contract_changed(&mut self, name: &str, _descriptor: &ComponentDescriptor) {
+    fn on_contract_changed(&mut self, name: &str, _descriptor: &Rc<ComponentDescriptor>) {
         self.wake(name);
     }
 
@@ -232,7 +233,7 @@ impl Resolver for ReactiveResolver {
 /// and every waiter every time, and one admission ruling per candidate.
 /// Kept as the differential oracle and benchmark baseline.
 pub struct NaiveResolver {
-    mirror: BTreeMap<Rc<str>, (ComponentDescriptor, ComponentState)>,
+    mirror: BTreeMap<Rc<str>, (Rc<ComponentDescriptor>, ComponentState)>,
     policy: Box<dyn ResolvingService>,
 }
 
@@ -274,7 +275,7 @@ impl Resolver for NaiveResolver {
         "naive-reference"
     }
 
-    fn on_registered(&mut self, name: &Rc<str>, descriptor: &ComponentDescriptor) {
+    fn on_registered(&mut self, name: &Rc<str>, descriptor: &Rc<ComponentDescriptor>) {
         self.mirror.insert(
             name.clone(),
             (descriptor.clone(), ComponentState::Installed),
@@ -288,7 +289,7 @@ impl Resolver for NaiveResolver {
     fn on_state_changed(
         &mut self,
         name: &Rc<str>,
-        _cpu: u32,
+        _descriptor: &ComponentDescriptor,
         _from: ComponentState,
         to: ComponentState,
     ) {
@@ -297,7 +298,7 @@ impl Resolver for NaiveResolver {
         }
     }
 
-    fn on_contract_changed(&mut self, name: &str, descriptor: &ComponentDescriptor) {
+    fn on_contract_changed(&mut self, name: &str, descriptor: &Rc<ComponentDescriptor>) {
         if let Some((desc, _)) = self.mirror.get_mut(name) {
             *desc = descriptor.clone();
         }
@@ -316,7 +317,7 @@ impl Resolver for NaiveResolver {
         candidate: &ComponentDescriptor,
         assume_active: &[Rc<str>],
     ) -> WiringResult {
-        let entries: Vec<_> = self.mirror.values().map(|(d, s)| (d, *s)).collect();
+        let entries: Vec<_> = self.mirror.values().map(|(d, s)| (&**d, *s)).collect();
         WiringGraph::new(entries).check_functional(candidate, assume_active)
     }
 
@@ -360,11 +361,20 @@ mod tests {
             .unwrap()
     }
 
+    /// A portless component on `cpu`.
+    fn idle(name: &str, cpu: u32) -> ComponentDescriptor {
+        ComponentDescriptor::builder(name)
+            .periodic(100, cpu, 2)
+            .cpu_usage(0.1)
+            .build()
+            .unwrap()
+    }
+
     /// Registers `desc` and moves it to `state` (from `Installed`).
     fn register(engine: &mut dyn Resolver, desc: &ComponentDescriptor, state: ComponentState) {
         let name: Rc<str> = Rc::from(desc.name.as_str());
-        engine.on_registered(&name, desc);
-        engine.on_state_changed(&name, desc.task.cpu(), Installed, state);
+        engine.on_registered(&name, &Rc::new(desc.clone()));
+        engine.on_state_changed(&name, desc, Installed, state);
     }
 
     /// Every woken waiter, in name order.
@@ -380,12 +390,11 @@ mod tests {
 
     fn flip(
         engine: &mut dyn Resolver,
-        name: &str,
-        cpu: u32,
+        desc: &ComponentDescriptor,
         from: ComponentState,
         to: ComponentState,
     ) {
-        engine.on_state_changed(&Rc::from(name), cpu, from, to);
+        engine.on_state_changed(&Rc::from(desc.name.as_str()), desc, from, to);
     }
 
     #[test]
@@ -401,22 +410,22 @@ mod tests {
 
         // A provider step that does not flip its providing state wakes
         // only the provider, which starts waiting.
-        flip(&mut engine, "calc", 0, Disabled, Unsatisfied);
+        flip(&mut engine, &provider("calc"), Disabled, Unsatisfied);
         assert_eq!(woken(&engine), ["calc"]);
         // Provider activates: the consumer wakes, and passes.
-        flip(&mut engine, "calc", 0, Unsatisfied, Active);
+        flip(&mut engine, &provider("calc"), Unsatisfied, Active);
         assert_eq!(woken(&engine), ["disp"]);
         assert!(engine.check_wiring(&consumer("disp"), &[]).is_ok());
         // Activation-side churn does not seed the deactivation sweep.
         assert_eq!(engine.sweep_next(None), None);
-        flip(&mut engine, "disp", 0, Unsatisfied, Active);
+        flip(&mut engine, &consumer("disp"), Unsatisfied, Active);
         assert!(
             woken(&engine).is_empty(),
             "a running component is no waiter"
         );
 
         // Provider stops: the consumer is seeded for the deactivation sweep.
-        flip(&mut engine, "calc", 0, Active, Unsatisfied);
+        flip(&mut engine, &provider("calc"), Active, Unsatisfied);
         assert_eq!(engine.sweep_next(None).as_deref(), Some("disp"));
         assert_eq!(engine.sweep_next(Some("disp")), None);
     }
@@ -450,16 +459,16 @@ mod tests {
     fn a_rejected_waiter_wakes_on_admission_churn_of_its_cpu() {
         let mut engine = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
         let disp: Rc<str> = Rc::from("disp");
-        flip(&mut engine, "disp", 0, Installed, Unsatisfied);
+        flip(&mut engine, &consumer("disp"), Installed, Unsatisfied);
         engine.park(&disp, &[0]);
         // Suspend ↔ resume keeps admission: nothing wakes.
-        flip(&mut engine, "calc", 0, Active, Suspended);
+        flip(&mut engine, &provider("calc"), Active, Suspended);
         assert!(woken(&engine).is_empty());
         // An admission-holding flip on another CPU wakes nothing...
-        flip(&mut engine, "other", 1, Unsatisfied, Active);
+        flip(&mut engine, &idle("other", 1), Unsatisfied, Active);
         assert!(woken(&engine).is_empty());
         // ...one on its CPU wakes it.
-        flip(&mut engine, "calc", 0, Suspended, Unsatisfied);
+        flip(&mut engine, &provider("calc"), Suspended, Unsatisfied);
         assert_eq!(woken(&engine), ["calc", "disp"]);
     }
 
@@ -467,12 +476,12 @@ mod tests {
     fn a_waiter_parked_on_several_cpus_wakes_once() {
         let mut engine = ReactiveResolver::new(Box::new(UtilizationResolver::default()));
         let cya: Rc<str> = Rc::from("cya");
-        flip(&mut engine, "cya", 0, Installed, Unsatisfied);
+        flip(&mut engine, &idle("cya", 0), Installed, Unsatisfied);
         engine.park(&cya, &[0, 1]);
-        flip(&mut engine, "hog", 1, Active, Unsatisfied);
+        flip(&mut engine, &idle("hog", 1), Active, Unsatisfied);
         assert_eq!(woken(&engine), ["cya", "hog"]);
         engine.park(&cya, &[]);
-        flip(&mut engine, "big", 0, Active, Unsatisfied);
+        flip(&mut engine, &idle("big", 0), Active, Unsatisfied);
         assert_eq!(
             woken(&engine),
             ["big", "hog"],
@@ -487,7 +496,7 @@ mod tests {
         register(&mut engine, &c, Unsatisfied);
         let disp: Rc<str> = Rc::from("disp");
         engine.park(&disp, &[0]);
-        engine.on_contract_changed("disp", &c);
+        engine.on_contract_changed("disp", &Rc::new(c));
         assert_eq!(woken(&engine), ["disp"]);
         engine.park(&disp, &[]);
         engine.wake("disp");
@@ -514,7 +523,7 @@ mod tests {
     fn an_uncacheable_policy_rules_its_rejected_waiters_every_sweep() {
         let mut engine = ReactiveResolver::new(Box::new(Moody));
         let disp: Rc<str> = Rc::from("disp");
-        flip(&mut engine, "disp", 0, Installed, Unsatisfied);
+        flip(&mut engine, &consumer("disp"), Installed, Unsatisfied);
         engine.park(&disp, &[0]);
         assert_eq!(woken(&engine), ["disp"], "nothing says when it would admit");
         engine.park(&disp, &[]);
@@ -542,7 +551,7 @@ mod tests {
         for (from, to) in flips {
             let mut results = Vec::new();
             for engine in engines.iter_mut() {
-                flip(*engine, "calc", 0, from, to);
+                flip(*engine, &provider("calc"), from, to);
                 results.push(engine.check_wiring(&c, &[]));
             }
             assert_eq!(

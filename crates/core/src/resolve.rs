@@ -144,33 +144,35 @@ pub trait Resolver {
     fn name(&self) -> &str;
 
     /// A component registered (its provider entries start inactive).
-    fn on_registered(&mut self, name: &Rc<str>, descriptor: &ComponentDescriptor);
+    /// `descriptor` is its contract, shared with the executive's record.
+    fn on_registered(&mut self, name: &Rc<str>, descriptor: &Rc<ComponentDescriptor>);
 
     /// A component was removed.
     fn on_removed(&mut self, name: &str, descriptor: &ComponentDescriptor);
 
-    /// A component's lifecycle state changed. The engine derives wiring-side
-    /// churn (`provides_outputs` flips wake the channels' parked consumers
-    /// and, when a provider stops, seed the deactivation scope),
-    /// admission-side churn (`holds_admission` flips wake the waiters
-    /// parked on `cpu`) and the waiting scope (a component that starts
-    /// waiting is woken) from the transition.
+    /// A component's lifecycle state changed; `descriptor` is its contract
+    /// in force. The engine derives wiring-side churn (`provides_outputs`
+    /// flips wake the parked consumers of its outport channels and, when a
+    /// provider stops, seed the deactivation scope), admission-side churn
+    /// (`holds_admission` flips wake the waiters parked on its CPU) and the
+    /// waiting scope (a component that starts waiting is woken) from the
+    /// transition.
     fn on_state_changed(
         &mut self,
         name: &Rc<str>,
-        cpu: u32,
+        descriptor: &ComponentDescriptor,
         from: ComponentState,
         to: ComponentState,
     );
 
-    /// A component's contract was re-written in place (mode switch, or a
+    /// A component's contract was re-written (mode switch, or a
     /// claim refinement published by [`crate::contracts::StochasticMonitor`];
     /// ports are preserved, frequency/claim/priority may change).
     /// `descriptor` is the rewritten contract. A waiting component's own
     /// ruling read the old contract, so the engine wakes it. Peers are
     /// unaffected: rulings read only admission holders' contracts, and the
     /// executive deactivates a holder before re-writing it.
-    fn on_contract_changed(&mut self, name: &str, descriptor: &ComponentDescriptor);
+    fn on_contract_changed(&mut self, name: &str, descriptor: &Rc<ComponentDescriptor>);
 
     /// The next component the deactivation sweep should re-check, strictly
     /// after `cursor` in name order; `None` ends the sweep. The engine

@@ -12,6 +12,7 @@
 use crate::descriptor::ComponentDescriptor;
 use crate::lifecycle::ComponentState;
 use crate::model::PortSpec;
+use rtos::task::ObjName;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::rc::Rc;
@@ -162,7 +163,7 @@ struct ProviderEntry {
 /// A persistent index over the port topology, maintained incrementally by
 /// the DRCR instead of rebuilding a [`WiringGraph`] per candidate per sweep.
 ///
-/// Three maps:
+/// Two maps, keyed by the contracts' own channel names ([`ObjName`]s):
 ///
 /// * `providers`: outport (channel) name → provider entries, **sorted by
 ///   component name**. Port names are unique within a component (validated
@@ -176,11 +177,13 @@ struct ProviderEntry {
 ///   ([`crate::reactive::ReactiveResolver`]): any provider-side churn on a
 ///   channel — a provider stopping (seeds the deactivation sweep), but also
 ///   a provider starting, registering or unregistering (wakes the parked
-///   waiting consumers) — touches exactly the consumers of that channel. The set is a superset of the truly-affected components
+///   waiting consumers) — touches exactly the consumers of that channel.
+///   The set is a superset of the truly-affected components
 ///   (shape-incompatible consumers are included); re-checking a
 ///   still-satisfied consumer is harmless and emits nothing.
-/// * `outports_of`: component name → its outport names, so state flips are
-///   O(outports · log) without the caller passing the descriptor back in.
+///
+/// The index keeps no copy of a component's ports beyond these entries:
+/// every update is handed the contract and reads its ports from it.
 ///
 /// Invalidation rules (all maintained by the DRCR):
 ///
@@ -193,9 +196,8 @@ struct ProviderEntry {
 ///   index: a mode substitutes frequency/priority/claim, never ports.
 #[derive(Debug, Default)]
 pub struct PortIndex {
-    providers: HashMap<String, Vec<ProviderEntry>>,
-    consumers: HashMap<String, BTreeSet<Rc<str>>>,
-    outports_of: HashMap<String, Vec<String>>,
+    providers: HashMap<ObjName, Vec<ProviderEntry>>,
+    consumers: HashMap<ObjName, BTreeSet<Rc<str>>>,
 }
 
 impl PortIndex {
@@ -208,9 +210,8 @@ impl PortIndex {
     /// them with [`PortIndex::set_active`] when the component activates.
     pub fn insert(&mut self, id: &Rc<str>, descriptor: &ComponentDescriptor) {
         debug_assert_eq!(&**id, descriptor.name.as_str());
-        let mut outs = Vec::with_capacity(descriptor.outports.len());
         for port in &descriptor.outports {
-            let entries = self.providers.entry(port.name.to_string()).or_default();
+            let entries = self.providers.entry(port.name).or_default();
             match entries.binary_search_by(|e| (*e.component).cmp(id)) {
                 Ok(_) => debug_assert!(false, "component `{id}` indexed twice"),
                 Err(pos) => entries.insert(
@@ -222,14 +223,10 @@ impl PortIndex {
                     },
                 ),
             }
-            outs.push(port.name.to_string());
-        }
-        if !outs.is_empty() {
-            self.outports_of.insert(id.to_string(), outs);
         }
         for port in &descriptor.inports {
             self.consumers
-                .entry(port.name.to_string())
+                .entry(port.name)
                 .or_default()
                 .insert(id.clone());
         }
@@ -238,32 +235,29 @@ impl PortIndex {
     /// Drops a removed component's entries.
     pub fn remove(&mut self, name: &str, descriptor: &ComponentDescriptor) {
         for port in &descriptor.outports {
-            if let Some(entries) = self.providers.get_mut(port.name.as_str()) {
+            if let Some(entries) = self.providers.get_mut(&port.name) {
                 entries.retain(|e| &*e.component != name);
                 if entries.is_empty() {
-                    self.providers.remove(port.name.as_str());
+                    self.providers.remove(&port.name);
                 }
             }
         }
-        self.outports_of.remove(name);
         for port in &descriptor.inports {
-            if let Some(set) = self.consumers.get_mut(port.name.as_str()) {
+            if let Some(set) = self.consumers.get_mut(&port.name) {
                 set.remove(name);
                 if set.is_empty() {
-                    self.consumers.remove(port.name.as_str());
+                    self.consumers.remove(&port.name);
                 }
             }
         }
     }
 
-    /// Flips the providing flag of all of `name`'s outports. Call on every
-    /// transition that changes [`ComponentState::provides_outputs`].
-    pub fn set_active(&mut self, name: &str, active: bool) {
-        let Some(outs) = self.outports_of.get(name) else {
-            return;
-        };
-        for channel in outs {
-            if let Some(entries) = self.providers.get_mut(channel) {
+    /// Flips the providing flag of all of `descriptor`'s outports. Call on
+    /// every transition that changes [`ComponentState::provides_outputs`].
+    pub fn set_active(&mut self, descriptor: &ComponentDescriptor, active: bool) {
+        let name = descriptor.name.as_str();
+        for port in &descriptor.outports {
+            if let Some(entries) = self.providers.get_mut(&port.name) {
                 if let Ok(pos) = entries.binary_search_by(|e| (*e.component).cmp(name)) {
                     entries[pos].active = active;
                 }
@@ -273,19 +267,8 @@ impl PortIndex {
 
     /// Components declaring an inport named `channel` — the candidates to
     /// re-check when a provider of `channel` stops providing. Sorted.
-    pub fn consumers_of(&self, channel: &str) -> impl Iterator<Item = &Rc<str>> {
-        self.consumers.get(channel).into_iter().flatten()
-    }
-
-    /// The outport (channel) names a component was indexed with, so callers
-    /// can walk provider-side churn to the affected consumers without
-    /// holding the descriptor.
-    pub fn outports_of(&self, name: &str) -> impl Iterator<Item = &str> {
-        self.outports_of
-            .get(name)
-            .into_iter()
-            .flatten()
-            .map(String::as_str)
+    pub fn consumers_of(&self, channel: ObjName) -> impl Iterator<Item = &Rc<str>> {
+        self.consumers.get(&channel).into_iter().flatten()
     }
 
     /// Checks the functional constraints of `candidate` against the index.
@@ -310,7 +293,7 @@ impl PortIndex {
             let mut chosen: Option<String> = None;
             let entries = self
                 .providers
-                .get(inport.name.as_str())
+                .get(&inport.name)
                 .map(Vec::as_slice)
                 .unwrap_or_default();
             for entry in entries {
@@ -486,7 +469,7 @@ mod tests {
         for (desc, active) in entries {
             let id: Rc<str> = Rc::from(desc.name.as_str());
             idx.insert(&id, desc);
-            idx.set_active(&id, *active);
+            idx.set_active(desc, *active);
         }
         idx
     }
@@ -548,7 +531,7 @@ mod tests {
             idx.check_functional(&d, &[]).unwrap(),
             vec![("latdat".to_string(), "calc".to_string())]
         );
-        idx.set_active("calc", false);
+        idx.set_active(&c, false);
         let missing = idx.check_functional(&d, &[]).unwrap_err();
         assert_eq!(
             missing[0].reason,
@@ -560,11 +543,12 @@ mod tests {
         let missing = idx.check_functional(&d, &[]).unwrap_err();
         assert_eq!(missing[0].reason, MissingReason::NoProvider);
         // Consumers stay registered until removed themselves.
-        let consumers: Vec<_> = idx.consumers_of("latdat").collect();
+        let latdat = ObjName::new("latdat").unwrap();
+        let consumers: Vec<_> = idx.consumers_of(latdat).collect();
         assert_eq!(consumers.len(), 1);
         assert_eq!(&**consumers[0], "disp");
         idx.remove("disp", &d);
-        assert_eq!(idx.consumers_of("latdat").count(), 0);
+        assert_eq!(idx.consumers_of(latdat).count(), 0);
     }
 
     #[test]

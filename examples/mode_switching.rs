@@ -38,7 +38,7 @@ fn heavy(name: &str, usage: f64) -> ComponentProvider {
 fn report(rt: &DrtRuntime, step: &str) {
     println!(
         "{step:<46} cam mode={:<7} state={:<11} reserved CPU0={:.2}",
-        rt.drcr().current_mode("cam").unwrap_or_default(),
+        rt.drcr().current_mode_ref("cam").unwrap_or_default(),
         rt.component_state("cam")
             .map(|s| s.to_string())
             .unwrap_or_default(),

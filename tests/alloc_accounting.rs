@@ -13,6 +13,10 @@
 //! * A steady-state contract-monitor poll allocates the same number of
 //!   times whatever the fleet size: it borrows contracts and collects
 //!   only shared name handles, in one allocation.
+//! * A registered contract is held once: the provider, the executive's
+//!   record and its engine share it, so registering a component costs the
+//!   same whatever its contract declares, and a switch back to the base
+//!   mode shares the registered contract again instead of copying it.
 //!
 //! The counters are per thread, so tests running in parallel threads of
 //! this binary do not see each other's allocations. Everything measured
@@ -293,4 +297,69 @@ fn monitor_poll_allocations_do_not_grow_with_the_fleet() {
         small, large,
         "8 components: {small}, 64 components: {large}"
     );
+}
+
+/// A disabled periodic component declaring `properties` properties and
+/// `modes` operating modes.
+fn declaring(properties: usize, modes: usize) -> ComponentProvider {
+    let mut builder = ComponentDescriptor::builder("cam")
+        .periodic(100, 0, 2)
+        .cpu_usage(0.1)
+        .enabled(false);
+    for i in 0..properties {
+        builder = builder.property(&format!("prop{i:02}"), PropertyValue::Integer(i as i64));
+    }
+    for i in 0..modes {
+        builder = builder.mode(&format!("mode{i}"), 10, 0.05, 2);
+    }
+    ComponentProvider::new(builder.build().unwrap(), || {
+        Box::new(FnLogic(|_io: &mut RtIo<'_, '_>| {}))
+    })
+}
+
+fn runtime() -> DrtRuntime {
+    DrtRuntime::new(KernelConfig::new(3).with_timer(TimerJitterModel::ideal()))
+}
+
+/// The allocations `step` makes and how far it moves the live heap.
+fn cost(step: impl FnOnce()) -> (u64, i64) {
+    let (allocated, live) = (allocations(), live_bytes());
+    step();
+    (allocations() - allocated, live_bytes() - live)
+}
+
+#[test]
+fn registering_a_contract_costs_the_same_whatever_it_declares() {
+    let costs: Vec<(u64, i64)> = [(0, 0), (8, 4), (32, 8)]
+        .into_iter()
+        .map(|(properties, modes)| {
+            let mut rt = runtime();
+            let provider = declaring(properties, modes);
+            let cost = cost(|| {
+                rt.install_component("b.cam", provider).unwrap();
+                rt.process();
+            });
+            assert_eq!(rt.component_state("cam"), Some(ComponentState::Disabled));
+            cost
+        })
+        .collect();
+    assert_eq!(costs[0], costs[1], "0/0 vs 8/4 properties/modes");
+    assert_eq!(costs[0], costs[2], "0/0 vs 32/8 properties/modes");
+}
+
+#[test]
+fn switching_back_to_the_base_mode_copies_no_contract() {
+    let allocated: Vec<u64> = [(8, 4), (32, 8)]
+        .into_iter()
+        .map(|(properties, modes)| {
+            let mut rt = runtime();
+            rt.install_component("b.cam", declaring(properties, modes))
+                .unwrap();
+            rt.switch_mode("cam", "mode0").unwrap();
+            let (allocated, _) = cost(|| rt.switch_mode("cam", BASE_MODE).unwrap());
+            assert_eq!(rt.drcr().current_mode_ref("cam"), Some(BASE_MODE));
+            allocated
+        })
+        .collect();
+    assert_eq!(allocated[0], allocated[1], "8/4 vs 32/8 properties/modes");
 }

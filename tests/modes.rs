@@ -92,7 +92,7 @@ fn invalid_modes_are_rejected() {
 fn mode_switch_changes_rate_and_claim() {
     let mut rt = runtime();
     rt.install_component("demo.cam", moded_camera()).unwrap();
-    assert_eq!(rt.drcr().current_mode("cam").unwrap(), BASE_MODE);
+    assert_eq!(rt.drcr().current_mode_ref("cam").unwrap(), BASE_MODE);
     assert_eq!(rt.drcr().ledger().reservation("cam"), Some((0, 0.50)));
 
     rt.advance(SimDuration::from_millis(100));
@@ -102,7 +102,7 @@ fn mode_switch_changes_rate_and_claim() {
 
     // Degrade: 100 Hz, 5% claim.
     rt.switch_mode("cam", "degrad").unwrap();
-    assert_eq!(rt.drcr().current_mode("cam").unwrap(), "degrad");
+    assert_eq!(rt.drcr().current_mode_ref("cam").unwrap(), "degrad");
     assert_eq!(rt.component_state("cam"), Some(ComponentState::Active));
     assert_eq!(rt.drcr().ledger().reservation("cam"), Some((0, 0.05)));
     let task = rt.drcr().task_of("cam").unwrap();
@@ -113,7 +113,31 @@ fn mode_switch_changes_rate_and_claim() {
 
     // And back to normal.
     rt.switch_mode("cam", BASE_MODE).unwrap();
-    assert_eq!(rt.drcr().current_mode("cam").unwrap(), BASE_MODE);
+    assert_eq!(rt.drcr().current_mode_ref("cam").unwrap(), BASE_MODE);
+    assert_eq!(rt.drcr().ledger().reservation("cam"), Some((0, 0.50)));
+}
+
+#[test]
+fn a_refinement_never_writes_through_the_shared_contract() {
+    let mut rt = runtime();
+    let bundle = rt.install_component("demo.cam", moded_camera()).unwrap();
+    rt.refine_claim("cam", 0.2, 100).unwrap();
+    assert_eq!(rt.drcr().ledger().reservation("cam"), Some((0, 0.2)));
+    // The base mode is the registered contract, not the refined one.
+    rt.switch_mode("cam", "degrad").unwrap();
+    rt.switch_mode("cam", BASE_MODE).unwrap();
+    assert_eq!(rt.drcr().ledger().reservation("cam"), Some((0, 0.50)));
+    let registry = rt.framework().registry();
+    let service = registry
+        .find_one(drcom::drcr::COMPONENT_SERVICE, None)
+        .unwrap();
+    let provider = registry.get::<ComponentProvider>(service.id()).unwrap();
+    assert_eq!(provider.descriptor().cpu_usage.fraction(), 0.50);
+    // A restart registers the component again from the same provider.
+    rt.stop_bundle(bundle).unwrap();
+    assert_eq!(rt.component_state("cam"), None);
+    rt.start_bundle(bundle).unwrap();
+    assert_eq!(rt.component_state("cam"), Some(ComponentState::Active));
     assert_eq!(rt.drcr().ledger().reservation("cam"), Some((0, 0.50)));
 }
 
@@ -141,7 +165,7 @@ fn unaffordable_mode_switch_leaves_component_unsatisfied_not_overcommitted() {
     rt.stop_bundle(filler_bundle).unwrap();
     assert_eq!(rt.component_state("cam"), Some(ComponentState::Active));
     assert_eq!(rt.drcr().ledger().reservation("cam"), Some((0, 0.80)));
-    assert_eq!(rt.drcr().current_mode("cam").unwrap(), "burst");
+    assert_eq!(rt.drcr().current_mode_ref("cam").unwrap(), "burst");
 }
 
 #[test]
@@ -162,7 +186,7 @@ fn mode_switch_from_suspended_resumes_under_the_new_contract() {
     rt.switch_mode("cam", "degrad").unwrap();
     // Reconfiguration epoch: the switch re-admits and activates fresh.
     assert_eq!(rt.component_state("cam"), Some(ComponentState::Active));
-    assert_eq!(rt.drcr().current_mode("cam").unwrap(), "degrad");
+    assert_eq!(rt.drcr().current_mode_ref("cam").unwrap(), "degrad");
     assert_eq!(rt.drcr().ledger().reservation("cam"), Some((0, 0.05)));
 }
 

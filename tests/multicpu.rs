@@ -92,7 +92,7 @@ fn a_cpu_that_does_not_exist_is_refused_at_registration() {
     let err = rt
         .drcr_mut()
         .register_component(
-            ghost.descriptor().clone(),
+            std::rc::Rc::new(ghost.descriptor().clone()),
             std::rc::Rc::new(|| Box::new(FnLogic(|_io: &mut RtIo<'_, '_>| {})) as Box<dyn RtLogic>),
             None,
         )

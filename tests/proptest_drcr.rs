@@ -136,7 +136,7 @@ fn check_invariants(rt: &DrtRuntime, case: usize) {
                 reservation.is_some(),
                 "case {case}: `{name}` {state} without reservation"
             );
-            let claim = drcr.descriptor_of(name).unwrap().cpu_usage.fraction();
+            let claim = drcr.descriptor_ref(name).unwrap().cpu_usage.fraction();
             let (_, reserved) = reservation.unwrap();
             assert!(
                 (reserved - claim).abs() < 1e-9,
@@ -360,8 +360,8 @@ fn assert_lockstep(
             "case {case} step {step}: `{name}` providers diverged"
         );
         assert_eq!(
-            di.current_mode(&name),
-            dn.current_mode(&name),
+            di.current_mode_ref(&name),
+            dn.current_mode_ref(&name),
             "case {case} step {step}: `{name}` mode diverged"
         );
     }

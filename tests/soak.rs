@@ -136,7 +136,7 @@ fn drcr_works_embedded_without_the_bundle_path() {
         .unwrap();
     drcr.borrow_mut()
         .register_component(
-            d,
+            Rc::new(d),
             Rc::new(|| {
                 Box::new(FnLogic(|io: &mut RtIo<'_, '_>| {
                     io.compute(SimDuration::from_micros(100));
