@@ -453,7 +453,7 @@ impl HybridRtBody {
         };
         let mut served = 0u32;
         loop {
-            let msg = match ctx.mailbox_recv(cmd_mbx.as_str()) {
+            let msg = match ctx.mailbox_recv(cmd_mbx) {
                 Ok(Some(m)) => m,
                 Ok(None) => break,
                 Err(_) => break, // channel torn down mid-flight
@@ -494,7 +494,7 @@ impl HybridRtBody {
                     // Non-blocking: a full reply mailbox drops the reply;
                     // the manager will re-poll.
                     Ok(bytes) => {
-                        let _ = ctx.mailbox_send(rmbx.as_str(), &bytes);
+                        let _ = ctx.mailbox_send(rmbx, &bytes);
                     }
                     // A reply can carry an oversized descriptor-installed
                     // Text property; dropping it (manager times out) beats
@@ -602,7 +602,7 @@ impl RtIo<'_, '_> {
     fn binding(&self, name: &str, direction: PortDirection) -> Result<&PortBinding, PortError> {
         self.bindings
             .iter()
-            .find(|b| b.spec.name.as_str() == name && b.direction == direction)
+            .find(|b| b.spec.name == *name && b.direction == direction)
             .ok_or_else(|| PortError::NoSuchPort {
                 name: name.to_string(),
                 direction,
@@ -620,16 +620,16 @@ impl RtIo<'_, '_> {
         match spec.interface {
             PortInterface::Shm => self
                 .ctx
-                .shm_read(spec.name.as_str())
+                .shm_read(spec.name)
                 .map(Some)
                 .map_err(|e| PortError::Channel(e.to_string())),
             PortInterface::Mailbox => self
                 .ctx
-                .mailbox_recv(spec.name.as_str())
+                .mailbox_recv(spec.name)
                 .map_err(|e| PortError::Channel(e.to_string())),
             PortInterface::Fifo => self
                 .ctx
-                .fifo_get(spec.name.as_str(), spec.byte_len())
+                .fifo_get(spec.name, spec.byte_len())
                 .map(|bytes| if bytes.is_empty() { None } else { Some(bytes) })
                 .map_err(|e| PortError::Channel(e.to_string())),
         }
@@ -647,16 +647,16 @@ impl RtIo<'_, '_> {
         match spec.interface {
             PortInterface::Shm => self
                 .ctx
-                .shm_write(spec.name.as_str(), data)
+                .shm_write(spec.name, data)
                 .map(|()| true)
                 .map_err(|e| PortError::Channel(e.to_string())),
             PortInterface::Mailbox => self
                 .ctx
-                .mailbox_send(spec.name.as_str(), data)
+                .mailbox_send(spec.name, data)
                 .map_err(|e| PortError::Channel(e.to_string())),
             PortInterface::Fifo => self
                 .ctx
-                .fifo_put(spec.name.as_str(), data)
+                .fifo_put(spec.name, data)
                 .map(|taken| taken == data.len())
                 .map_err(|e| PortError::Channel(e.to_string())),
         }

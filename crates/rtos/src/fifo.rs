@@ -11,8 +11,8 @@
 //! support between real-time tasks").
 
 use crate::error::IpcError;
-use crate::task::ObjName;
-use std::collections::{HashMap, VecDeque};
+use crate::task::{NameMap, ObjName};
+use std::collections::VecDeque;
 
 /// One named byte-stream FIFO.
 #[derive(Debug, Clone)]
@@ -76,7 +76,7 @@ impl Fifo {
 /// Registry of all FIFOs inside a kernel.
 #[derive(Debug, Default)]
 pub struct FifoRegistry {
-    fifos: HashMap<ObjName, Fifo>,
+    fifos: NameMap<Fifo>,
 }
 
 impl FifoRegistry {
@@ -160,8 +160,13 @@ impl FifoRegistry {
     pub(crate) fn get_obj(&mut self, name: ObjName, max: usize) -> Result<Vec<u8>, IpcError> {
         let fifo = self.fifos.get_mut(&name).ok_or(IpcError::NotFound(name))?;
         let take = max.min(fifo.buffer.len());
-        let out: Vec<u8> = fifo.buffer.drain(..take).collect();
-        fifo.read += out.len() as u64;
+        let (front, back) = fifo.buffer.as_slices();
+        let from_front = take.min(front.len());
+        let mut out = Vec::with_capacity(take);
+        out.extend_from_slice(&front[..from_front]);
+        out.extend_from_slice(&back[..take - from_front]);
+        fifo.buffer.drain(..take);
+        fifo.read += take as u64;
         Ok(out)
     }
 

@@ -31,12 +31,13 @@ use crate::mailbox::MailboxRegistry;
 use crate::rng::SimRng;
 use crate::shm::ShmRegistry;
 use crate::task::{
-    Domain, ObjName, Priority, ReleasePolicy, TaskBody, TaskConfig, TaskId, TaskState,
+    Domain, IntoObjName, NameMap, ObjName, Priority, ReleasePolicy, TaskBody, TaskConfig, TaskId,
+    TaskState,
 };
 use crate::time::{LatencyNs, SimDuration, SimTime};
 use crate::trace::{EventSink, KernelEvent, TraceRing, TraceSubscriber};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 /// Static configuration of a [`Kernel`].
 #[derive(Debug, Clone)]
@@ -312,9 +313,13 @@ pub struct Kernel {
     cfg: KernelConfig,
     now: SimTime,
     seq: u64,
-    events: BinaryHeap<Reverse<EventEntry>>,
+    /// Events for a later instant: releases, finishes and quantum
+    /// expiries.
+    future: BinaryHeap<Reverse<EventEntry>>,
+    /// Events posted for the current instant, in posting order.
+    due: VecDeque<EventEntry>,
     tasks: TaskSlab,
-    names: HashMap<ObjName, TaskId>,
+    names: NameMap<TaskId>,
     cpus: Vec<Cpu>,
     shm: ShmRegistry,
     mailboxes: MailboxRegistry,
@@ -329,9 +334,11 @@ pub struct Kernel {
     /// Tasks currently parked in [`TaskState::Faulted`], so supervision
     /// layers can poll for faults without scanning every task.
     faulted: BTreeSet<TaskId>,
-    /// Reused across hook dispatches so a cycle's undo journal and the
-    /// wakeup service's due list do not allocate in steady state.
+    /// Reused across hook dispatches so a cycle's undo journal, the prior
+    /// segment images it points into and the wakeup service's due list do
+    /// not allocate in steady state.
     journal: Vec<UndoEntry>,
+    undo_bytes: Vec<u8>,
     due_wakeups: Vec<(ObjName, TaskId)>,
 }
 
@@ -340,7 +347,7 @@ impl std::fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("now", &self.now)
             .field("tasks", &self.tasks.live)
-            .field("pending_events", &self.events.len())
+            .field("pending_events", &(self.future.len() + self.due.len()))
             .finish()
     }
 }
@@ -357,9 +364,10 @@ impl Kernel {
             cfg,
             now: SimTime::ZERO,
             seq: 0,
-            events: BinaryHeap::new(),
+            future: BinaryHeap::new(),
+            due: VecDeque::new(),
             tasks: TaskSlab::default(),
-            names: HashMap::new(),
+            names: NameMap::default(),
             shm: ShmRegistry::new(),
             mailboxes: MailboxRegistry::new(),
             fifos: FifoRegistry::new(),
@@ -367,6 +375,7 @@ impl Kernel {
             wakeups: BTreeMap::new(),
             faulted: BTreeSet::new(),
             journal: Vec::new(),
+            undo_bytes: Vec::new(),
             due_wakeups: Vec::new(),
         }
     }
@@ -901,14 +910,42 @@ impl Kernel {
     // Event engine
     // ------------------------------------------------------------------
 
+    /// Stamps an event with the next sequence number and files it: an
+    /// event for the current instant joins the `due` FIFO, a later one the
+    /// heap. Events are handled in `(time, seq)` order whichever queue
+    /// holds them.
     fn push_event(&mut self, time: SimTime, event: Event) {
         let time = time.max(self.now);
         self.seq += 1;
-        self.events.push(Reverse(EventEntry {
+        let entry = EventEntry {
             time,
             seq: self.seq,
             event,
-        }));
+        };
+        if time == self.now {
+            self.due.push_back(entry);
+        } else {
+            self.future.push(Reverse(entry));
+        }
+    }
+
+    /// Removes and returns the earliest pending event by `(time, seq)`,
+    /// if it is due by `deadline`.
+    fn pop_event(&mut self, deadline: SimTime) -> Option<EventEntry> {
+        let due = self.due.front().copied();
+        let later = self.future.peek().map(|Reverse(e)| *e);
+        let next = match (due, later) {
+            (Some(d), Some(l)) => d.min(l),
+            (d, l) => d.or(l)?,
+        };
+        if next.time > deadline {
+            return None;
+        }
+        if due.is_some_and(|d| d.seq == next.seq) {
+            self.due.pop_front()
+        } else {
+            self.future.pop().map(|Reverse(e)| e)
+        }
     }
 
     fn schedule_release(&mut self, id: TaskId, ideal: SimTime) {
@@ -922,11 +959,7 @@ impl Kernel {
 
     /// Runs the simulation until `deadline` (inclusive of events at it).
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(Reverse(entry)) = self.events.peek().copied() {
-            if entry.time > deadline {
-                break;
-            }
-            self.events.pop();
+        while let Some(entry) = self.pop_event(deadline) {
             debug_assert!(entry.time >= self.now, "time went backwards");
             self.now = entry.time;
             self.handle(entry.event);
@@ -938,19 +971,6 @@ impl Kernel {
     pub fn run_for(&mut self, span: SimDuration) {
         let deadline = self.now + span;
         self.run_until(deadline);
-    }
-
-    /// Processes a single event. Returns `false` when the event queue is
-    /// empty.
-    pub fn step(&mut self) -> bool {
-        match self.events.pop() {
-            Some(Reverse(entry)) => {
-                self.now = entry.time;
-                self.handle(entry.event);
-                true
-            }
-            None => false,
-        }
     }
 
     fn handle(&mut self, event: Event) {
@@ -1328,6 +1348,7 @@ impl Kernel {
             task.started = true;
         }
         let mut journal = std::mem::take(&mut self.journal);
+        let mut undo_bytes = std::mem::take(&mut self.undo_bytes);
         let result = {
             let mut ctx = TaskCtx {
                 now: self.now,
@@ -1336,6 +1357,7 @@ impl Kernel {
                 cycle,
                 charged: SimDuration::ZERO,
                 journal: &mut journal,
+                undo_bytes: &mut undo_bytes,
                 shm: &mut self.shm,
                 mailboxes: &mut self.mailboxes,
                 fifos: &mut self.fifos,
@@ -1374,7 +1396,9 @@ impl Kernel {
                 // so overlapping operations restore the pre-cycle image.
                 for entry in journal.drain(..).rev() {
                     match entry {
-                        UndoEntry::ShmWrite { name, prior } => self.shm.undo_write(&name, &prior),
+                        UndoEntry::ShmWrite { name, at, len } => {
+                            self.shm.undo_write(&name, &undo_bytes[at..at + len])
+                        }
                         UndoEntry::MailboxSend { name, accepted } => {
                             self.mailboxes.undo_send(&name, accepted)
                         }
@@ -1408,7 +1432,9 @@ impl Kernel {
                 }
             }
         };
+        undo_bytes.clear();
         self.journal = journal;
+        self.undo_bytes = undo_bytes;
         outcome
     }
 }
@@ -1473,8 +1499,13 @@ struct HookOutcome {
 /// One reversible port mutation recorded while a body hook runs.
 #[derive(Debug)]
 enum UndoEntry {
-    /// A successful SHM write; `prior` is the pre-write segment image.
-    ShmWrite { name: ObjName, prior: Vec<u8> },
+    /// A successful SHM write; the pre-write segment image is
+    /// `undo_bytes[at..at + len]`.
+    ShmWrite {
+        name: ObjName,
+        at: usize,
+        len: usize,
+    },
     /// A mailbox send attempt (`accepted == false` counted a rejection).
     MailboxSend { name: ObjName, accepted: bool },
     /// A FIFO append that took `accepted` bytes.
@@ -1505,6 +1536,8 @@ pub struct TaskCtx<'a> {
     /// Reversible-mutation log for fault containment; replayed in reverse
     /// by [`Kernel::run_hook`] when the body panics.
     journal: &'a mut Vec<UndoEntry>,
+    /// The prior segment images `journal`'s SHM writes point into.
+    undo_bytes: &'a mut Vec<u8>,
     shm: &'a mut ShmRegistry,
     mailboxes: &'a mut MailboxRegistry,
     fifos: &'a mut FifoRegistry,
@@ -1567,20 +1600,28 @@ impl TaskCtx<'_> {
 
     /// Writes a whole shared-memory segment; charges the SHM op cost.
     ///
+    /// Like every port operation here, it takes the object's name as an
+    /// [`ObjName`], validated once up front, or as a string validated on
+    /// each call.
+    ///
     /// # Errors
     ///
     /// Propagates [`crate::error::IpcError`] from the registry.
-    pub fn shm_write(&mut self, name: &str, buf: &[u8]) -> Result<(), crate::error::IpcError> {
+    pub fn shm_write(
+        &mut self,
+        name: impl IntoObjName,
+        buf: &[u8],
+    ) -> Result<(), crate::error::IpcError> {
         self.charged += self.shm_op_cost;
-        let obj = ObjName::new(name)?;
-        let prior = self.shm.peek(&obj);
-        let result = self.shm.write_obj(obj, buf);
-        if result.is_ok() {
-            if let Some(prior) = prior {
-                self.journal.push(UndoEntry::ShmWrite { name: obj, prior });
-            }
-        }
-        result
+        let name = name.into_obj_name()?;
+        let at = self.undo_bytes.len();
+        self.shm.write_obj(name, buf, Some(self.undo_bytes))?;
+        self.journal.push(UndoEntry::ShmWrite {
+            name,
+            at,
+            len: buf.len(),
+        });
+        Ok(())
     }
 
     /// Reads a whole shared-memory segment; charges the SHM op cost.
@@ -1588,9 +1629,9 @@ impl TaskCtx<'_> {
     /// # Errors
     ///
     /// Propagates [`crate::error::IpcError`] from the registry.
-    pub fn shm_read(&mut self, name: &str) -> Result<Vec<u8>, crate::error::IpcError> {
+    pub fn shm_read(&mut self, name: impl IntoObjName) -> Result<Vec<u8>, crate::error::IpcError> {
         self.charged += self.shm_op_cost;
-        self.shm.read_obj(ObjName::new(name)?)
+        self.shm.read_obj(name.into_obj_name()?)
     }
 
     /// Non-blocking mailbox send; charges the mailbox op cost.
@@ -1598,17 +1639,16 @@ impl TaskCtx<'_> {
     /// # Errors
     ///
     /// Propagates [`crate::error::IpcError`] from the registry.
-    pub fn mailbox_send(&mut self, name: &str, msg: &[u8]) -> Result<bool, crate::error::IpcError> {
+    pub fn mailbox_send(
+        &mut self,
+        name: impl IntoObjName,
+        msg: &[u8],
+    ) -> Result<bool, crate::error::IpcError> {
         self.charged += self.mbx_op_cost;
-        let obj = ObjName::new(name)?;
-        let result = self.mailboxes.send_obj(obj, msg);
-        if let Ok(accepted) = result {
-            self.journal.push(UndoEntry::MailboxSend {
-                name: obj,
-                accepted,
-            });
-        }
-        result
+        let name = name.into_obj_name()?;
+        let accepted = self.mailboxes.send_obj(name, msg)?;
+        self.journal.push(UndoEntry::MailboxSend { name, accepted });
+        Ok(accepted)
     }
 
     /// Non-blocking mailbox receive; charges the mailbox op cost (polling an
@@ -1617,9 +1657,12 @@ impl TaskCtx<'_> {
     /// # Errors
     ///
     /// Propagates [`crate::error::IpcError`] from the registry.
-    pub fn mailbox_recv(&mut self, name: &str) -> Result<Option<Vec<u8>>, crate::error::IpcError> {
+    pub fn mailbox_recv(
+        &mut self,
+        name: impl IntoObjName,
+    ) -> Result<Option<Vec<u8>>, crate::error::IpcError> {
         self.charged += self.mbx_op_cost;
-        self.mailboxes.recv_obj(ObjName::new(name)?)
+        self.mailboxes.recv_obj(name.into_obj_name()?)
     }
 
     /// Non-blocking FIFO append; charges the mailbox op cost. Returns how
@@ -1628,18 +1671,20 @@ impl TaskCtx<'_> {
     /// # Errors
     ///
     /// Propagates [`crate::error::IpcError`] from the registry.
-    pub fn fifo_put(&mut self, name: &str, data: &[u8]) -> Result<usize, crate::error::IpcError> {
+    pub fn fifo_put(
+        &mut self,
+        name: impl IntoObjName,
+        data: &[u8],
+    ) -> Result<usize, crate::error::IpcError> {
         self.charged += self.mbx_op_cost;
-        let obj = ObjName::new(name)?;
-        let result = self.fifos.put_obj(obj, data);
-        if let Ok(accepted) = result {
-            self.journal.push(UndoEntry::FifoPut {
-                name: obj,
-                accepted,
-                truncated: accepted < data.len(),
-            });
-        }
-        result
+        let name = name.into_obj_name()?;
+        let accepted = self.fifos.put_obj(name, data)?;
+        self.journal.push(UndoEntry::FifoPut {
+            name,
+            accepted,
+            truncated: accepted < data.len(),
+        });
+        Ok(accepted)
     }
 
     /// Non-blocking FIFO drain of up to `max` bytes; charges the mailbox
@@ -1648,9 +1693,13 @@ impl TaskCtx<'_> {
     /// # Errors
     ///
     /// Propagates [`crate::error::IpcError`] from the registry.
-    pub fn fifo_get(&mut self, name: &str, max: usize) -> Result<Vec<u8>, crate::error::IpcError> {
+    pub fn fifo_get(
+        &mut self,
+        name: impl IntoObjName,
+        max: usize,
+    ) -> Result<Vec<u8>, crate::error::IpcError> {
         self.charged += self.mbx_op_cost;
-        self.fifos.get_obj(ObjName::new(name)?, max)
+        self.fifos.get_obj(name.into_obj_name()?, max)
     }
 
     /// Appends a line to the kernel trace (a [`KernelEvent::UserLog`]).
@@ -2276,6 +2325,42 @@ mod tests {
         let fifo = k.fifos().lookup("stream").unwrap();
         assert_eq!(fifo.written_bytes(), 8);
         assert_eq!(fifo.len(), 8);
+    }
+
+    #[test]
+    fn faulted_cycle_replays_several_writes_per_segment_in_reverse() {
+        let mut k = quiet_kernel(26);
+        k.shm_mut().alloc("pair", DataType::Integer, 2).unwrap();
+        k.shm_mut().alloc("tag", DataType::Byte, 3).unwrap();
+        let cfg = TaskConfig::periodic("wrt", Priority(2), SimDuration::from_millis(1)).unwrap();
+        let pair = ObjName::new("pair").unwrap();
+        let id = k
+            .create_task(
+                cfg,
+                Box::new(FnBody(move |ctx: &mut TaskCtx<'_>| {
+                    let c = ctx.cycle() as u8;
+                    let image = |x: u8| [x, 0, 0, 0, x + 100, 0, 0, 0];
+                    ctx.shm_write(pair, &image(10 * c + 1)).unwrap();
+                    ctx.shm_write("tag", &[c, c, c]).unwrap();
+                    ctx.shm_write(pair, &image(10 * c + 2)).unwrap();
+                    if c == 2 {
+                        panic!("crash after three writes");
+                    }
+                })),
+            )
+            .unwrap();
+        k.start_task(id).unwrap();
+        k.run_for(SimDuration::from_millis(5));
+        assert_eq!(k.task_state(id), Some(TaskState::Faulted));
+        // Cycle 1's images survive; each of cycle 2's writes was undone,
+        // the doubly written segment back past both of its writes.
+        assert_eq!(
+            k.shm_mut().read("pair").unwrap(),
+            [12, 0, 0, 0, 112, 0, 0, 0]
+        );
+        assert_eq!(k.shm_mut().read("tag").unwrap(), [1, 1, 1]);
+        assert_eq!(k.shm().get("pair").unwrap().write_count(), 4);
+        assert_eq!(k.shm().get("tag").unwrap().write_count(), 2);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! asynchrony discipline: the RT side must never wait on management traffic.
 
 use crate::error::IpcError;
-use crate::task::ObjName;
-use std::collections::{HashMap, VecDeque};
+use crate::task::{NameMap, ObjName};
+use std::collections::VecDeque;
 
 /// One bounded mailbox.
 #[derive(Debug, Clone)]
@@ -72,7 +72,7 @@ impl Mailbox {
 /// Registry of all mailboxes inside a kernel.
 #[derive(Debug, Default)]
 pub struct MailboxRegistry {
-    boxes: HashMap<ObjName, Mailbox>,
+    boxes: NameMap<Mailbox>,
 }
 
 impl MailboxRegistry {

@@ -7,8 +7,7 @@
 //! reads and writes are whole-buffer and bounds-checked.
 
 use crate::error::{IpcError, NameError};
-use crate::task::ObjName;
-use std::collections::HashMap;
+use crate::task::{NameMap, ObjName};
 
 /// Element type carried by a segment or mailbox (`type` attribute of a
 /// descriptor port).
@@ -112,7 +111,7 @@ impl ShmSegment {
 /// Registry of all live segments inside a kernel.
 #[derive(Debug, Default)]
 pub struct ShmRegistry {
-    segments: HashMap<ObjName, ShmSegment>,
+    segments: NameMap<ShmSegment>,
 }
 
 impl ShmRegistry {
@@ -187,11 +186,18 @@ impl ShmRegistry {
     /// [`IpcError::NotFound`] if the segment does not exist;
     /// [`IpcError::SizeMismatch`] if `buf` is not exactly the segment size.
     pub fn write(&mut self, name: &str, buf: &[u8]) -> Result<(), IpcError> {
-        self.write_obj(ObjName::new(name)?, buf)
+        self.write_obj(ObjName::new(name)?, buf, None)
     }
 
-    /// [`ShmRegistry::write`] for an already validated name.
-    pub(crate) fn write_obj(&mut self, name: ObjName, buf: &[u8]) -> Result<(), IpcError> {
+    /// [`ShmRegistry::write`] for an already validated name. When the
+    /// write goes through and `prior` is given, the segment's pre-write
+    /// bytes are appended to it (the kernel's fault-containment journal).
+    pub(crate) fn write_obj(
+        &mut self,
+        name: ObjName,
+        buf: &[u8],
+        prior: Option<&mut Vec<u8>>,
+    ) -> Result<(), IpcError> {
         let seg = self
             .segments
             .get_mut(&name)
@@ -202,6 +208,9 @@ impl ShmRegistry {
                 expected: seg.data.len(),
                 found: buf.len(),
             });
+        }
+        if let Some(prior) = prior {
+            prior.extend_from_slice(&seg.data);
         }
         seg.data.copy_from_slice(buf);
         seg.writes += 1;
@@ -227,15 +236,8 @@ impl ShmRegistry {
         Ok(seg.data.clone())
     }
 
-    /// Clones a segment's current bytes without counting a read. Used by
-    /// the kernel's fault-containment journal to snapshot the pre-write
-    /// image before a body write goes through.
-    pub(crate) fn peek(&self, name: &ObjName) -> Option<Vec<u8>> {
-        self.segments.get(name).map(|seg| seg.data.clone())
-    }
-
     /// Reverses one successful [`ShmRegistry::write`]: restores the
-    /// snapshot taken by [`ShmRegistry::peek`] and un-counts the write.
+    /// pre-write bytes saved by `write_obj` and un-counts the write.
     /// Only called by the kernel when rolling back a faulted cycle.
     pub(crate) fn undo_write(&mut self, name: &ObjName, prior: &[u8]) {
         if let Some(seg) = self.segments.get_mut(name) {

@@ -3,7 +3,9 @@
 
 use crate::error::NameError;
 use crate::time::SimDuration;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Maximum length of a kernel object name (RTAI heritage; see the paper's
 /// descriptor section: "the underlying real time OS use the six character
@@ -16,7 +18,7 @@ pub const MAX_OBJ_NAME: usize = 6;
 /// touches the heap: the dispatch path hands names around by value. Names
 /// contain no NUL bytes, so comparing the padded byte arrays orders names
 /// exactly as comparing the strings does (a prefix sorts first).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ObjName([u8; MAX_OBJ_NAME]);
 
 impl ObjName {
@@ -46,6 +48,87 @@ impl ObjName {
     pub fn as_str(&self) -> &str {
         let len = self.0.iter().position(|&b| b == 0).unwrap_or(MAX_OBJ_NAME);
         std::str::from_utf8(&self.0[..len]).expect("validated names are ASCII")
+    }
+}
+
+/// A name hashes as one word, so the kernel's registries mix it with one
+/// multiply.
+impl Hash for ObjName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c, d, e, f] = self.0;
+        state.write_u64(u64::from_le_bytes([a, b, c, d, e, f, 0, 0]));
+    }
+}
+
+/// Compares with a string without validating it: a string that is not a
+/// valid name equals no name.
+impl PartialEq<str> for ObjName {
+    fn eq(&self, other: &str) -> bool {
+        let other = other.as_bytes();
+        other.len() <= MAX_OBJ_NAME
+            && !other.contains(&0)
+            && self.0[..other.len()] == *other
+            && self.0.get(other.len()).is_none_or(|&b| b == 0)
+    }
+}
+
+/// Fixed hasher for maps keyed by [`ObjName`]: a name hashes as one word
+/// (see its `Hash` impl), which a multiply by the 64-bit golden ratio and
+/// a fold of the high half into the low half spread over the table. The
+/// kernel's object registries look names up on every port operation,
+/// where SipHash costs more than the lookup; nothing iterates them in an
+/// order that matters.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct NameHasher(u64);
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A hash map keyed by kernel object names, hashed with [`NameHasher`].
+pub(crate) type NameMap<V> = HashMap<ObjName, V, BuildHasherDefault<NameHasher>>;
+
+/// A kernel object name as the port operations of
+/// [`TaskCtx`](crate::kernel::TaskCtx) take it: an [`ObjName`] validated
+/// once up front, or a string validated on every call.
+pub trait IntoObjName {
+    /// The validated name.
+    ///
+    /// # Errors
+    ///
+    /// [`NameError`] when a string is not a valid object name.
+    fn into_obj_name(self) -> Result<ObjName, NameError>;
+}
+
+impl IntoObjName for ObjName {
+    fn into_obj_name(self) -> Result<ObjName, NameError> {
+        Ok(self)
+    }
+}
+
+impl IntoObjName for &str {
+    fn into_obj_name(self) -> Result<ObjName, NameError> {
+        ObjName::new(self)
+    }
+}
+
+impl IntoObjName for &String {
+    fn into_obj_name(self) -> Result<ObjName, NameError> {
+        ObjName::new(self)
     }
 }
 
@@ -396,6 +479,17 @@ mod tests {
         let n: ObjName = "camera".parse().unwrap();
         assert_eq!(n.as_str(), "camera");
         assert!("too_long".parse::<ObjName>().is_err());
+    }
+
+    #[test]
+    fn obj_name_equals_exactly_its_own_string() {
+        let n = ObjName::new("ab1").unwrap();
+        assert!(n == *"ab1");
+        for other in ["", "a", "ab", "ab1c", "ab1\0", "AB1", "ab1ab1x"] {
+            assert!(n != *other, "{other:?}");
+        }
+        let full = ObjName::new("camera").unwrap();
+        assert!(full == *"camera" && full != *"camer" && full != *"cameras");
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! allocator.
 //!
 //! * A steady-state dispatch allocates nothing: neither for a compute-only
-//!   [`FnBody`] nor for a [`HybridRtBody`] whose command mailbox is empty
-//!   (the container polls it every cycle).
+//!   [`FnBody`], nor for one that writes SHM segments and puts into a FIFO
+//!   by [`ObjName`] (the fault-containment journal included), nor for a
+//!   [`HybridRtBody`] whose command mailbox is empty (the container polls
+//!   it every cycle).
 //! * Latency tracking keeps constant-space statistics, so the live heap
 //!   stays flat however long simulated time runs.
 //! * Deleted tasks are reaped: creating and deleting 10,000 tasks leaves
@@ -117,6 +119,61 @@ fn compute_only_dispatch_allocates_nothing() {
         allocated, 0,
         "{allocated} allocations over {dispatches} dispatches"
     );
+}
+
+/// Port writes through `TaskCtx` allocate nothing: the names are
+/// validated once, and the undo journal and the prior segment images it
+/// keeps live in buffers the kernel reuses. Mailbox sends and every read
+/// still allocate, because their APIs hand out owned `Vec`s (a message
+/// queued, a buffer returned); that is a separate change to the port API.
+#[test]
+fn shm_writes_and_fifo_puts_allocate_nothing() {
+    let mut k = kernel();
+    let fifo = ObjName::new("ff").unwrap();
+    k.fifos_mut().create("ff", 4096).unwrap();
+    for i in 0..4u32 {
+        let seg = ObjName::new(format!("sh{i}")).unwrap();
+        k.shm_mut()
+            .alloc(seg.as_str(), DataType::Integer, 2)
+            .unwrap();
+        let cfg = periodic(&format!("w{i}"), 1000, 2 + i as u8, i % 2);
+        let id = k
+            .create_task(
+                cfg,
+                Box::new(FnBody(move |ctx: &mut TaskCtx<'_>| {
+                    let v = (ctx.cycle() as u32).to_le_bytes();
+                    ctx.compute(SimDuration::from_micros(40));
+                    ctx.shm_write(seg, &[0; 8]).unwrap();
+                    let [a, b, c, d] = v;
+                    ctx.shm_write(seg, &[a, b, c, d, a, b, c, d]).unwrap();
+                    assert_eq!(ctx.fifo_put(fifo, &v).unwrap(), 4);
+                })),
+            )
+            .unwrap();
+        k.start_task(id).unwrap();
+    }
+    // Drain the FIFO between 100 ms chunks, outside the measured spans,
+    // so every put lands; the warm-up grows its ring to full size.
+    let chunk = |k: &mut Kernel| {
+        let before = allocations();
+        k.run_for(SimDuration::from_millis(100));
+        let allocated = allocations() - before;
+        k.fifos_mut().get("ff", usize::MAX).unwrap();
+        allocated
+    };
+    for _ in 0..3 {
+        chunk(&mut k);
+    }
+    let dispatches = k.counters().dispatches;
+    let allocated: u64 = (0..10).map(|_| chunk(&mut k)).sum();
+    let dispatches = k.counters().dispatches - dispatches;
+    assert!(dispatches > 3_000, "only {dispatches} dispatches");
+    assert_eq!(
+        allocated, 0,
+        "{allocated} allocations over {dispatches} dispatches"
+    );
+    let written = k.fifos().lookup("ff").unwrap().written_bytes();
+    assert!(written >= 4 * dispatches, "{written} bytes put");
 }
 
 #[test]
